@@ -29,8 +29,9 @@ from .model import (
     expand_threshold,
     threshold_energy,
 )
-from .gridsearch import SolveTimeout, grid_search, ratio_bound, enumerate_saturating
-from .greedy import GreedyVariant, combined_best, greedy_construct
+from .gridsearch import (SolveReport, SolveTimeout, enumerate_saturating, grid_search,
+                         ratio_bound)
+from .greedy import COMBINED_GUARANTEE, GreedyVariant, combined_best, greedy_construct
 from .baselines import arrival_rate_greedy, class_independent, uniform_policy
 from .mcsim import SimConfig, validate
 
@@ -324,12 +325,22 @@ class AlgoResult:
     extras: dict
 
 
+def _grid_result(rep: SolveReport) -> AlgoResult:
+    return AlgoResult(rep.policy, rep.objective, rep.enumerated,
+                      {"ratio_bound": rep.ratio_bound})
+
+
+def _timed(fn, *args, **kwargs):
+    """(fn's result, its wall time in seconds)."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, time.perf_counter() - t0
+
+
 def run_algorithm(name: str, sc: Scenario, *, timeout_s: float | None = None) -> AlgoResult:
     beacons_present = any(t.beacon_cost > 0.0 for t in sc.technologies)
     if name == "grid":
-        rep = grid_search(sc, with_upper_bound=False, timeout_s=timeout_s)
-        return AlgoResult(rep.policy, rep.objective, rep.enumerated,
-                          {"ratio_bound": rep.ratio_bound})
+        return _grid_result(grid_search(sc, timeout_s=timeout_s))
     if name in ("greedy1", "greedy2"):
         variant = GreedyVariant.GAIN if name == "greedy1" else GreedyVariant.GAIN_PER_COST
         if variant is GreedyVariant.GAIN_PER_COST and beacons_present:
@@ -347,7 +358,7 @@ def run_algorithm(name: str, sc: Scenario, *, timeout_s: float | None = None) ->
         rep = combined_best(sc)
         return AlgoResult(rep.policy, rep.objective, rep.iterations, {
             "variant": rep.variant.value,
-            "guarantee": 0.5 * (1.0 - 1.0 / math.e),
+            "guarantee": COMBINED_GUARANTEE,
             "online_bound": rep.online_bound,
             "offline_bound": rep.offline_bound,
         })
@@ -417,16 +428,20 @@ def cmd_solve(args) -> int:
         if name not in ALGORITHMS:
             raise CliInputError(f"unknown algorithm {name!r} (choose from {ALGORITHMS})")
 
-    ub = None
-    if len(sc.classes) <= args.ub_cap:
-        ub = grid_search(sc, with_upper_bound=True, timeout_s=args.timeout).upper_bound
+    # one grid search serves the grid row and every row's upper bound
+    with_ub = len(sc.classes) <= args.ub_cap
+    grid_rep = grid_wall = None
+    if with_ub or "grid" in names:
+        grid_rep, grid_wall = _timed(grid_search, sc, timeout_s=args.timeout)
+    ub = grid_rep.upper_bound if with_ub else None
 
     rows = []
     reports = []
     for name in names:
-        t0 = time.perf_counter()
-        res = run_algorithm(name, sc, timeout_s=args.timeout)
-        wall = time.perf_counter() - t0
+        if name == "grid":
+            res, wall = _grid_result(grid_rep), grid_wall
+        else:
+            res, wall = _timed(run_algorithm, name, sc, timeout_s=args.timeout)
         rows.append(_result_row(args.instance_id, name, res, sc, ub, wall))
         reports.append({
             "instance_id": args.instance_id,
@@ -450,6 +465,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    resolution = 5 if args.resolution is None else args.resolution
     rng = np.random.default_rng(args.seed)
     names = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     for name in names:
@@ -462,7 +478,7 @@ def cmd_sweep(args) -> int:
             raise CliInputError("sweep: --count must be >= 1")
         for i in range(args.count):
             ident, sc = sample_table_scenario(
-                rng, resolution=args.resolution,
+                rng, resolution=resolution,
                 with_beacons=not args.no_beacons)
             instances.append((f"{ident}_i{i}", sc))
     else:
@@ -470,32 +486,34 @@ def cmd_sweep(args) -> int:
         if not sizes:
             raise CliInputError("sweep: --classes must list at least one size")
         for n_cls in sizes:
-            ident, sc = sample_scalability_scenario(rng, n_cls, resolution=args.resolution)
+            ident, sc = sample_scalability_scenario(rng, n_cls, resolution=resolution)
             instances.append((ident, sc))
 
     rows = []
     for ident, sc in instances:
+        # one grid search serves the grid row and every row's upper bound
+        grid_rep = grid_wall = None
+        if "grid" in names:
+            try:
+                grid_rep, grid_wall = _timed(grid_search, sc, timeout_s=args.timeout)
+            except SolveTimeout:
+                pass
         ub = None
-        if "grid" in names and len(sc.classes) <= args.ub_cap:
-            try:
-                ub = grid_search(sc, with_upper_bound=True,
-                                 timeout_s=args.timeout).upper_bound
-            except SolveTimeout:
-                ub = None
+        if grid_rep is not None and len(sc.classes) <= args.ub_cap:
+            ub = grid_rep.upper_bound
         for name in names:
-            t0 = time.perf_counter()
-            try:
-                res = run_algorithm(name, sc, timeout_s=args.timeout)
-            except SolveTimeout:
-                rows.append(_result_row(ident, name, None, sc, None, None,
-                                        status="timeout"))
-                continue
-            except CliRequestError:
-                rows.append(_result_row(ident, name, None, sc, None, None,
-                                        status="inapplicable"))
-                continue
-            wall = (time.perf_counter() - t0) if args.timings else None
-            rows.append(_result_row(ident, name, res, sc, ub, wall))
+            res, wall, status = None, None, "ok"
+            if name != "grid":
+                try:
+                    res, wall = _timed(run_algorithm, name, sc, timeout_s=args.timeout)
+                except CliRequestError:
+                    status = "inapplicable"
+            elif grid_rep is not None:
+                res, wall = _grid_result(grid_rep), grid_wall
+            else:
+                status = "timeout"
+            rows.append(_result_row(ident, name, res, sc, ub,
+                                    wall if args.timings else None, status))
     _write_rows(rows, args.out)
     return 0
 
@@ -514,15 +532,17 @@ def _policy_from_source(args, sc: Scenario) -> tuple[str, Policy]:
                     f"policy.thresholds: expected {len(sc.classes)} entries")
             try:
                 return "file", expand_threshold(ThresholdPolicy(tuple(th)), sc)
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise CliInputError(f"policy.thresholds: {exc}") from exc
         if isinstance(doc, dict) and "policy" in doc:
-            mat = np.asarray(doc["policy"], dtype=float)
-            if mat.shape != (len(sc.classes), sc.subslots):
-                raise CliInputError(
-                    f"policy.policy: expected shape {(len(sc.classes), sc.subslots)},"
-                    f" got {mat.shape}")
-            return "file", Policy(mat)
+            try:
+                mat = np.asarray(doc["policy"], dtype=float)
+                if mat.shape != (len(sc.classes), sc.subslots):
+                    raise ValueError(f"expected shape {(len(sc.classes), sc.subslots)},"
+                                     f" got {mat.shape}")
+                return "file", Policy(mat)
+            except (TypeError, ValueError) as exc:
+                raise CliInputError(f"policy.policy: {exc}") from exc
         raise CliInputError("policy file needs a 'thresholds' or 'policy' key")
     res = run_algorithm(args.algorithm, sc)
     return args.algorithm, expand_threshold(res.policy, sc)
@@ -555,10 +575,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    resolution = 1 if args.resolution is None else args.resolution
     classes = math.inf if args.classes.strip() in ("inf", "") else float(args.classes)
-    value = ratio_bound(args.slots, args.resolution, classes)
+    value = ratio_bound(args.slots, resolution, classes)
     if args.format == "json" or args.out:
-        _write_json({"slots": args.slots, "resolution": args.resolution,
+        _write_json({"slots": args.slots, "resolution": resolution,
                      "classes": args.classes, "ratio_bound": value}, args.out)
     else:
         sys.stdout.write(f"{value!r}\n")
@@ -621,8 +642,10 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
+    # every subcommand shares this action: its default stays None, each command applies its own
     common.add_argument("--resolution", type=int, default=None,
-                        help="override the scenario resolution")
+                        help="sub-slots per slot (default: the scenario file's;"
+                             " sweep 5, bound 1)")
 
     p = sub.add_parser("solve", parents=[common],
                        help="run solvers or baselines on one scenario")
@@ -650,7 +673,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--timeout", type=float, default=None)
     p.add_argument("--timings", action="store_true",
                    help="record wall times (output no longer byte-reproducible)")
-    p.set_defaults(func=cmd_sweep, resolution=5)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", parents=[common],
                        help="validate a policy against the contact-process simulator")
@@ -668,7 +691,7 @@ def _build_parser() -> _Parser:
                        help="evaluate the grid-quality lower bound")
     p.add_argument("--slots", type=int, required=True)
     p.add_argument("--classes", default="inf")
-    p.set_defaults(func=cmd_bound, resolution=1)
+    p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("validate-enum", parents=[common],
                        help="cross-check the enumeration against brute force (small instances)")

@@ -8,9 +8,9 @@ unique fractional threshold that exhausts what is left of the budget.
 
 The module provides the boundary solver (closed form with a safeguarded
 Newton fallback for beacon-bearing technologies), the per-level feasible
-ranges, the enumeration itself (reference generator plus a vectorised solver
-used by ``grid_search``), the rounded-up upper-bound oracle, and the
-grid-quality lower-bound formula.
+ranges, the enumeration itself (one leaf walker shared by the reference
+generator and ``grid_search``, which also returns the rounded-up upper bound
+from the same pass), and the grid-quality lower-bound formula.
 """
 
 from __future__ import annotations
@@ -100,12 +100,13 @@ class FeasibleRange:
 
 @dataclass
 class SolveReport:
-    """Outcome of a solver run."""
+    """Outcome of a grid search, with the rounded-up upper bound found in the
+    same enumeration pass."""
 
     policy: ThresholdPolicy
     objective: float
-    upper_bound: float | None = None
-    ratio_bound: float | None = None
+    upper_bound: float
+    ratio_bound: float
     enumerated: int = 0
     wall_time: float = 0.0
 
@@ -391,6 +392,37 @@ def _leaf_candidates(frac_c: int, leaf_c: int | None, assigned: dict[int, int],
     return h_vec[ok], r_vec[ok]
 
 
+def _leaf_batches(sc: Scenario, frac_c: int
+                  ) -> Iterator[tuple[dict[int, int], int | None, np.ndarray, np.ndarray]]:
+    """The enumeration walker: yields (assigned, leaf class, h_vec, r_vec) for
+    every leaf of the tree with fractional class ``frac_c``, empty ones too.
+
+    Integer levels are the costly classes other than ``frac_c`` in ascending
+    order; ``assigned`` maps them to thresholds in level order and is reused
+    between batches, so copy it to keep it.  The last costly class is the
+    leaf, swept as a vector (None when ``frac_c`` is the only costly class).
+    """
+    others = [c for c in _costly_classes(sc) if c != frac_c]
+    leaf = others[-1] if others else None
+    assigned: dict[int, int] = {}
+
+    def walk(level: int):
+        if level >= len(others) - 1:
+            h_vec, r_vec = _leaf_candidates(frac_c, leaf, assigned, sc)
+            yield assigned, leaf, h_vec, r_vec
+            return
+        c2 = others[level]
+        rng = feasible_range(c2, PartialAssignment(frac_c, dict(assigned)), sc)
+        if rng.empty:
+            return
+        for h in range(rng.lo, rng.hi + 1):
+            assigned[c2] = h
+            yield from walk(level + 1)
+            del assigned[c2]
+
+    yield from walk(0)
+
+
 def enumerate_saturating(sc: Scenario, fractional_class: int
                          ) -> Iterator[tuple[dict[int, int], float]]:
     """Reference enumeration: yields (integer assignment, fractional threshold)
@@ -398,32 +430,16 @@ def enumerate_saturating(sc: Scenario, fractional_class: int
 
     Classes with zero transmission and beacon cost are pinned to full
     transmission and never enumerated.  Intended for small instances and for
-    cross-checking the vectorised solver.
+    cross-checking ``grid_search``.
     """
     if is_costless(fractional_class, sc):
         raise ValueError("fractional class must have a positive cost")
-    others = [c for c in _costly_classes(sc) if c != fractional_class]
-
-    def walk(level: int, assigned: dict[int, int]):
-        if level == len(others) - 1 or not others:
-            leaf = others[-1] if others else None
-            h_vec, r_vec = _leaf_candidates(fractional_class, leaf, assigned, sc)
-            for h, r in zip(h_vec, r_vec):
-                full = dict(assigned)
-                if leaf is not None:
-                    full[leaf] = int(h)
-                yield full, float(r)
-            return
-        c2 = others[level]
-        rng = feasible_range(c2, PartialAssignment(fractional_class, dict(assigned)), sc)
-        if rng.empty:
-            return
-        for h in range(rng.lo, rng.hi + 1):
-            assigned[c2] = h
-            yield from walk(level + 1, assigned)
-            del assigned[c2]
-
-    yield from walk(0, {})
+    for assigned, leaf, h_vec, r_vec in _leaf_batches(sc, fractional_class):
+        for h, r in zip(h_vec, r_vec):
+            full = dict(assigned)
+            if leaf is not None:
+                full[leaf] = int(h)
+            yield full, float(r)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +476,7 @@ def _full_profile(sc: Scenario, frac_c: int, leaf_c: int | None,
     return tuple(out)
 
 
-def grid_search(sc: Scenario, *, with_upper_bound: bool = True,
-                timeout_s: float | None = None) -> SolveReport:
+def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     """Best budget-saturating threshold profile with at most one fractional
     threshold (or the all-full profile when the budget allows it).
 
@@ -470,9 +485,9 @@ def grid_search(sc: Scenario, *, with_upper_bound: bool = True,
     Candidate objectives are ranked through cached per-class log-miss tables
     with exact evaluation of potential maximisers only, which leaves the
     result identical to exhaustive evaluation.  Ties break toward the
-    lexicographically smallest threshold vector.  The optional upper bound
-    rounds every enumerated threshold up to the next integer sub-slot and
-    takes the best objective regardless of the (violated) budget.
+    lexicographically smallest threshold vector.  The same pass yields the
+    upper bound: every enumerated threshold rounded up to the next integer
+    sub-slot, best objective regardless of the (violated) budget.
     """
     t0 = time.perf_counter()
     n1 = sc.max_threshold
@@ -483,34 +498,28 @@ def grid_search(sc: Scenario, *, with_upper_bound: bool = True,
     full = tuple(float(n1) for _ in range(n_classes))
     if threshold_energy(full, sc) <= sc.budget + budget_tolerance(sc.budget):
         obj = threshold_objective(full, sc)
-        return SolveReport(ThresholdPolicy(full), obj, upper_bound=obj if with_upper_bound else None,
+        return SolveReport(ThresholdPolicy(full), obj, upper_bound=obj,
                            ratio_bound=rb, enumerated=1,
                            wall_time=time.perf_counter() - t0)
 
     tables = [class_log_miss_table(c, sc) for c in range(n_classes)]
-    costly = _costly_classes(sc)
+    # the classes outside the enumeration are the costless ones, pinned full
+    pinned = sum(tables[c][n1] for c in range(n_classes) if is_costless(c, sc))
     best = _Best()
     ub_log_miss = math.inf
     enumerated = 0
 
-    def check_deadline():
-        if deadline is not None and time.perf_counter() > deadline:
-            raise SolveTimeout(f"grid search exceeded {timeout_s:.1f} s")
-
-    for frac_c in costly:
-        others = [c for c in costly if c != frac_c]
-        # classes outside the enumeration are the costless ones, pinned full
-        pinned = sum(tables[c][n1] for c in range(n_classes)
-                     if c not in others and c != frac_c)
-
-        def handle_leaf(assigned: dict[int, int], known: float, known_up: float):
-            nonlocal enumerated, ub_log_miss
-            check_deadline()
-            leaf = others[-1] if others else None
-            h_vec, r_vec = _leaf_candidates(frac_c, leaf, assigned, sc)
+    for frac_c in _costly_classes(sc):
+        for assigned, leaf, h_vec, r_vec in _leaf_batches(sc, frac_c):
+            if deadline is not None and time.perf_counter() > deadline:
+                raise SolveTimeout(f"grid search exceeded {timeout_s:.1f} s")
             if h_vec.size == 0:
-                return
+                continue
             enumerated += len(r_vec)
+            known = known_up = pinned
+            for c, h in assigned.items():
+                known = known + tables[c][h]
+                known_up = known_up + tables[c][min(h + 1, n1)]
             if leaf is not None:
                 s_known = known + tables[leaf][h_vec]
                 s_known_up = known_up + tables[leaf][np.minimum(h_vec + 1, n1)]
@@ -519,14 +528,13 @@ def grid_search(sc: Scenario, *, with_upper_bound: bool = True,
                 s_known_up = np.full(r_vec.shape, known_up)
             ceil_r = np.minimum(np.ceil(r_vec - _SNAP).astype(int), n1)
             s_opt = s_known + tables[frac_c][ceil_r]
-            if with_upper_bound:
-                up_r = np.minimum(np.floor(r_vec + _SNAP).astype(int) + 1, n1)
-                cand_up = (s_known_up + tables[frac_c][up_r]).min()
-                if cand_up < ub_log_miss:
-                    ub_log_miss = cand_up
+            up_r = np.minimum(np.floor(r_vec + _SNAP).astype(int) + 1, n1)
+            cand_up = (s_known_up + tables[frac_c][up_r]).min()
+            if cand_up < ub_log_miss:
+                ub_log_miss = cand_up
             improvers = np.where(s_opt <= best.log_miss)[0]
             if improvers.size == 0:
-                return
+                continue
             exact = s_known[improvers] + class_log_miss(frac_c, r_vec[improvers], sc)
             order = np.argsort(exact, kind="stable")
             for idx in order:
@@ -539,50 +547,20 @@ def grid_search(sc: Scenario, *, with_upper_bound: bool = True,
                                      float(r_vec[i]))
                 best.offer(val, prof)
 
-        def walk(level: int, assigned: dict[int, int], known: float, known_up: float):
-            check_deadline()
-            if level >= len(others) - 1:
-                handle_leaf(assigned, known, known_up)
-                return
-            c2 = others[level]
-            rng = feasible_range(c2, PartialAssignment(frac_c, dict(assigned)), sc)
-            if rng.empty:
-                return
-            for h in range(rng.lo, rng.hi + 1):
-                assigned[c2] = h
-                walk(level + 1, assigned,
-                     known + tables[c2][h],
-                     known_up + tables[c2][min(h + 1, n1)])
-                del assigned[c2]
-
-        walk(0, {}, pinned, pinned)
-
-    if best.thresholds is None:
+    thresholds = best.thresholds
+    if thresholds is None:
         # nothing saturates (e.g. zero budget with no enumerable candidate)
-        empty = tuple(float(n1) if is_costless(c, sc) else 0.0 for c in range(n_classes))
-        obj = threshold_objective(empty, sc)
-        ub = None
-        if with_upper_bound:
-            ub = obj if math.isinf(ub_log_miss) else max(obj, -math.expm1(ub_log_miss))
-        return SolveReport(ThresholdPolicy(empty), obj, upper_bound=ub, ratio_bound=rb,
-                           enumerated=enumerated, wall_time=time.perf_counter() - t0)
-
-    objective = threshold_objective(best.thresholds, sc)
-    ub = None
-    if with_upper_bound:
-        ub = -math.expm1(ub_log_miss) if math.isfinite(ub_log_miss) else objective
-        ub = max(ub, objective)
-    return SolveReport(ThresholdPolicy(best.thresholds), objective, upper_bound=ub,
-                       ratio_bound=rb, enumerated=enumerated,
-                       wall_time=time.perf_counter() - t0)
+        thresholds = tuple(float(n1) if is_costless(c, sc) else 0.0 for c in range(n_classes))
+    objective = threshold_objective(thresholds, sc)
+    ub = objective if math.isinf(ub_log_miss) else max(-math.expm1(ub_log_miss), objective)
+    return SolveReport(ThresholdPolicy(thresholds), objective, upper_bound=ub, ratio_bound=rb,
+                       enumerated=enumerated, wall_time=time.perf_counter() - t0)
 
 
 def upper_bound(sc: Scenario, *, timeout_s: float | None = None) -> float:
     """Objective bound from the rounded-up enumeration; never below the best
     saturating profile and never below the true optimum."""
-    report = grid_search(sc, with_upper_bound=True, timeout_s=timeout_s)
-    assert report.upper_bound is not None
-    return report.upper_bound
+    return grid_search(sc, timeout_s=timeout_s).upper_bound
 
 
 def ratio_bound(k_slots: int, resolution: int, n_classes: float) -> float:

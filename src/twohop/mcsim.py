@@ -24,6 +24,7 @@ import numpy as np
 from .model import (
     Policy,
     Scenario,
+    beacon_activity,
     delivery_probability,
     energy_spent,
 )
@@ -122,17 +123,6 @@ def holding_expectation(pol: Policy, sc: Scenario) -> np.ndarray:
     return out
 
 
-def _expected_beacon_energy(pol: Policy, sc: Scenario) -> float:
-    total = 0.0
-    for tech in sc.technologies:
-        members = sc.tech_members[tech.ident]
-        if not members or tech.beacon_cost == 0.0:
-            continue
-        silent = np.prod(1.0 - pol.probs[list(members), :], axis=0)
-        total += sc.beacon_rate(tech.ident) * float((1.0 - silent).sum())
-    return total
-
-
 def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
     """Run the contact process for cfg.trials independent packets.
 
@@ -152,11 +142,14 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
     dt = sc.eff_slot
     horizon = n * dt
 
+    # (energy per active sub-slot, activity probability) per beaconing technology
+    beacons = [(sc.beacon_rate(tech.ident), active)
+               for tech, active in beacon_activity(pol, sc)]
+    sampled_beacons = cfg.beacon_accounting == "sampled" and bool(beacons)
     beacon_const = 0.0
-    sampled_beacons = cfg.beacon_accounting == "sampled" and any(
-        t.beacon_cost > 0.0 for t in sc.technologies)
     if not sampled_beacons:
-        beacon_const = _expected_beacon_energy(pol, sc)
+        for rate, active in beacons:
+            beacon_const += rate * float(active.sum())
 
     # per class: cumulative acceptance hazard over sub-slot boundaries
     hazards = []
@@ -164,14 +157,6 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
         lam = sc.rates[c]
         hc = np.concatenate(([0.0], np.cumsum(lam * dt * pol.probs[c])))
         hazards.append(hc)
-
-    active_prob = {}
-    if sampled_beacons:
-        for tech in sc.technologies:
-            members = sc.tech_members[tech.ident]
-            if members and tech.beacon_cost > 0.0:
-                silent = np.prod(1.0 - pol.probs[list(members), :], axis=0)
-                active_prob[tech.ident] = 1.0 - silent
 
     delivered_total = 0
     energy_sum = 0.0
@@ -226,12 +211,9 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
         for c, cls in enumerate(sc.classes):
             energy_batch += cls.tx_cost * tx_batch[c]
         if sampled_beacons:
-            for tech in sc.technologies:
-                prob = active_prob.get(tech.ident)
-                if prob is None:
-                    continue
-                draws = rng.random((size, n)) < prob
-                energy_batch += sc.beacon_rate(tech.ident) * draws.sum(axis=1)
+            for rate, active in beacons:
+                draws = rng.random((size, n)) < active
+                energy_batch += rate * draws.sum(axis=1)
         else:
             energy_batch += beacon_const
 

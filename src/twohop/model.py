@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "ScenarioError",
     "Technology",
     "ThresholdPolicy",
+    "beacon_activity",
     "budget_tolerance",
     "class_log_miss",
     "class_log_miss_table",
@@ -238,8 +239,9 @@ class Policy:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 2:
             raise ValueError("policy must be a 2-D array (classes x sub-slots)")
-        if arr.min(initial=0.0) < -1e-12 or arr.max(initial=0.0) > 1.0 + 1e-12:
-            raise ValueError("forwarding probabilities must lie in [0, 1]")
+        # written so that NaN fails the check
+        if not (arr.min(initial=0.0) >= -1e-12 and arr.max(initial=0.0) <= 1.0 + 1e-12):
+            raise ValueError("forwarding probabilities must be finite and lie in [0, 1]")
         arr = np.clip(arr, 0.0, 1.0)
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
@@ -409,6 +411,20 @@ def delivery_probability(pol: Policy, k: int, sc: Scenario) -> float:
     return -math.expm1(total)
 
 
+def beacon_activity(pol: Policy, sc: Scenario) -> Iterator[tuple[Technology, np.ndarray]]:
+    """Per-sub-slot probability that each beaconing technology is active.
+
+    Yields (technology, 1 - prod(1 - mu)) over the classes on that
+    technology, in scenario order, for every technology with member classes
+    and a nonzero beacon cost.
+    """
+    for tech in sc.technologies:
+        members = sc.tech_members[tech.ident]
+        if not members or tech.beacon_cost == 0.0:
+            continue
+        yield tech, 1.0 - np.prod(1.0 - pol.probs[list(members), :], axis=0)
+
+
 def energy_spent(pol: Policy, sc: Scenario) -> float:
     """Expected energy drawn by a policy over the whole horizon.
 
@@ -424,12 +440,8 @@ def energy_spent(pol: Policy, sc: Scenario) -> float:
     for c, cls in enumerate(sc.classes):
         mass = float(pol.probs[c].sum())
         total += cls.tx_cost * cls.population * -math.expm1(-sc.rates[c] * dt * mass)
-    for tech in sc.technologies:
-        members = sc.tech_members[tech.ident]
-        if not members or tech.beacon_cost == 0.0:
-            continue
-        silent = np.prod(1.0 - pol.probs[list(members), :], axis=0)
-        total += sc.beacon_rate(tech.ident) * float((1.0 - silent).sum())
+    for tech, active in beacon_activity(pol, sc):
+        total += sc.beacon_rate(tech.ident) * float(active.sum())
     return total
 
 

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from twohop import contact_rate
+import twohop.cli
+from twohop import contact_rate, grid_search
 from twohop.cli import (
     CSV_FIELDS,
     main,
@@ -39,6 +40,12 @@ def scenario_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def two_class_doc():
+    base = scenario_doc()["classes"][0]
+    return scenario_doc(deadline_s=600.0, budget=0.3,
+                        classes=[base, dict(base, speed_mps=3.0)])
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -117,6 +124,37 @@ def test_solve_csv_and_json(tmp_path, capsys):
     assert rep["feasible"] is True
 
 
+def test_solve_uses_scenario_resolution(tmp_path):
+    path = write_doc(tmp_path, scenario_doc(resolution=2))
+    out = tmp_path / "report.json"
+    assert main(["solve", "--scenario", path, "--format", "json", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["thresholds_slots"] == [h / 2 for h in rep["thresholds_subslots"]]
+
+
+def test_solve_enumerates_once(tmp_path, monkeypatch):
+    calls = []
+    original = twohop.cli.grid_search
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(twohop.cli, "grid_search", counted)
+    doc = two_class_doc()
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "report.json"
+    assert main(["solve", "--scenario", path, "--algorithm", "grid,greedy1",
+                 "--format", "json", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    reports = json.loads(out.read_text())
+    direct = grid_search(parse_scenario(doc))
+    assert reports[0]["algorithm"] == "grid"
+    assert reports[0]["thresholds_subslots"] == list(direct.policy.thresholds)
+    assert reports[0]["objective"] == direct.objective
+    assert all(r["upper_bound"] == direct.upper_bound for r in reports)
+
+
 def test_solve_all_algorithms(tmp_path):
     path = write_doc(tmp_path, scenario_doc())
     out = tmp_path / "rows.csv"
@@ -150,6 +188,8 @@ def test_bound_command(capsys):
     assert main(["bound", "--slots", "2", "--resolution", "10"]) == 0
     value = float(capsys.readouterr().out.strip())
     assert value == 1.0 - 2.0 ** -10
+    assert main(["bound", "--slots", "2"]) == 0
+    assert float(capsys.readouterr().out.strip()) == 0.5
 
 
 def test_sweep_deterministic_bytes(tmp_path):
@@ -223,23 +263,25 @@ def test_simulate_policy_file_wrong_length(tmp_path, capsys):
     assert "expected 1 entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("policy", [
+    {"policy": [[1.5, 0.0, 0.0, 0.0, 0.0]]},
+    {"policy": [["high", 0.0, 0.0, 0.0, 0.0]]},
+    {"thresholds": [None]},
+], ids=["out-of-range", "non-numeric", "null-threshold"])
+def test_simulate_malformed_policy_file_is_input_error(tmp_path, capsys, policy):
+    path = write_doc(tmp_path, scenario_doc())
+    pol_path = write_doc(tmp_path, policy, name="policy.json")
+    assert main(["simulate", "--scenario", path, "--policy-file", pol_path]) == 1
+    assert "policy." in capsys.readouterr().err
+
+
 def test_validate_enum_command(tmp_path, capsys):
-    doc = scenario_doc(
-        deadline_s=600.0,
-        budget=0.3,
-        classes=[scenario_doc()["classes"][0],
-                 dict(scenario_doc()["classes"][0], speed_mps=3.0)])
-    path = write_doc(tmp_path, doc)
+    path = write_doc(tmp_path, two_class_doc())
     assert main(["validate-enum", "--scenario", path]) == 0
     out = capsys.readouterr().out
     assert "mismatches: 0" in out
 
 
 def test_validate_enum_too_large(tmp_path, capsys):
-    doc = scenario_doc(
-        deadline_s=600.0,
-        budget=0.3,
-        classes=[scenario_doc()["classes"][0],
-                 dict(scenario_doc()["classes"][0], speed_mps=3.0)])
-    path = write_doc(tmp_path, doc)
+    path = write_doc(tmp_path, two_class_doc())
     assert main(["validate-enum", "--scenario", path, "--limit", "2"]) == 1

@@ -333,6 +333,12 @@ def test_expand_threshold_rejects_out_of_range():
         expand_threshold(ThresholdPolicy((3.5,)), sc)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -0.5])
+def test_policy_rejects_non_finite_and_out_of_range(bad):
+    with pytest.raises(ValueError):
+        Policy(np.array([[bad, 0.5]]))
+
+
 def test_threshold_round_trip():
     rng = np.random.default_rng(9)
     sc = make_scenario([0.1, 0.3], 1.0, slots=6)
