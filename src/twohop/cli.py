@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .model import (
     expand_threshold,
     threshold_energy,
 )
-from .gridsearch import (SolveReport, SolveTimeout, enumerate_saturating, grid_search,
-                         ratio_bound)
+from .gridsearch import (SolveReport, SolveTimeout, brute_force_saturating,
+                         enumerate_saturating, grid_search, ratio_bound)
 from .greedy import COMBINED_GUARANTEE, GreedyVariant, combined_best, greedy_construct
 from .baselines import arrival_rate_greedy, class_independent, uniform_policy
 from .mcsim import SimConfig, validate
@@ -245,6 +245,15 @@ def preset_class(mobility: str, technology: str, population: int,
 # Random instance samplers
 # =========================================================================
 
+def _budgeted(rng: np.random.Generator, budget_frac: tuple[float, float],
+              probe: Scenario) -> tuple[float, Scenario]:
+    """The probe with its budget drawn as a uniform fraction of the all-full
+    transmission cost; returns (that fraction, the budgeted scenario)."""
+    full_cost = threshold_energy([probe.max_threshold] * len(probe.classes), probe)
+    frac = float(rng.uniform(*budget_frac))
+    return frac, replace(probe, budget=frac * full_cost)
+
+
 def sample_table_scenario(rng: np.random.Generator, *, resolution: int = 5,
                           n_classes: int | None = None,
                           with_beacons: bool = True,
@@ -271,16 +280,11 @@ def sample_table_scenario(rng: np.random.Generator, *, resolution: int = 5,
         preset_class(combos[p][0], combos[p][1], pop, k_slots, resolution)
         for p in picks)
 
-    probe = Scenario(classes=classes, technologies=technologies,
-                     deadline=k_slots * DEFAULT_SLOT_LEN, slot_len=DEFAULT_SLOT_LEN,
-                     arena_radius=arena, budget=1.0, resolution=resolution)
-    full_cost = threshold_energy([probe.max_threshold] * n_cls, probe)
-    frac = float(rng.uniform(*budget_frac))
-    sc = Scenario(classes=classes, technologies=technologies,
-                  deadline=k_slots * DEFAULT_SLOT_LEN, slot_len=DEFAULT_SLOT_LEN,
-                  arena_radius=arena, budget=frac * full_cost, resolution=resolution)
-    ident = f"K{k_slots}_L{int(arena)}_N{pop}_C{n_cls}_b{frac:.2f}"
-    return ident, sc
+    frac, sc = _budgeted(rng, budget_frac, Scenario(
+        classes=classes, technologies=technologies,
+        deadline=k_slots * DEFAULT_SLOT_LEN, slot_len=DEFAULT_SLOT_LEN,
+        arena_radius=arena, budget=1.0, resolution=resolution))
+    return f"K{k_slots}_L{int(arena)}_N{pop}_C{n_cls}_b{frac:.2f}", sc
 
 
 def sample_scalability_scenario(rng: np.random.Generator, n_classes: int, *,
@@ -302,14 +306,10 @@ def sample_scalability_scenario(rng: np.random.Generator, n_classes: int, *,
             tx_cost=float(rng.uniform(0.05, 0.25)),
             technology=tech_id,
         ))
-    probe = Scenario(classes=tuple(classes), technologies=tuple(technologies),
-                     deadline=k_slots * DEFAULT_SLOT_LEN, slot_len=DEFAULT_SLOT_LEN,
-                     arena_radius=arena, budget=1.0, resolution=resolution)
-    full_cost = threshold_energy([probe.max_threshold] * n_classes, probe)
-    frac = float(rng.uniform(*budget_frac))
-    sc = Scenario(classes=tuple(classes), technologies=tuple(technologies),
-                  deadline=k_slots * DEFAULT_SLOT_LEN, slot_len=DEFAULT_SLOT_LEN,
-                  arena_radius=arena, budget=frac * full_cost, resolution=resolution)
+    frac, sc = _budgeted(rng, budget_frac, Scenario(
+        classes=tuple(classes), technologies=tuple(technologies),
+        deadline=k_slots * DEFAULT_SLOT_LEN, slot_len=DEFAULT_SLOT_LEN,
+        arena_radius=arena, budget=1.0, resolution=resolution))
     return f"scal_C{n_classes}_b{frac:.2f}", sc
 
 
@@ -374,78 +374,50 @@ def run_algorithm(name: str, sc: Scenario, *, timeout_s: float | None = None) ->
     raise CliInputError(f"unknown algorithm {name!r}")
 
 
-def _result_row(instance_id: str, algorithm: str, res: AlgoResult | None,
-                sc: Scenario, ub: float | None, wall: float | None,
-                status: str = "ok") -> dict:
-    row = {k: "" for k in CSV_FIELDS}
-    row["instance_id"] = instance_id
-    row["algorithm"] = algorithm
-    row["status"] = status
-    if res is not None:
-        energy = threshold_energy(res.policy.thresholds, sc)
-        row["objective"] = repr(res.objective)
-        row["energy"] = repr(energy)
-        row["work"] = res.work
-        if ub is not None:
-            row["upper_bound"] = repr(ub)
-            row["ratio"] = repr(res.objective / ub) if ub > 0.0 else ""
-    if wall is not None:
-        row["wall_time_s"] = f"{wall:.6f}"
-    return row
-
-
-def _write_rows(rows, out_path: str | None, fields=CSV_FIELDS):
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(fields), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    data = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data)
-
-
-def _write_json(obj, out_path: str | None):
-    data = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data)
-
-
-# =========================================================================
-# Subcommands
-# =========================================================================
-
-def cmd_solve(args) -> int:
-    sc = load_scenario(args.scenario, args.resolution)
-    names = [a.strip() for a in args.algorithm.split(",") if a.strip()]
+def _algorithm_list(text: str) -> list[str]:
+    """Comma-separated algorithm names, each checked against ALGORITHMS."""
+    names = [a.strip() for a in text.split(",") if a.strip()]
     for name in names:
         if name not in ALGORITHMS:
             raise CliInputError(f"unknown algorithm {name!r} (choose from {ALGORITHMS})")
+    return names
 
-    # one grid search serves the grid row and every row's upper bound
-    with_ub = len(sc.classes) <= args.ub_cap
-    grid_rep = grid_wall = None
+
+def _solve_instance(ident: str, sc: Scenario, names: list[str], *,
+                    timeout: float | None, ub_cap: int
+                    ) -> list[tuple[dict, Exception | None]]:
+    """One JSON report per algorithm, paired with the error that replaced
+    its result (the report then holds only the instance and algorithm).
+
+    The grid search runs at most once: when ``grid`` is requested or the
+    instance has at most ``ub_cap`` classes.  That one report gives the
+    ``grid`` row and every row's upper bound; a timeout in it fails only the
+    ``grid`` row and leaves the bound empty.
+    """
+    with_ub = len(sc.classes) <= ub_cap
+    ub = grid = None
     if with_ub or "grid" in names:
-        grid_rep, grid_wall = _timed(grid_search, sc, timeout_s=args.timeout)
-    ub = grid_rep.upper_bound if with_ub else None
+        try:
+            rep, wall = _timed(grid_search, sc, timeout_s=timeout)
+            grid = _grid_result(rep), wall
+            ub = rep.upper_bound if with_ub else None
+        except SolveTimeout as exc:
+            grid = exc
 
-    rows = []
-    reports = []
+    out = []
     for name in names:
-        if name == "grid":
-            res, wall = _grid_result(grid_rep), grid_wall
-        else:
-            res, wall = _timed(run_algorithm, name, sc, timeout_s=args.timeout)
-        rows.append(_result_row(args.instance_id, name, res, sc, ub, wall))
-        reports.append({
-            "instance_id": args.instance_id,
-            "algorithm": name,
+        report = {"instance_id": ident, "algorithm": name}
+        try:
+            if name != "grid":
+                res, wall = _timed(run_algorithm, name, sc, timeout_s=timeout)
+            elif isinstance(grid, SolveTimeout):
+                raise grid
+            else:
+                res, wall = grid
+        except (CliRequestError, SolveTimeout) as exc:
+            out.append((report, exc))
+            continue
+        report.update({
             "objective": res.objective,
             "upper_bound": ub,
             "ratio": (res.objective / ub) if ub else None,
@@ -457,64 +429,87 @@ def cmd_solve(args) -> int:
             "work": res.work,
             **res.extras,
         })
-    if args.format == "json":
-        _write_json(reports if len(reports) > 1 else reports[0], args.out)
+        out.append((report, None))
+    return out
+
+
+def _csv_row(report: dict, status: str, timings: bool) -> dict:
+    """A report projected on CSV_FIELDS: floats as repr, missing values
+    empty, the wall time to the microsecond and only with ``timings``."""
+    row = {key: report.get(key) for key in CSV_FIELDS}
+    wall = row["wall_time_s"]
+    row.update(status=status, wall_time_s=f"{wall:.6f}" if timings and wall is not None else None)
+    return {k: "" if v is None else repr(v) if isinstance(v, float) else v for k, v in row.items()}
+
+
+def _csv_text(rows, fields=CSV_FIELDS) -> str:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(fields), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    """Write a command's output to ``out_path``, or to stdout without one."""
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        _write_rows(rows, args.out)
+        sys.stdout.write(text)
+
+
+# =========================================================================
+# Subcommands
+# =========================================================================
+
+def cmd_solve(args) -> int:
+    sc = load_scenario(args.scenario, args.resolution)
+    results = _solve_instance(args.instance_id, sc, _algorithm_list(args.algorithm),
+                              timeout=args.timeout, ub_cap=args.ub_cap)
+    for _, error in results:
+        if error is not None:
+            raise error
+    reports = [report for report, _ in results]
+    if args.format == "json":
+        text = _json_text(reports if len(reports) > 1 else reports[0])
+    else:
+        text = _csv_text(_csv_row(report, "ok", True) for report in reports)
+    _emit(text, args.out)
     return 0
 
 
 def cmd_sweep(args) -> int:
     resolution = 5 if args.resolution is None else args.resolution
     rng = np.random.default_rng(args.seed)
-    names = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    for name in names:
-        if name not in ALGORITHMS:
-            raise CliInputError(f"unknown algorithm {name!r} (choose from {ALGORITHMS})")
+    names = _algorithm_list(args.algorithms)
 
-    instances: list[tuple[str, Scenario]] = []
     if args.mode == "table":
         if args.count < 1:
             raise CliInputError("sweep: --count must be >= 1")
-        for i in range(args.count):
-            ident, sc = sample_table_scenario(
-                rng, resolution=resolution,
-                with_beacons=not args.no_beacons)
-            instances.append((f"{ident}_i{i}", sc))
+        draws = [sample_table_scenario(rng, resolution=resolution,
+                                       with_beacons=not args.no_beacons)
+                 for _ in range(args.count)]
+        instances = [(f"{ident}_i{i}", sc) for i, (ident, sc) in enumerate(draws)]
     else:
         sizes = [int(x) for x in args.classes.split(",") if x.strip()]
         if not sizes:
             raise CliInputError("sweep: --classes must list at least one size")
-        for n_cls in sizes:
-            ident, sc = sample_scalability_scenario(rng, n_cls, resolution=resolution)
-            instances.append((ident, sc))
+        instances = [sample_scalability_scenario(rng, n_cls, resolution=resolution)
+                     for n_cls in sizes]
 
     rows = []
     for ident, sc in instances:
-        # one grid search serves the grid row and every row's upper bound
-        grid_rep = grid_wall = None
-        if "grid" in names:
-            try:
-                grid_rep, grid_wall = _timed(grid_search, sc, timeout_s=args.timeout)
-            except SolveTimeout:
-                pass
-        ub = None
-        if grid_rep is not None and len(sc.classes) <= args.ub_cap:
-            ub = grid_rep.upper_bound
-        for name in names:
-            res, wall, status = None, None, "ok"
-            if name != "grid":
-                try:
-                    res, wall = _timed(run_algorithm, name, sc, timeout_s=args.timeout)
-                except CliRequestError:
-                    status = "inapplicable"
-            elif grid_rep is not None:
-                res, wall = _grid_result(grid_rep), grid_wall
-            else:
-                status = "timeout"
-            rows.append(_result_row(ident, name, res, sc, ub,
-                                    wall if args.timings else None, status))
-    _write_rows(rows, args.out)
+        for report, error in _solve_instance(ident, sc, names, timeout=args.timeout,
+                                             ub_cap=args.ub_cap):
+            status = ("ok" if error is None
+                      else "timeout" if isinstance(error, SolveTimeout) else "inapplicable")
+            rows.append(_csv_row(report, status, args.timings))
+    _emit(_csv_text(rows), args.out)
     return 0
 
 
@@ -553,24 +548,13 @@ def cmd_simulate(args) -> int:
     label, pol = _policy_from_source(args, sc)
     cfg = SimConfig(trials=args.trials, seed=args.seed, record_holding=False)
     record = validate(sc, pol, cfg)
-    row = {
-        "instance_id": args.instance_id,
-        "policy": label,
-        "trials": record.trials,
-        "analytic_delivery": repr(record.analytic_delivery),
-        "empirical_delivery": repr(record.empirical_delivery),
-        "delivery_gap": repr(record.delivery_gap),
-        "delivery_ci": repr(record.delivery_ci),
-        "analytic_energy": repr(record.analytic_energy),
-        "empirical_energy": repr(record.empirical_energy),
-        "energy_gap": repr(record.energy_gap),
-        "energy_ci": repr(record.energy_ci),
-        "flagged": str(record.flagged).lower(),
-    }
+    row = {key: repr(getattr(record, key)) for key in VALIDATION_FIELDS[3:-1]}
+    row.update(instance_id=args.instance_id, policy=label, trials=record.trials,
+               flagged=str(record.flagged).lower())
     if args.format == "json":
-        _write_json(row, args.out)
+        _emit(_json_text(row), args.out)
     else:
-        _write_rows([row], args.out, fields=VALIDATION_FIELDS)
+        _emit(_csv_text([row], VALIDATION_FIELDS), args.out)
     return 0
 
 
@@ -579,18 +563,15 @@ def cmd_bound(args) -> int:
     classes = math.inf if args.classes.strip() in ("inf", "") else float(args.classes)
     value = ratio_bound(args.slots, resolution, classes)
     if args.format == "json" or args.out:
-        _write_json({"slots": args.slots, "resolution": resolution,
-                     "classes": args.classes, "ratio_bound": value}, args.out)
+        text = _json_text({"slots": args.slots, "resolution": resolution,
+                           "classes": args.classes, "ratio_bound": value})
     else:
-        sys.stdout.write(f"{value!r}\n")
+        text = f"{value!r}\n"
+    _emit(text, args.out)
     return 0
 
 
 def cmd_validate_enum(args) -> int:
-    import itertools
-
-    from .model import budget_tolerance
-
     sc = load_scenario(args.scenario, args.resolution)
     n = sc.subslots
     n_classes = len(sc.classes)
@@ -601,26 +582,12 @@ def cmd_validate_enum(args) -> int:
             f"instance too large for exhaustive validation ({n}^{n_classes - 1}"
             f" > {args.limit}); reduce slots, resolution, or classes")
 
-    tol = budget_tolerance(sc.budget)
-    mismatches = 0
-    checked = 0
+    mismatches = checked = 0
     for frac_c in range(n_classes):
         enumerated = {tuple(sorted(a.items())) for a, _ in enumerate_saturating(sc, frac_c)}
-        others = [c for c in range(n_classes) if c != frac_c]
-        brute = set()
-        for combo in itertools.product(range(n), repeat=len(others)):
-            assign = dict(zip(others, combo))
-            base = [0.0] * n_classes
-            for c, h in assign.items():
-                base[c] = float(h)
-            lo_energy = threshold_energy(base, sc)
-            base[frac_c] = float(sc.max_threshold)
-            hi_energy = threshold_energy(base, sc)
-            if lo_energy <= sc.budget + tol and hi_energy >= sc.budget - tol:
-                brute.add(tuple(sorted(assign.items())))
+        brute = brute_force_saturating(sc, frac_c)
         checked += len(brute)
-        if enumerated != brute:
-            mismatches += len(enumerated.symmetric_difference(brute))
+        mismatches += len(enumerated ^ brute)
     sys.stdout.write(f"profiles checked: {checked}\nmismatches: {mismatches}\n")
     return 0 if mismatches == 0 else 2
 
@@ -647,19 +614,22 @@ def _build_parser() -> _Parser:
                         help="sub-slots per slot (default: the scenario file's;"
                              " sweep 5, bound 1)")
 
-    p = sub.add_parser("solve", parents=[common],
+    # solve and sweep share the grid/upper-bound rule
+    bounded = argparse.ArgumentParser(add_help=False)
+    bounded.add_argument("--ub-cap", type=int, default=UB_CLASS_CAP,
+                         help="compute the upper bound only up to this many classes")
+    bounded.add_argument("--timeout", type=float, default=None,
+                         help="wall-clock limit for the grid enumeration, seconds")
+
+    p = sub.add_parser("solve", parents=[common, bounded],
                        help="run solvers or baselines on one scenario")
     p.add_argument("--scenario", required=True)
     p.add_argument("--algorithm", default="grid",
                    help="comma-separated subset of " + ",".join(ALGORITHMS))
     p.add_argument("--instance-id", default="scenario")
-    p.add_argument("--ub-cap", type=int, default=UB_CLASS_CAP,
-                   help="compute the upper bound only up to this many classes")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="wall-clock limit for the grid enumeration, seconds")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, bounded],
                        help="run algorithms over sampled instance grids")
     p.add_argument("--mode", choices=("table", "scalability"), default="table")
     p.add_argument("--count", type=int, default=10, help="table-mode instance count")
@@ -669,8 +639,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--algorithms", default="grid,greedy1,arrival,uniform")
     p.add_argument("--no-beacons", action="store_true",
                    help="sample instances without beacon costs")
-    p.add_argument("--ub-cap", type=int, default=UB_CLASS_CAP)
-    p.add_argument("--timeout", type=float, default=None)
     p.add_argument("--timings", action="store_true",
                    help="record wall times (output no longer byte-reproducible)")
     p.set_defaults(func=cmd_sweep)
@@ -706,15 +674,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliInputError as exc:
+    except (CliInputError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CliRequestError, SolveTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, FloatingPointError, ArithmeticError) as exc:
         print(f"internal numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -15,6 +15,7 @@ from the same pass), and the grid-quality lower-bound formula.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -41,6 +42,7 @@ __all__ = [
     "SolveReport",
     "SolveTimeout",
     "boundary_threshold",
+    "brute_force_saturating",
     "enumerate_saturating",
     "feasible_range",
     "grid_search",
@@ -442,6 +444,28 @@ def enumerate_saturating(sc: Scenario, fractional_class: int
             yield full, float(r)
 
 
+def brute_force_saturating(sc: Scenario, frac_c: int) -> set[tuple[tuple[int, int], ...]]:
+    """Exhaustive reference for ``enumerate_saturating``: every integer
+    assignment of the other classes, costless ones included, that admits a
+    budget-saturating completion by class ``frac_c``, as sorted
+    (class, threshold) tuples.  Scans subslots^(classes - 1) profiles."""
+    n = sc.subslots
+    tol = budget_tolerance(sc.budget)
+    others = [c for c in range(len(sc.classes)) if c != frac_c]
+    out = set()
+    for combo in itertools.product(range(n), repeat=len(others)):
+        assign = dict(zip(others, combo))
+        base = [0.0] * len(sc.classes)
+        for c, h in assign.items():
+            base[c] = float(h)
+        lo_energy = threshold_energy(base, sc)
+        base[frac_c] = float(sc.max_threshold)
+        hi_energy = threshold_energy(base, sc)
+        if lo_energy <= sc.budget + tol and hi_energy >= sc.budget - tol:
+            out.add(tuple(sorted(assign.items())))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Grid search
 # ---------------------------------------------------------------------------
@@ -512,7 +536,7 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     for frac_c in _costly_classes(sc):
         for assigned, leaf, h_vec, r_vec in _leaf_batches(sc, frac_c):
             if deadline is not None and time.perf_counter() > deadline:
-                raise SolveTimeout(f"grid search exceeded {timeout_s:.1f} s")
+                raise SolveTimeout(f"grid search exceeded {timeout_s:g} s")
             if h_vec.size == 0:
                 continue
             enumerated += len(r_vec)

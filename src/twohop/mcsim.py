@@ -27,6 +27,7 @@ from .model import (
     beacon_activity,
     delivery_probability,
     energy_spent,
+    expected_received,
 )
 
 __all__ = ["SimConfig", "SimOutcome", "ValidationRecord", "holding_expectation",
@@ -48,7 +49,6 @@ class SimConfig:
 
     trials: int
     seed: int
-    record_energy: bool = True
     record_holding: bool = False
     beacon_accounting: str = "expected"
 
@@ -247,8 +247,8 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
     outcome = SimOutcome(
         delivery_freq=freq,
         ci95_halfwidth=ci,
-        mean_energy=mean_energy if cfg.record_energy else math.nan,
-        mean_energy_ci=energy_ci if cfg.record_energy else math.nan,
+        mean_energy=mean_energy,
+        mean_energy_ci=energy_ci,
         trials=t,
         mean_tx=tx_mean,
         mean_tx_ci=tx_ci,
@@ -277,10 +277,8 @@ def validate(sc: Scenario, pol: Policy, cfg: SimConfig, *,
     analytic_f = delivery_probability(pol, sc.subslots, sc)
     analytic_e = energy_spent(pol, sc)
 
-    dt = sc.eff_slot
-    analytic_tx = np.array([
-        cls.population * -math.expm1(-sc.rates[c] * dt * float(pol.probs[c].sum()))
-        for c, cls in enumerate(sc.classes)])
+    analytic_tx = np.array([expected_received(c, sc.subslots - 1, pol, sc)
+                            for c in range(len(sc.classes))])
 
     delivery_gap = abs(outcome.delivery_freq - analytic_f)
     energy_gap = abs(outcome.mean_energy - analytic_e)

@@ -250,10 +250,6 @@ class Policy:
     def n_classes(self) -> int:
         return self.probs.shape[0]
 
-    @property
-    def n_subslots(self) -> int:
-        return self.probs.shape[1]
-
     def mass(self, c: int) -> float:
         """Total transmission mass of class c (sum of its probabilities)."""
         return float(self.probs[c].sum())
@@ -280,13 +276,6 @@ class ThresholdPolicy:
     @property
     def n_classes(self) -> int:
         return len(self.thresholds)
-
-    def integer_part(self, c: int) -> int:
-        return int(math.floor(self.thresholds[c]))
-
-    def fractional_tail(self, c: int) -> float:
-        h = self.thresholds[c]
-        return h - math.floor(h)
 
 
 def expand_threshold(tp: ThresholdPolicy, sc: Scenario) -> Policy:
@@ -332,21 +321,30 @@ def contact_rate(cls: NodeClass, sc: Scenario) -> float:
     return 8.0 * sc.speed_constant * cls.range_m * cls.speed / (math.pi * sc.arena_radius ** 2)
 
 
-def q_no_receive(mu_c: Sequence[float], k: int, k2: int, lam: float, dt: float) -> float:
-    """Probability that one relay receives nothing during sub-slots k..k2
-    (inclusive): exp(-lam * dt * sum(mu_c[k:k2+1]))."""
+def _window_mass(mu_c: Sequence[float], k: int, k2: int) -> float:
     mu = np.asarray(mu_c, dtype=float)
     if not (0 <= k <= k2 < mu.shape[0]):
         raise ValueError(f"window [{k}, {k2}] outside policy of length {mu.shape[0]}")
-    return math.exp(-lam * dt * float(mu[k:k2 + 1].sum()))
+    return float(mu[k:k2 + 1].sum())
+
+
+def q_no_receive(mu_c: Sequence[float], k: int, k2: int, lam: float, dt: float) -> float:
+    """Probability that one relay receives nothing during sub-slots k..k2
+    (inclusive): exp(-lam * dt * sum(mu_c[k:k2+1]))."""
+    return math.exp(-lam * dt * _window_mass(mu_c, k, k2))
+
+
+def _p_receive(c: int, k: int, k2: int, pol: Policy, sc: Scenario) -> float:
+    """1 - q_no_receive for one class-c relay over sub-slots k..k2, taken
+    through expm1 so that a small mass keeps its relative precision."""
+    return -math.expm1(-sc.rates[c] * sc.eff_slot * _window_mass(pol.probs[c], k, k2))
 
 
 def expected_received(c: int, k: int, pol: Policy, sc: Scenario) -> float:
     """Expected number of class-c relays that got a copy by sub-slot k."""
     if not (0 <= k < sc.subslots):
         raise ValueError("slot index outside horizon")
-    q = q_no_receive(pol.probs[c], 0, k, sc.rates[c], sc.eff_slot)
-    return sc.classes[c].population * (1.0 - q)
+    return sc.classes[c].population * _p_receive(c, 0, k, pol, sc)
 
 
 def expected_holding(c: int, k: int, pol: Policy, sc: Scenario) -> float:
@@ -358,8 +356,7 @@ def expected_holding(c: int, k: int, pol: Policy, sc: Scenario) -> float:
     if not (0 <= k < sc.subslots):
         raise ValueError("slot index outside horizon")
     lo = max(0, k - sc.classes[c].ttl_slots)
-    q = q_no_receive(pol.probs[c], lo, k, sc.rates[c], sc.eff_slot)
-    return sc.classes[c].population * (1.0 - q)
+    return sc.classes[c].population * _p_receive(c, lo, k, pol, sc)
 
 
 def holding_laplace(s: float, c: int, h: int, pol: Policy, sc: Scenario) -> float:
@@ -372,7 +369,7 @@ def holding_laplace(s: float, c: int, h: int, pol: Policy, sc: Scenario) -> floa
     if not (s > 0.0):
         raise ValueError("s must be > 0")
     lo = max(0, h - sc.classes[c].ttl_slots)
-    p = 1.0 - q_no_receive(pol.probs[c], lo, h, sc.rates[c], sc.eff_slot)
+    p = _p_receive(c, lo, h, pol, sc)
     return (1.0 - p * -math.expm1(-s)) ** sc.classes[c].population
 
 

@@ -94,30 +94,6 @@ def random_small_scenario(rng: np.random.Generator, *, n_classes=2, max_slots=10
                     SLOT_LEN, ARENA, budget, 1)
 
 
-def brute_force_saturating(sc: Scenario, frac_c: int) -> set:
-    """All integer assignments of the other classes admitting a
-    budget-saturating completion by class frac_c (exhaustive scan)."""
-    import itertools
-
-    from twohop.model import budget_tolerance
-
-    n = sc.subslots
-    tol = budget_tolerance(sc.budget)
-    others = [c for c in range(len(sc.classes)) if c != frac_c]
-    out = set()
-    for combo in itertools.product(range(n), repeat=len(others)):
-        assign = dict(zip(others, combo))
-        base = [0.0] * len(sc.classes)
-        for c, h in assign.items():
-            base[c] = float(h)
-        lo_energy = threshold_energy(base, sc)
-        base[frac_c] = float(sc.max_threshold)
-        hi_energy = threshold_energy(base, sc)
-        if lo_energy <= sc.budget + tol and hi_energy >= sc.budget - tol:
-            out.add(tuple(sorted(assign.items())))
-    return out
-
-
 def brute_force_integer_optimum(sc: Scenario) -> float:
     """Best objective over every budget-feasible integer threshold profile."""
     import itertools

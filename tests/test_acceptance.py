@@ -45,10 +45,10 @@ from twohop import (
 )
 from twohop.cli import main as cli_main, sample_table_scenario
 from twohop.greedy import GreedyVariant, combined_best
+from twohop.gridsearch import brute_force_saturating
 from twohop.mcsim import holding_expectation
 from conftest import (
     brute_force_integer_optimum,
-    brute_force_saturating,
     make_scenario,
     random_small_scenario,
     two_class_reference,

@@ -155,6 +155,22 @@ def test_solve_enumerates_once(tmp_path, monkeypatch):
     assert all(r["upper_bound"] == direct.upper_bound for r in reports)
 
 
+def test_solve_bound_timeout_leaves_bound_empty(tmp_path):
+    path = write_doc(tmp_path, two_class_doc())
+    out = tmp_path / "report.json"
+    assert main(["solve", "--scenario", path, "--algorithm", "greedy1", "--timeout", "0",
+                 "--format", "json", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["algorithm"] == "greedy1"
+    assert rep["upper_bound"] is None and rep["ratio"] is None
+
+
+def test_solve_grid_timeout_is_request_error(tmp_path, capsys):
+    path = write_doc(tmp_path, two_class_doc())
+    assert main(["solve", "--scenario", path, "--algorithm", "grid", "--timeout", "0"]) == 2
+    assert "grid search exceeded 0 s" in capsys.readouterr().err
+
+
 def test_solve_all_algorithms(tmp_path):
     path = write_doc(tmp_path, scenario_doc())
     out = tmp_path / "rows.csv"
@@ -213,6 +229,22 @@ def test_sweep_table_with_grid(tmp_path):
         if row["algorithm"] == "grid":
             assert row["ratio"] != ""
             assert 0.0 < float(row["ratio"]) <= 1.0
+
+
+def test_sweep_bound_without_grid(tmp_path):
+    greedy_rows = {}
+    for algorithms in ("greedy1", "grid,greedy1"):
+        out = tmp_path / f"{algorithms}.csv"
+        assert main(["sweep", "--mode", "table", "--count", "2", "--seed", "5",
+                     "--resolution", "2", "--algorithms", algorithms,
+                     "--out", str(out)]) == 0
+        greedy_rows[algorithms] = [r for r in csv.DictReader(out.open())
+                                   if r["algorithm"] == "greedy1"]
+    assert len(greedy_rows["greedy1"]) == 2
+    assert greedy_rows["greedy1"] == greedy_rows["grid,greedy1"]
+    for row in greedy_rows["greedy1"]:
+        assert 0.0 < float(row["ratio"]) <= 1.0
+        assert float(row["objective"]) <= float(row["upper_bound"])
 
 
 def test_sweep_scalability_timeout_row(tmp_path):

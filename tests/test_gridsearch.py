@@ -23,10 +23,9 @@ from twohop import (
     threshold_objective,
     upper_bound,
 )
-from twohop.gridsearch import SolveTimeout
+from twohop.gridsearch import SolveTimeout, brute_force_saturating
 from twohop.model import budget_tolerance
 from conftest import (
-    brute_force_saturating,
     make_scenario,
     random_small_scenario,
     two_class_reference,

@@ -96,6 +96,15 @@ def test_expected_holding_window():
     assert expected_holding(0, 4, Policy(np.zeros((1, 8))), sc) == 0.0
 
 
+def test_expected_counts_keep_precision_at_small_mass():
+    # 1 - q_no_receive would cancel almost every digit of this mass
+    sc = make_scenario([0.1], 1.0, slots=8, populations=[10], ttl=[2])
+    pol = Policy(np.array([[0.0, 0.0, 0.0, 1e-10, 0.0, 0.0, 0.0, 0.0]]))
+    exact = 10 * -math.expm1(-sc.rates[0] * sc.eff_slot * 1e-10)
+    assert expected_received(0, 4, pol, sc) == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert expected_holding(0, 4, pol, sc) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
 def test_holding_equals_received_with_long_ttl():
     rng = np.random.default_rng(0)
     sc = make_scenario([0.2], 1.0, slots=6, populations=[4], ttl=[6])
