@@ -502,14 +502,21 @@ def cmd_sweep(args) -> int:
         instances = [sample_scalability_scenario(rng, n_cls, resolution=resolution)
                      for n_cls in sizes]
 
-    rows = []
+    reports = []
     for ident, sc in instances:
         for report, error in _solve_instance(ident, sc, names, timeout=args.timeout,
                                              ub_cap=args.ub_cap):
-            status = ("ok" if error is None
-                      else "timeout" if isinstance(error, SolveTimeout) else "inapplicable")
-            rows.append(_csv_row(report, status, args.timings))
-    _emit(_csv_text(rows), args.out)
+            report["status"] = ("ok" if error is None
+                                else "timeout" if isinstance(error, SolveTimeout)
+                                else "inapplicable")
+            if not args.timings:   # keeps the output a function of the seed
+                report.pop("wall_time_s", None)
+            reports.append(report)
+    if args.format == "json":
+        text = _json_text(reports)
+    else:
+        text = _csv_text(_csv_row(report, report["status"], args.timings) for report in reports)
+    _emit(text, args.out)
     return 0
 
 
@@ -588,7 +595,11 @@ def cmd_validate_enum(args) -> int:
         brute = brute_force_saturating(sc, frac_c)
         checked += len(brute)
         mismatches += len(enumerated ^ brute)
-    sys.stdout.write(f"profiles checked: {checked}\nmismatches: {mismatches}\n")
+    if args.format == "json":
+        text = _json_text({"profiles_checked": checked, "mismatches": mismatches})
+    else:
+        text = f"profiles checked: {checked}\nmismatches: {mismatches}\n"
+    _emit(text, args.out)
     return 0 if mismatches == 0 else 2
 
 

@@ -15,6 +15,7 @@ from the same pass), and the grid-quality lower-bound formula.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -26,6 +27,7 @@ import numpy as np
 from .model import (
     Scenario,
     ThresholdPolicy,
+    _log_miss_slopes,
     budget_tolerance,
     class_log_miss,
     class_log_miss_table,
@@ -55,6 +57,9 @@ __all__ = [
 # float noise at range endpoints.
 _SNAP = 1e-9
 _RESIDUAL_TOL = 1e-10
+# Candidates per vector pass of the batched leaf level (whole penultimate
+# values, so a pass may run over by one); bounds the pass's memory.
+_LEAF_CHUNK = 65_536
 
 
 class BudgetExceededError(RuntimeError):
@@ -117,7 +122,8 @@ class SolveReport:
 # Saturating-threshold solver
 # ---------------------------------------------------------------------------
 
-def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: float):
+def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: float,
+                          starts=(0,)):
     """Vectorised root of  rho_n*(1 - exp(-g h)) + beacon*max(0, h - m2) = rem
     over h in [0, hi].
 
@@ -125,7 +131,10 @@ def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: fl
     exceeded" (rem < 0), +inf marks "cannot exhaust" (rem beyond the cost of
     h = hi).  The left side is strictly increasing, so the root is unique;
     beacon-bearing cases use a clamped Newton iteration with a bisection
-    fallback.
+    fallback.  ``starts`` (sorted start indices) splits ``rem`` into
+    segments, and each segment leaves the Newton loop when its own residuals
+    converge, so one call over many segments returns the bits of one call
+    per segment.
     """
     rem = np.atleast_1d(np.asarray(rem, dtype=float))
     m2 = np.broadcast_to(np.asarray(m2, dtype=float), rem.shape).copy()
@@ -155,16 +164,22 @@ def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: fl
     needs_newton = sol > m2c + _SNAP
     if beacon > 0.0 and needs_newton.any():
         idx = np.where(needs_newton)[0]
+        seg = np.searchsorted(starts, np.flatnonzero(core)[idx], side="right")
         h = np.minimum(np.where(np.isfinite(sol[idx]), sol[idx], hi), hi)
         h = np.maximum(h, m2c[idx])
         rr = r[idx]
         mm = m2c[idx]
+        live = np.arange(idx.size)
         for _ in range(64):
-            f = rho_n * -np.expm1(-g * h) + beacon * (h - mm) - rr
-            fp = rho_n * g * np.exp(-g * h) + beacon
+            hl, ml = h[live], mm[live]
+            f = rho_n * -np.expm1(-g * hl) + beacon * (hl - ml) - rr[live]
+            fp = rho_n * g * np.exp(-g * hl) + beacon
             step = f / fp
-            h = np.clip(h - step, mm, hi)
-            if np.max(np.abs(f)) < tol:
+            h[live] = np.clip(hl - step, ml, hi)
+            heads = np.flatnonzero(np.diff(seg[live], prepend=-1))
+            done = np.maximum.reduceat(np.abs(f), heads) < tol
+            live = live[np.repeat(~done, np.diff(heads, append=live.size))]
+            if live.size == 0:
                 break
         f = rho_n * -np.expm1(-g * h) + beacon * (h - mm) - rr
         bad = np.abs(f) >= tol
@@ -183,18 +198,26 @@ def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: fl
     return out
 
 
-def _completion_masses(c2: int, partial: PartialAssignment, sc: Scenario,
-                       unassigned: str) -> dict[int, float]:
-    """Threshold mass of every class other than c2 in the completion context."""
+def _solve_for(c: int, rem, m2, sc: Scenario, starts=(0,)) -> np.ndarray:
+    """Saturating threshold of class c for the remaining budgets ``rem``."""
+    cls = sc.classes[c]
+    return _solve_saturating_vec(rem, cls.tx_cost * cls.population, sc.rates[c] * sc.eff_slot,
+                                 sc.beacon_rate(cls.technology), m2, float(sc.max_threshold),
+                                 starts)
+
+
+def _completion_masses(c2: int, assigned: Mapping, sc: Scenario, unassigned: str) -> dict:
+    """Threshold mass of every class other than c2 in the completion context,
+    in class order; an assigned entry may be an array of values."""
     if unassigned not in ("zero", "full"):
         raise ValueError("unassigned must be 'zero' or 'full'")
     fill = float(sc.max_threshold) if unassigned == "full" else 0.0
-    masses: dict[int, float] = {}
+    masses = {}
     for c in range(len(sc.classes)):
         if c == c2:
             continue
-        if c in partial.assigned:
-            masses[c] = float(partial.assigned[c])
+        if c in assigned:
+            masses[c] = assigned[c]
         elif is_costless(c, sc):
             masses[c] = float(sc.max_threshold)
         else:
@@ -202,26 +225,38 @@ def _completion_masses(c2: int, partial: PartialAssignment, sc: Scenario,
     return masses
 
 
-def _fixed_energy_parts(c2: int, masses: dict[int, float], sc: Scenario):
-    """Split the energy of the fixed classes into (constant, m2) where m2 is
-    the beacon coverage already paid on class c2's technology."""
-    dt = sc.eff_slot
-    const = 0.0
+def _tx_energy(masses: dict, sc: Scenario):
+    """Transmission energy of the classes in ``masses``, summed in dict order.
+
+    An array mass is still taken value by value through math.expm1, so each
+    entry carries the bits of the scalar path.
+    """
+    total = 0.0
     for c, h in masses.items():
         cls = sc.classes[c]
-        const += cls.tx_cost * cls.population * -math.expm1(-sc.rates[c] * dt * h)
-    own_tech = sc.classes[c2].technology
+        scale = -sc.rates[c] * sc.eff_slot
+        terms = [cls.tx_cost * cls.population * -math.expm1(scale * v)
+                 for v in np.ravel(h).tolist()]
+        total = total + (np.array(terms) if np.ndim(h) else terms[0])
+    return total
+
+
+def _remaining(c2: int, masses: dict, sc: Scenario, const):
+    """Budget left for class c2 once ``const`` and the beacon energy of the
+    other classes (at ``masses``, arrays allowed) are paid, and the beacon
+    coverage m2 already paid on c2's own technology."""
+    own = sc.classes[c2].technology
     m2 = 0.0
     for tech in sc.technologies:
-        members = [c for c in sc.tech_members[tech.ident] if c != c2]
+        members = [masses[c] for c in sc.tech_members[tech.ident] if c != c2]
         if not members or tech.beacon_cost == 0.0:
             continue
-        cover = max(masses[c] for c in members)
-        if tech.ident == own_tech:
+        cover = functools.reduce(np.maximum, members)
+        if tech.ident == own:
             m2 = cover
         else:
-            const += sc.beacon_rate(tech.ident) * cover
-    return const, m2
+            const = const + sc.beacon_rate(tech.ident) * cover
+    return sc.budget - const - sc.beacon_rate(own) * m2, m2
 
 
 def boundary_threshold(c2: int, partial: PartialAssignment, sc: Scenario,
@@ -237,19 +272,9 @@ def boundary_threshold(c2: int, partial: PartialAssignment, sc: Scenario,
     Raises BudgetExceededError when the fixed classes alone overspend, and
     BudgetUnboundedError when even h = subslots - 1 cannot exhaust the budget.
     """
-    masses = _completion_masses(c2, partial, sc, unassigned)
-    const, m2 = _fixed_energy_parts(c2, masses, sc)
-    cls = sc.classes[c2]
-    beacon = sc.beacon_rate(cls.technology)
-    rem = sc.budget - const - beacon * m2
-    sol = _solve_saturating_vec(
-        rem,
-        cls.tx_cost * cls.population,
-        sc.rates[c2] * sc.eff_slot,
-        beacon,
-        m2,
-        float(sc.max_threshold),
-    )[0]
+    masses = _completion_masses(c2, partial.assigned, sc, unassigned)
+    rem, m2 = _remaining(c2, masses, sc, _tx_energy(masses, sc))
+    sol = _solve_for(c2, rem, m2, sc)[0]
     if math.isnan(sol):
         raise BudgetExceededError(
             f"fixed classes already spend more than the budget (class {c2})")
@@ -324,94 +349,89 @@ def _costly_classes(sc: Scenario) -> list[int]:
     return [c for c in range(len(sc.classes)) if not is_costless(c, sc)]
 
 
-def _leaf_candidates(frac_c: int, leaf_c: int | None, assigned: dict[int, int],
-                     sc: Scenario):
-    """Solve the fractional closure for a leaf of the enumeration tree.
+def _leaf_level(sc: Scenario, frac_c: int, batched: list[int], assigned: dict[int, int]
+                ) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+    """Every candidate under one prefix of integer levels, as (vals, r)
+    chunks: ``vals`` holds one array per batched class, aligned with the
+    fractional thresholds ``r`` (invalid entries dropped).
 
-    With ``leaf_c`` None the tree is trivial (no other costly classes) and a
-    single candidate is produced.  Otherwise the feasible range of ``leaf_c``
-    is swept as a vector and the saturating threshold of the fractional class
-    is solved for every value at once.  Returns (h_values, frac_values) with
-    invalid entries already dropped.
+    ``batched`` is the last (at most two) costly classes.  The penultimate
+    class's range comes from ``feasible_range``; the leaf's ranges for all
+    penultimate values come from one solve, and the fractional closures of
+    all (penultimate, leaf) pairs from one solve per chunk of whole
+    penultimate values.  Every scalar solve the walk used to make is one
+    Newton segment here, so every value keeps its bits.
     """
-    partial = PartialAssignment(frac_c, dict(assigned))
     n1 = sc.max_threshold
-    cls = sc.classes[frac_c]
-    beacon = sc.beacon_rate(cls.technology)
+    fixed = dict(assigned)
+    if len(batched) == 2:
+        hp = feasible_range(batched[0], PartialAssignment(frac_c, assigned), sc).values()
+        if hp.size == 0:
+            return
+        fixed[batched[0]] = hp
+    # the closure's transmission energy without the leaf, one entry per
+    # penultimate value: the leaf sits at mass 0 here, adding exactly +0.0
+    row = _completion_masses(frac_c, fixed, sc, "zero")
+    row_tx = _tx_energy(row, sc)
+    if not batched:
+        r = _solve_for(frac_c, *_remaining(frac_c, row, sc, row_tx), sc)
+        yield [], r[np.isfinite(r)]
+        return
 
-    if leaf_c is None:
-        try:
-            r = boundary_threshold(frac_c, partial, sc)
-        except (BudgetExceededError, BudgetUnboundedError):
-            return np.empty(0, dtype=int), np.empty(0)
-        return np.array([-1]), np.array([r])
-
-    rng = feasible_range(leaf_c, partial, sc)
-    if rng.empty:
-        return np.empty(0, dtype=int), np.empty(0)
-    h_vec = rng.values()
-
-    masses = {c: float(h) for c, h in assigned.items()}
-    for c in range(len(sc.classes)):
-        if c != frac_c and c != leaf_c and c not in masses:
-            masses[c] = float(n1) if is_costless(c, sc) else 0.0
-
-    leaf_cls = sc.classes[leaf_c]
-    dt = sc.eff_slot
-    const = sum(sc.classes[c].tx_cost * sc.classes[c].population
-                * -math.expm1(-sc.rates[c] * dt * h) for c, h in masses.items())
-    const = const + leaf_cls.tx_cost * leaf_cls.population \
-        * -np.expm1(-sc.rates[leaf_c] * dt * h_vec)
-
-    # beacon coverage: the leaf class may extend the union on its own
-    # technology, which can also be the fractional class's technology
-    base_cover: dict[str, float] = {}
-    for tech in sc.technologies:
-        members = [c for c in sc.tech_members[tech.ident] if c not in (frac_c, leaf_c)]
-        base_cover[tech.ident] = max((masses[c] for c in members), default=0.0)
-    leaf_tech = leaf_cls.technology
-    own_tech = cls.technology
-    for tech in sc.technologies:
-        if tech.beacon_cost == 0.0 or not sc.tech_members[tech.ident]:
-            continue
-        if tech.ident == own_tech:
-            continue
-        cover = base_cover[tech.ident]
-        if tech.ident == leaf_tech:
-            cover = np.maximum(cover, h_vec.astype(float))
-        const = const + sc.beacon_rate(tech.ident) * cover
-    if beacon > 0.0:
-        m2 = base_cover.get(own_tech, 0.0)
-        if leaf_tech == own_tech:
-            m2 = np.maximum(m2, h_vec.astype(float))
-    else:
-        m2 = 0.0
-
-    rem = sc.budget - const - beacon * np.asarray(m2, dtype=float)
-    r_vec = _solve_saturating_vec(
-        rem, cls.tx_cost * cls.population, sc.rates[frac_c] * dt, beacon, m2, float(n1))
-    ok = np.isfinite(r_vec)
-    return h_vec[ok], r_vec[ok]
+    # the leaf's range for every row, as feasible_range finds it: the zero-
+    # and full-completion boundary solves, one segment each
+    leaf = batched[-1]
+    n_rows = np.size(row_tx)
+    parts = [_remaining(leaf, m, sc, _tx_energy(m, sc))
+             for m in (_completion_masses(leaf, fixed, sc, fill) for fill in ("zero", "full"))]
+    rem, m2 = (np.concatenate([np.broadcast_to(p[k], n_rows) for p in parts]) for k in (0, 1))
+    ends = _solve_for(leaf, rem, m2, sc, starts=np.arange(2 * n_rows))
+    hi = np.minimum(n1, np.floor(ends[:n_rows] + _SNAP))      # NaN: overspent, empty
+    lo = np.fmax(0.0, np.ceil(ends[n_rows:] - _SNAP))         # inf: cannot saturate, empty
+    rows = np.flatnonzero(lo <= hi)
+    lo = lo[rows].astype(int)
+    count = hi[rows].astype(int) - lo + 1
+    total = np.cumsum(count)
+    leaf_cls = sc.classes[leaf]
+    a = 0
+    while a < rows.size:
+        before = total[a] - count[a]
+        b = max(a + 1, int(np.searchsorted(total, before + _LEAF_CHUNK, "right")))
+        seg = np.repeat(np.arange(b - a), count[a:b])
+        starts = total[a:b] - count[a:b] - before
+        sel = rows[a:b][seg]
+        h = lo[a:b][seg] + np.arange(seg.size) - starts[seg]
+        pair = dict(row)
+        if len(batched) == 2:
+            pair[batched[0]] = hp[sel]
+        pair[leaf] = h
+        const = (row_tx[sel] if np.ndim(row_tx) else row_tx) \
+            + leaf_cls.tx_cost * leaf_cls.population * -np.expm1(-sc.rates[leaf] * sc.eff_slot * h)
+        r = _solve_for(frac_c, *_remaining(frac_c, pair, sc, const), sc, starts=starts)
+        ok = np.isfinite(r)
+        yield [pair[c][ok] for c in batched], r[ok]
+        a = b
 
 
 def _leaf_batches(sc: Scenario, frac_c: int
-                  ) -> Iterator[tuple[dict[int, int], int | None, np.ndarray, np.ndarray]]:
-    """The enumeration walker: yields (assigned, leaf class, h_vec, r_vec) for
-    every leaf of the tree with fractional class ``frac_c``, empty ones too.
+                  ) -> Iterator[tuple[dict[int, int], list[int], list[np.ndarray], np.ndarray]]:
+    """The enumeration walker: yields (assigned, batched, vals, r) chunks
+    covering every candidate with fractional class ``frac_c``.
 
     Integer levels are the costly classes other than ``frac_c`` in ascending
-    order; ``assigned`` maps them to thresholds in level order and is reused
-    between batches, so copy it to keep it.  The last costly class is the
-    leaf, swept as a vector (None when ``frac_c`` is the only costly class).
+    order; all but the last two are walked here and ``assigned`` maps them to
+    thresholds in level order (reused between chunks, so copy it to keep
+    it).  The last (at most two) levels, ``batched``, are solved as vectors
+    by ``_leaf_level``; ``vals`` aligns their values with ``r``.
     """
     others = [c for c in _costly_classes(sc) if c != frac_c]
-    leaf = others[-1] if others else None
+    batched = others[-2:]
     assigned: dict[int, int] = {}
 
     def walk(level: int):
-        if level >= len(others) - 1:
-            h_vec, r_vec = _leaf_candidates(frac_c, leaf, assigned, sc)
-            yield assigned, leaf, h_vec, r_vec
+        if level >= len(others) - 2:
+            for vals, r in _leaf_level(sc, frac_c, batched, assigned):
+                yield assigned, batched, vals, r
             return
         c2 = others[level]
         rng = feasible_range(c2, PartialAssignment(frac_c, dict(assigned)), sc)
@@ -436,12 +456,11 @@ def enumerate_saturating(sc: Scenario, fractional_class: int
     """
     if is_costless(fractional_class, sc):
         raise ValueError("fractional class must have a positive cost")
-    for assigned, leaf, h_vec, r_vec in _leaf_batches(sc, fractional_class):
-        for h, r in zip(h_vec, r_vec):
+    for assigned, batched, vals, r in _leaf_batches(sc, fractional_class):
+        for i in range(r.size):
             full = dict(assigned)
-            if leaf is not None:
-                full[leaf] = int(h)
-            yield full, float(r)
+            full.update((c, int(v[i])) for c, v in zip(batched, vals))
+            yield full, float(r[i])
 
 
 def brute_force_saturating(sc: Scenario, frac_c: int) -> set[tuple[tuple[int, int], ...]]:
@@ -485,19 +504,40 @@ class _Best:
             self.thresholds = thresholds
 
 
-def _full_profile(sc: Scenario, frac_c: int, leaf_c: int | None,
-                  assigned: dict[int, int], h: int, r: float) -> tuple[float, ...]:
-    out = [0.0] * len(sc.classes)
-    for c in range(len(sc.classes)):
-        if c == frac_c:
-            out[c] = float(r)
-        elif leaf_c is not None and c == leaf_c:
-            out[c] = float(h)
-        elif c in assigned:
-            out[c] = float(assigned[c])
-        elif is_costless(c, sc):
-            out[c] = float(sc.max_threshold)
-    return tuple(out)
+def _full_profile(sc: Scenario, frac_c: int, fixed: dict[int, int],
+                  r: float) -> tuple[float, ...]:
+    return tuple(float(r) if c == frac_c else float(fixed[c]) if c in fixed
+                 else float(sc.max_threshold) if is_costless(c, sc) else 0.0
+                 for c in range(len(sc.classes)))
+
+
+def _prune_margin(c: int, sc: Scenario, tables: list[np.ndarray]) -> float:
+    """How far a class-c candidate's rounded tangent bound may exceed the
+    incumbent before the candidate is ruled out; u = 2**-53 below.
+
+    Each term log1p(-y), y = g p_k, of class_log_miss has a relative error of
+    at most (8 + 11 E) u, E = expm1(x)/x with x = lam dt: y carries 11u (the
+    window mass, its product with x, expm1 within 4 ulp, the product with
+    g), amplified by y / ((1 - y) |log(1 - y)|) <= E since y <= g, and
+    log1p adds 8u.  The terms share one sign, so numpy's pairwise sum of n
+    of them adds at most (32 + log2 n) u relative and the population factor
+    u more.  Every table entry and exact evaluation is thus within
+    e = (48 + log2 n + 11 E) u |T[n-1]| of the true log-miss, |T[n-1]| being
+    the largest magnitude (the log-miss falls with the threshold).  The
+    slope table sums phi terms of total magnitude at most 2x, so it errs by
+    at most d = (32 ttl + 96) e^x u pop x.  A candidate's tangent then lies
+    at most 2e + d above its evaluation, the incumbent (a chord or an
+    evaluation) at most 2e below the evaluation it bounds, and the other
+    roundings of partial sums stay below 16 u S, S the summed |T_c[n-1]|.
+    Pruning only beyond 4e + d + 16 u S keeps every candidate whose
+    evaluation could match the best one, ties included.
+    """
+    u = 2.0 ** -53
+    cls = sc.classes[c]
+    x = sc.rates[c] * sc.eff_slot
+    e = (48 + math.log2(sc.subslots) + 11 * math.expm1(x) / x) * u * abs(tables[c][-1])
+    d = (32 * min(cls.ttl_slots, sc.subslots) + 96) * math.exp(x) * u * cls.population * x
+    return 4 * e + d + 16 * u * sum(abs(t[-1]) for t in tables)
 
 
 def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
@@ -505,13 +545,15 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     threshold (or the all-full profile when the budget allows it).
 
     Enumerates every fractional-class choice; integer levels are walked in
-    ascending class order and the innermost level is solved as a vector.
-    Candidate objectives are ranked through cached per-class log-miss tables
-    with exact evaluation of potential maximisers only, which leaves the
-    result identical to exhaustive evaluation.  Ties break toward the
-    lexicographically smallest threshold vector.  The same pass yields the
-    upper bound: every enumerated threshold rounded up to the next integer
-    sub-slot, best objective regardless of the (violated) budget.
+    ascending class order and the last two are solved as vectors.  The
+    log-miss is convex in the fractional tail, so every candidate lies
+    between a tangent and a chord of the cached per-class log-miss table;
+    the smallest chord is an incumbent, and only candidates whose tangent
+    reaches it (within a rounding margin) are evaluated exactly, which
+    leaves the result identical to exhaustive evaluation.  Ties break toward
+    the lexicographically smallest threshold vector.  The same pass yields
+    the upper bound: every enumerated threshold rounded up to the next
+    integer sub-slot, best objective regardless of the (violated) budget.
     """
     t0 = time.perf_counter()
     n1 = sc.max_threshold
@@ -530,46 +572,47 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     # the classes outside the enumeration are the costless ones, pinned full
     pinned = sum(tables[c][n1] for c in range(n_classes) if is_costless(c, sc))
     best = _Best()
-    ub_log_miss = math.inf
+    incumbent = ub_log_miss = math.inf
     enumerated = 0
 
     for frac_c in _costly_classes(sc):
-        for assigned, leaf, h_vec, r_vec in _leaf_batches(sc, frac_c):
+        table = tables[frac_c]
+        following = np.append(table[1:], table[-1])   # T[j + 1]; j = n - 1 only with a = 0
+        slopes = _log_miss_slopes(frac_c, sc)
+        margin = _prune_margin(frac_c, sc, tables)
+        for assigned, batched, vals, r in _leaf_batches(sc, frac_c):
             if deadline is not None and time.perf_counter() > deadline:
                 raise SolveTimeout(f"grid search exceeded {timeout_s:g} s")
-            if h_vec.size == 0:
+            if r.size == 0:
                 continue
-            enumerated += len(r_vec)
+            enumerated += r.size
             known = known_up = pinned
             for c, h in assigned.items():
                 known = known + tables[c][h]
                 known_up = known_up + tables[c][min(h + 1, n1)]
-            if leaf is not None:
-                s_known = known + tables[leaf][h_vec]
-                s_known_up = known_up + tables[leaf][np.minimum(h_vec + 1, n1)]
-            else:
-                s_known = np.full(r_vec.shape, known)
-                s_known_up = np.full(r_vec.shape, known_up)
-            ceil_r = np.minimum(np.ceil(r_vec - _SNAP).astype(int), n1)
-            s_opt = s_known + tables[frac_c][ceil_r]
-            up_r = np.minimum(np.floor(r_vec + _SNAP).astype(int) + 1, n1)
-            cand_up = (s_known_up + tables[frac_c][up_r]).min()
-            if cand_up < ub_log_miss:
-                ub_log_miss = cand_up
-            improvers = np.where(s_opt <= best.log_miss)[0]
-            if improvers.size == 0:
+            known, known_up = np.full(r.shape, known), np.full(r.shape, known_up)
+            for c, h in zip(batched, vals):
+                known = known + tables[c][h]
+                known_up = known_up + tables[c][np.minimum(h + 1, n1)]
+            up_r = np.minimum(np.floor(r + _SNAP).astype(int) + 1, n1)
+            ub_log_miss = min(ub_log_miss, (known_up + table[up_r]).min())
+            j = r.astype(int)
+            alpha = r - j
+            chord = known + ((1.0 - alpha) * table[j] + alpha * following[j])
+            incumbent = min(incumbent, chord.min())
+            tangent = known + (table[j] + alpha * slopes[j])
+            keep = np.flatnonzero(tangent - margin <= min(incumbent, best.log_miss))
+            if keep.size == 0:
                 continue
-            exact = s_known[improvers] + class_log_miss(frac_c, r_vec[improvers], sc)
-            order = np.argsort(exact, kind="stable")
-            for idx in order:
-                i = improvers[idx]
+            exact = known[keep] + class_log_miss(frac_c, r[keep], sc)
+            for idx in np.argsort(exact, kind="stable"):
                 val = float(exact[idx])
                 if val > best.log_miss:
                     break
-                prof = _full_profile(sc, frac_c, leaf, assigned,
-                                     int(h_vec[i]) if leaf is not None else 0,
-                                     float(r_vec[i]))
-                best.offer(val, prof)
+                i = keep[idx]
+                fixed = dict(assigned)
+                fixed.update((c, int(v[i])) for c, v in zip(batched, vals))
+                best.offer(val, _full_profile(sc, frac_c, fixed, r[i]))
 
     thresholds = best.thresholds
     if thresholds is None:

@@ -519,6 +519,34 @@ def class_log_miss_table(c: int, sc: Scenario) -> np.ndarray:
     return _log_miss_table_cached(sc, c)
 
 
+def _log_miss_slopes(c: int, sc: Scenario) -> np.ndarray:
+    """Right derivative D[j] of class_log_miss(c, j + a) in a at a = 0, for
+    every integer threshold j; the log-miss is convex in the fractional tail
+    a, so T[j] + a D[j] bounds it from below on [j, j + 1].
+
+    The tail on sub-slot j raises the window mass of sub-slots
+    k = j .. min(j + ttl, n - 1), where the mass at a = 0 is
+    min(j, ttl - (k - j)).  A term at mass w moves at
+    phi(w) = -g x e^{-xw} / (1 - g + g e^{-xw}), x = lam dt, so D[j] sums
+    phi over those masses: at most ttl + 1 terms equal to phi(j), the rest a
+    run of consecutive masses read off a prefix sum of phi(0..ttl).
+    """
+    cls = sc.classes[c]
+    n = sc.subslots
+    ttl = min(cls.ttl_slots, n)     # any TTL >= n - 1 keeps every copy to the end
+    x = sc.rates[c] * sc.eff_slot
+    g = -math.expm1(-x)
+    decay = np.exp(-x * np.arange(ttl + 1))
+    phi = -g * x * decay / (math.exp(-x) + g * decay)
+    csum = np.concatenate(([0.0], np.cumsum(phi)))
+    j = np.arange(n)
+    last = np.minimum(ttl, n - 1 - j)                   # k - j runs over 0..last
+    flat = np.maximum(np.minimum(last, ttl - j) + 1, 0)  # terms at mass j
+    lo, hi = ttl - last, np.minimum(ttl + 1, j)         # the rest: masses lo..hi-1
+    rest = np.where(hi > lo, csum[hi] - csum[lo], 0.0)
+    return cls.population * (flat * phi[np.minimum(j, ttl)] + rest)
+
+
 def threshold_objective(thresholds: Sequence[float], sc: Scenario) -> float:
     """Delivery probability of a threshold profile at the full horizon."""
     total = sum(float(class_log_miss(c, [h], sc)[0]) for c, h in enumerate(thresholds))

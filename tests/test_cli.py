@@ -218,6 +218,19 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_json_lists_reports(capsys):
+    args = ["sweep", "--mode", "table", "--count", "1", "--seed", "1", "--resolution", "1",
+            "--algorithms", "greedy1"]
+    assert main(args + ["--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert main(args) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(reports) == len(rows) == 1
+    assert reports[0]["status"] == "ok" and reports[0]["algorithm"] == "greedy1"
+    assert repr(reports[0]["objective"]) == rows[0]["objective"]
+    assert "wall_time_s" not in reports[0]
+
+
 def test_sweep_table_with_grid(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--mode", "table", "--count", "2", "--seed", "5",
@@ -312,6 +325,15 @@ def test_validate_enum_command(tmp_path, capsys):
     assert main(["validate-enum", "--scenario", path]) == 0
     out = capsys.readouterr().out
     assert "mismatches: 0" in out
+
+
+def test_validate_enum_out_and_json(tmp_path, capsys):
+    path = write_doc(tmp_path, two_class_doc())
+    out = tmp_path / "ve.txt"
+    assert main(["validate-enum", "--scenario", path, "--out", str(out), "--format", "json"]) == 0
+    assert capsys.readouterr().out == ""
+    doc = json.loads(out.read_text())
+    assert doc["mismatches"] == 0 and doc["profiles_checked"] > 0
 
 
 def test_validate_enum_too_large(tmp_path, capsys):

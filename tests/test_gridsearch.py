@@ -1,11 +1,13 @@
 """Grid-search oracles: boundary solver, feasible ranges, enumeration
 completeness against brute force, solver optimality, and the quality bound."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import twohop.gridsearch
 from twohop import (
     BudgetExceededError,
     BudgetUnboundedError,
@@ -23,8 +25,19 @@ from twohop import (
     threshold_objective,
     upper_bound,
 )
-from twohop.gridsearch import SolveTimeout, brute_force_saturating
-from twohop.model import budget_tolerance
+from twohop.cli import sample_table_scenario
+from twohop.gridsearch import (
+    SolveTimeout,
+    _prune_margin,
+    _solve_saturating_vec,
+    brute_force_saturating,
+)
+from twohop.model import (
+    _log_miss_slopes,
+    budget_tolerance,
+    class_log_miss,
+    class_log_miss_table,
+)
 from conftest import (
     make_scenario,
     random_small_scenario,
@@ -216,6 +229,100 @@ def test_grid_search_matches_exhaustive_candidates():
         else:
             assert rep.enumerated == count
             assert rep.objective == pytest.approx(best, abs=1e-12)
+
+
+def test_grid_search_matches_exhaustive_three_and_four_classes():
+    # every candidate ranked in log-miss space, summed as the grid search
+    # sums it (integer classes in class order, then the fractional class),
+    # with the lexicographic tie-break; three classes run the batched leaf
+    # level alone, four add one level walked in Python
+    rng = np.random.default_rng(29)
+    checked = 0
+    for trial in range(16):
+        n_classes = 3 + trial % 2
+        sc = random_small_scenario(rng, n_classes=n_classes, max_slots=7 if n_classes == 3 else 5,
+                                   beacon_scale=0.05, share_prob=0.5)
+        if threshold_energy([sc.max_threshold] * n_classes, sc) <= sc.budget + budget_tolerance(sc.budget):
+            continue
+        tables = [class_log_miss_table(c, sc) for c in range(n_classes)]
+        best, count = (math.inf, ()), 0
+        for frac_c in range(n_classes):
+            for assigned, r in enumerate_saturating(sc, frac_c):
+                val = 0
+                for c in sorted(assigned):
+                    val = val + tables[c][assigned[c]]
+                val = float(val + class_log_miss(frac_c, [r], sc)[0])
+                hs = tuple(r if c == frac_c else float(assigned[c]) for c in range(n_classes))
+                best = min(best, (val, hs))
+                count += 1
+        rep = grid_search(sc)
+        assert rep.enumerated == count
+        assert rep.policy.thresholds == best[1]
+        checked += 1
+    assert checked >= 10
+
+
+def test_leaf_chunks_keep_candidates_and_bits(monkeypatch):
+    # chunks of a few candidates (whole penultimate values) enumerate the
+    # same profiles, with the same bits, as one pass per prefix
+    rng = np.random.default_rng(32)
+    for _ in range(6):
+        sc = random_small_scenario(rng, n_classes=3, max_slots=8, beacon_scale=0.05,
+                                   share_prob=0.5)
+        whole = [list(enumerate_saturating(sc, f)) for f in range(3)]
+        rep = grid_search(sc)
+        monkeypatch.setattr(twohop.gridsearch, "_LEAF_CHUNK", 3)
+        assert [list(enumerate_saturating(sc, f)) for f in range(3)] == whole
+        chunked = grid_search(sc)
+        monkeypatch.undo()
+        assert (chunked.policy, chunked.objective, chunked.upper_bound, chunked.enumerated) \
+            == (rep.policy, rep.objective, rep.upper_bound, rep.enumerated)
+
+
+def test_log_miss_slopes_bracket_fractional_tails():
+    # table instances (full TTL) and short-TTL instances: the slope table is
+    # the right derivative (Richardson forward difference), and every tail
+    # lies between the tangent and the chord up to the pruning margin
+    rng = np.random.default_rng(30)
+    scenarios = [sample_table_scenario(rng, resolution=2, with_beacons=i % 2 == 0)[1]
+                 for i in range(6)]
+    scenarios += [random_small_scenario(rng, n_classes=2, max_slots=40, min_slots_count=20)
+                  for _ in range(6)]
+    # a TTL far beyond the horizon keeps every copy, like a TTL of n - 1
+    scenarios.append(dataclasses.replace(scenarios[-1], classes=tuple(
+        dataclasses.replace(cls, ttl_slots=10 ** 6) for cls in scenarios[-1].classes)))
+    for sc in scenarios:
+        tables = [class_log_miss_table(c, sc) for c in range(len(sc.classes))]
+        j = np.arange(sc.max_threshold)
+        for c, table in enumerate(tables):
+            slopes = _log_miss_slopes(c, sc)
+            step = 1e-4
+            fd1 = (class_log_miss(c, j + step, sc) - table[j]) / step
+            fd2 = (class_log_miss(c, j + 2 * step, sc) - table[j]) / (2 * step)
+            assert np.abs(2 * fd1 - fd2 - slopes[j]).max() <= 1e-7 * np.abs(slopes).max()
+            alpha = rng.uniform(0.0, 1.0, j.size)
+            exact = class_log_miss(c, j + alpha, sc)
+            margin = _prune_margin(c, sc, tables)
+            assert np.all(table[j] + alpha * slopes[j] - margin <= exact)
+            assert np.all(exact <= (1.0 - alpha) * table[j] + alpha * table[j + 1] + margin)
+
+
+def test_segmented_solve_matches_separate_calls():
+    # beacon cases that take the Newton branch: each segment stops on its own
+    # residuals, so solving two segments together gives the separate bits
+    rng = np.random.default_rng(31)
+    joint_differs = 0
+    for _ in range(40):
+        rho, g, beacon = rng.uniform(0.5, 5.0), rng.uniform(0.001, 0.2), rng.uniform(1e-4, 0.05)
+        rem = rng.uniform(0.1, 0.99, 6) * rho
+        # paid beacon cover below the closed-form root: the Newton branch
+        m2 = rng.uniform(0.0, 0.9, 6) * -np.log1p(-rem / rho) / g
+        apart = np.concatenate([_solve_saturating_vec(rem[s], rho, g, beacon, m2[s], 60.0)
+                                for s in (slice(0, 2), slice(2, 6))])
+        together = _solve_saturating_vec(rem, rho, g, beacon, m2, 60.0, starts=[0, 2])
+        assert np.array_equal(apart, together)
+        joint_differs += not np.array_equal(apart, _solve_saturating_vec(rem, rho, g, beacon, m2, 60.0))
+    assert joint_differs > 0    # one segment would change the bits
 
 
 def test_grid_search_full_when_budget_large():
