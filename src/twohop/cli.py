@@ -612,6 +612,26 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0.0 <= value < math.inf):
+        raise argparse.ArgumentTypeError(f"expected a finite number of seconds >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="twohop",
                      description="Two-hop forwarding policy solver toolkit")
@@ -621,7 +641,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     # every subcommand shares this action: its default stays None, each command applies its own
-    common.add_argument("--resolution", type=int, default=None,
+    common.add_argument("--resolution", type=_positive_int, default=None,
                         help="sub-slots per slot (default: the scenario file's;"
                              " sweep 5, bound 1)")
 
@@ -629,7 +649,7 @@ def _build_parser() -> _Parser:
     bounded = argparse.ArgumentParser(add_help=False)
     bounded.add_argument("--ub-cap", type=int, default=UB_CLASS_CAP,
                          help="compute the upper bound only up to this many classes")
-    bounded.add_argument("--timeout", type=float, default=None,
+    bounded.add_argument("--timeout", type=_seconds, default=None,
                          help="wall-clock limit for the grid enumeration, seconds")
 
     p = sub.add_parser("solve", parents=[common, bounded],
@@ -661,21 +681,21 @@ def _build_parser() -> _Parser:
                    help="policy source algorithm (ignored with --policy-file)")
     p.add_argument("--policy-file", default=None,
                    help="JSON file with 'thresholds' or a full 'policy' matrix")
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instance-id", default="scenario")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bound", parents=[common],
                        help="evaluate the grid-quality lower bound")
-    p.add_argument("--slots", type=int, required=True)
+    p.add_argument("--slots", type=_positive_int, required=True)
     p.add_argument("--classes", default="inf")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("validate-enum", parents=[common],
                        help="cross-check the enumeration against brute force (small instances)")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--limit", type=int, default=200_000)
+    p.add_argument("--limit", type=_positive_int, default=200_000)
     p.set_defaults(func=cmd_validate_enum)
     return parser
 

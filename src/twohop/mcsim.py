@@ -106,20 +106,21 @@ def holding_expectation(pol: Policy, sc: Scenario) -> np.ndarray:
     A relay holds at sub-slot k when its first accepted contact fell inside
     [k - ttl, k]; relays that accepted earlier have discarded for good, so the
     expectation is population * (Q(0, k-ttl-1) - Q(0, k)) with Q the
-    no-acceptance probability.  For k < ttl this coincides with the window
+    no-acceptance probability, taken as Q(0, k-ttl-1) times the window's
+    acceptance probability (through expm1, so a small mass keeps its
+    relative precision).  For k < ttl this coincides with the window
     expression used by the delivery law; beyond it the delivery law admits
     re-acceptance and sits above the true mean.
     """
     n = sc.subslots
     out = np.empty((len(sc.classes), n))
     for c, cls in enumerate(sc.classes):
-        lam = sc.rates[c]
+        x = sc.rates[c] * sc.eff_slot
         csum = np.concatenate(([0.0], np.cumsum(pol.probs[c])))
         ks = np.arange(n)
         lo = np.maximum(0, ks - cls.ttl_slots)
-        q_before = np.exp(-lam * sc.eff_slot * csum[lo])
-        q_through = np.exp(-lam * sc.eff_slot * csum[ks + 1])
-        out[c] = cls.population * (q_before - q_through)
+        q_before = np.exp(-x * csum[lo])
+        out[c] = cls.population * q_before * -np.expm1(-x * (csum[ks + 1] - csum[lo]))
     return out
 
 

@@ -62,6 +62,9 @@ BUDGET_RTOL = 1e-9
 # Row chunk used when materialising threshold-by-slot matrices.
 _CHUNK_CELLS = 4_000_000
 
+# Per-class log-miss tables kept in memory; one entry holds subslots floats.
+_TABLE_CACHE_SIZE = 256
+
 
 def budget_tolerance(budget: float) -> float:
     """Absolute feasibility slack for a given budget."""
@@ -507,16 +510,36 @@ def class_log_miss(c: int, thresholds: Iterable[float], sc: Scenario) -> np.ndar
     return out
 
 
-@lru_cache(maxsize=64)
-def _log_miss_table_cached(sc: Scenario, c: int) -> np.ndarray:
-    table = class_log_miss(c, np.arange(sc.subslots), sc)
-    table.flags.writeable = False
-    return table
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _log_miss_sums(x: float, ttl: int, n: int) -> np.ndarray:
+    """Per-relay class_log_miss over np.arange(n), x = -lam dt, TTL <= n - 1,
+    with the same bits: at an integer threshold every window mass is an
+    integer in 0..ttl + 1, so each row gathers one term per mass, computed
+    with class_log_miss's operands, in its k order and pairwise sum."""
+    p = -np.expm1(x * np.arange(ttl + 2.0))
+    g = -math.expm1(x)
+    terms = np.log1p(-p * g)
+    k = np.arange(n)
+    a = np.maximum(0, k - ttl)
+    out = np.empty(n)
+    rows = max(1, _CHUNK_CELLS // n)
+    for start in range(0, n, rows):
+        j = np.arange(start, min(start + rows, n))[:, None]
+        out[start:start + rows] = terms[np.clip(np.minimum(k + 1, j) - a, 0, None)].sum(axis=1)
+    out.flags.writeable = False
+    return out
 
 
 def class_log_miss_table(c: int, sc: Scenario) -> np.ndarray:
-    """class_log_miss at every integer threshold 0..subslots-1 (cached)."""
-    return _log_miss_table_cached(sc, c)
+    """class_log_miss at every integer threshold 0..subslots-1, read-only.
+    The sums are cached by the class's own -lam dt, TTL and grid length, so
+    scenarios differing in budget, beacons, costs, population or other
+    classes share them."""
+    cls, n = sc.classes[c], sc.subslots
+    table = cls.population * _log_miss_sums(-sc.rates[c] * sc.eff_slot,
+                                            min(cls.ttl_slots, n - 1), n)
+    table.flags.writeable = False
+    return table
 
 
 def _log_miss_slopes(c: int, sc: Scenario) -> np.ndarray:

@@ -2,6 +2,7 @@
 output schemas, determinism, and exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -200,6 +201,21 @@ def test_bad_flag_is_input_error(capsys):
     assert main(["solve", "--nope"]) == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--trials", "0"], "--trials"),
+    (["bound", "--slots", "0"], "--slots"),
+    (["solve", "--timeout", "-1"], "--timeout"),
+    (["solve", "--timeout", "nan"], "--timeout"),
+    (["solve", "--resolution", "0"], "--resolution"),
+    (["validate-enum", "--limit", "0"], "--limit"),
+], ids=["trials", "slots", "timeout-negative", "timeout-nan", "resolution", "limit"])
+def test_bad_numeric_flag_is_input_error(tmp_path, capsys, argv, flag):
+    if argv[0] != "bound":
+        argv = argv + ["--scenario", write_doc(tmp_path, two_class_doc())]
+    assert main(argv) == 1
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 def test_bound_command(capsys):
     assert main(["bound", "--slots", "2", "--resolution", "10"]) == 0
     value = float(capsys.readouterr().out.strip())
@@ -216,6 +232,15 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_table_csv_golden(capsys):
+    # pins the solver's bits (objective, bound, thresholds) on nine
+    # three-class instances; any change to them must be deliberate
+    assert main(["sweep", "--mode", "table", "--count", "25", "--seed", "7",
+                 "--resolution", "5"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "bdcd84bc992813c3613ce6888b6c349237a0a5858c265beaf30827f6d762f176"
 
 
 def test_sweep_json_lists_reports(capsys):

@@ -99,6 +99,19 @@ def test_holding_law_matches_window_formula_inside_ttl():
     assert exact[0, 5] < expected_holding(0, 5, pol, sc)
 
 
+def test_holding_expectation_keeps_precision_at_small_mass():
+    # a difference of two no-acceptance probabilities near 1 would cancel
+    # most digits of a 1e-4 mass at lam dt = 3.1e-5
+    sc = make_scenario([3.1e-5], 1.0, slots=12, populations=[7], ttl=[3])
+    mu = np.full(sc.subslots, 1e-4)
+    exact = holding_expectation(Policy(mu[None, :]), sc)[0]
+    x = sc.rates[0] * sc.eff_slot
+    for k in range(sc.subslots):
+        lo = max(0, k - sc.classes[0].ttl_slots)
+        ref = 7 * math.exp(-x * math.fsum(mu[:lo])) * -math.expm1(-x * math.fsum(mu[lo:k + 1]))
+        assert exact[k] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_paired_seed_monotonicity_full_ttl():
     # with full-horizon TTLs the coupled sampler is pathwise monotone: raising
     # any forwarding probability can only add deliveries under the same seed

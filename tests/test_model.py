@@ -2,6 +2,7 @@
 threshold expansion, and the structural invariants they must satisfy."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from twohop import (
     threshold_energy,
     threshold_objective,
 )
+from twohop.model import _log_miss_sums, class_log_miss, class_log_miss_table
 from conftest import make_scenario, random_small_scenario, two_class_reference
 
 
@@ -320,6 +322,59 @@ def test_threshold_objective_matches_expansion():
         via = delivery_probability(expand_threshold(ThresholdPolicy(tuple(hs)), sc),
                                    sc.subslots, sc)
         assert direct == pytest.approx(via, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# per-class log-miss tables
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("resolution", [1, 5])
+def test_log_miss_table_has_class_log_miss_bits(resolution):
+    rng = np.random.default_rng(40 + resolution)
+    for i in range(30):
+        lam = rng.uniform(1e-4, 0.6, size=3).tolist()
+        slots = 1 if i == 0 else int(rng.integers(2, 13))
+        n = slots * resolution
+        pops = rng.integers(1, 60, size=3).tolist()
+        # TTLs in sub-slots: short, n - 1, n and beyond, and 10**6
+        for ttl_sub in {1, max(1, n // 3), max(1, n - 1), n, n + 4, 10 ** 6}:
+            sc = make_scenario(lam, 1.0, slots=slots, populations=pops,
+                               resolution=resolution)
+            sc = replace(sc, classes=tuple(replace(c, ttl_slots=ttl_sub) for c in sc.classes))
+            for c in range(3):
+                table = class_log_miss_table(c, sc)
+                assert not table.flags.writeable
+                assert np.array_equal(table, class_log_miss(c, np.arange(n), sc))
+
+
+def test_log_miss_table_cache_is_keyed_by_class_parameters():
+    # a fresh rate per test run keeps earlier tests' entries out of the count
+    lam = 0.0123456789
+    base = make_scenario([lam, 0.2], 1.0, slots=9, populations=[3, 2],
+                         rho=[1.0, 1.0], beta=[0.0, 0.0], ttl=[4, 9], resolution=2)
+    same_class = [
+        replace(base, budget=0.25),
+        make_scenario([lam, 0.2], 1.0, slots=9, populations=[3, 2], rho=[0.4, 1.0],
+                      beta=[0.01, 0.02], ttl=[4, 9], resolution=2),
+        make_scenario([lam, 0.31, 0.05], 1.0, slots=9, populations=[8, 1, 1],
+                      ttl=[4, 2, 9], resolution=2),
+    ]
+    other_class = [
+        make_scenario([lam * 1.5, 0.2], 1.0, slots=9, populations=[3, 2],
+                      ttl=[4, 9], resolution=2),
+        make_scenario([lam, 0.2], 1.0, slots=10, populations=[3, 2],
+                      ttl=[4, 9], resolution=2),
+    ]
+    class_log_miss_table(0, base)
+    before = _log_miss_sums.cache_info()
+    for sc in same_class:
+        assert np.array_equal(class_log_miss_table(0, sc),
+                              class_log_miss(0, np.arange(sc.subslots), sc))
+    after = _log_miss_sums.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
+    for sc in other_class:
+        class_log_miss_table(0, sc)
+    assert _log_miss_sums.cache_info().misses - after.misses == 2
 
 
 # ---------------------------------------------------------------------------
