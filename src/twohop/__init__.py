@@ -35,7 +35,6 @@ from .gridsearch import (
     grid_search,
     ratio_bound,
     saturating_threshold,
-    upper_bound,
 )
 from .greedy import (
     COMBINED_GUARANTEE,

@@ -489,18 +489,13 @@ def cmd_sweep(args) -> int:
     names = _algorithm_list(args.algorithms)
 
     if args.mode == "table":
-        if args.count < 1:
-            raise CliInputError("sweep: --count must be >= 1")
         draws = [sample_table_scenario(rng, resolution=resolution,
                                        with_beacons=not args.no_beacons)
                  for _ in range(args.count)]
         instances = [(f"{ident}_i{i}", sc) for i, (ident, sc) in enumerate(draws)]
     else:
-        sizes = [int(x) for x in args.classes.split(",") if x.strip()]
-        if not sizes:
-            raise CliInputError("sweep: --classes must list at least one size")
         instances = [sample_scalability_scenario(rng, n_cls, resolution=resolution)
-                     for n_cls in sizes]
+                     for n_cls in args.classes]
 
     reports = []
     for ident, sc in instances:
@@ -567,8 +562,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bound(args) -> int:
     resolution = 1 if args.resolution is None else args.resolution
-    classes = math.inf if args.classes.strip() in ("inf", "") else float(args.classes)
-    value = ratio_bound(args.slots, resolution, classes)
+    value = ratio_bound(args.slots, resolution, float(args.classes.strip() or "inf"))
     if args.format == "json" or args.out:
         text = _json_text({"slots": args.slots, "resolution": resolution,
                            "classes": args.classes, "ratio_bound": value})
@@ -622,6 +616,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _class_counts(text: str) -> list[int]:
+    sizes = [_positive_int(x) for x in text.split(",") if x.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError("expected at least one class count")
+    return sizes
+
+
+def _class_limit(text: str) -> str:
+    """Validates bound's --classes and keeps its text; 'inf' or empty is the
+    many-class limit."""
+    try:
+        value = float(text.strip() or "inf")
+    except ValueError:
+        value = math.nan
+    if not value >= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a class count >= 1 or inf, got {text!r}")
+    return text
+
+
 def _seconds(text: str) -> float:
     try:
         value = float(text)
@@ -663,8 +676,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", parents=[common, bounded],
                        help="run algorithms over sampled instance grids")
     p.add_argument("--mode", choices=("table", "scalability"), default="table")
-    p.add_argument("--count", type=int, default=10, help="table-mode instance count")
-    p.add_argument("--classes", default="2,4,8",
+    p.add_argument("--count", type=_positive_int, default=10, help="table-mode instance count")
+    p.add_argument("--classes", type=_class_counts, default="2,4,8",
                    help="scalability-mode class counts, comma separated")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--algorithms", default="grid,greedy1,arrival,uniform")
@@ -689,7 +702,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bound", parents=[common],
                        help="evaluate the grid-quality lower bound")
     p.add_argument("--slots", type=_positive_int, required=True)
-    p.add_argument("--classes", default="inf")
+    p.add_argument("--classes", type=_class_limit, default="inf")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("validate-enum", parents=[common],

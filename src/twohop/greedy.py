@@ -12,7 +12,6 @@ independent per class).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +26,7 @@ from .model import (
     threshold_objective,
 )
 from .gridsearch import (
+    _SNAP,
     BudgetExceededError,
     BudgetUnboundedError,
     PartialAssignment,
@@ -47,8 +47,6 @@ __all__ = [
 # Guarantee carried by the better of the two variants when beaconing is free:
 # half of the classic 1 - 1/e factor.
 COMBINED_GUARANTEE = 0.5 * (1.0 - 1.0 / math.e)
-
-_SNAP = 1e-9
 
 
 class GreedyVariant(str, Enum):
@@ -76,7 +74,6 @@ class GreedyReport:
     online_bound: float
     offline_bound: float
     variant: GreedyVariant
-    wall_time: float = 0.0
     topup_class: int | None = None
 
     @property
@@ -131,7 +128,6 @@ def greedy_construct(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN,
     boundary (at most one fractional threshold; the certificates are computed
     from the integer iterations alone).
     """
-    t0 = time.perf_counter()
     n_classes = len(sc.classes)
     n1 = sc.max_threshold
     dt = sc.eff_slot
@@ -223,7 +219,6 @@ def greedy_construct(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN,
         online_bound=online,
         offline_bound=offline,
         variant=variant,
-        wall_time=time.perf_counter() - t0,
         topup_class=topup_class,
     )
 

@@ -8,9 +8,10 @@ unique fractional threshold that exhausts what is left of the budget.
 
 The module provides the boundary solver (closed form with a safeguarded
 Newton fallback for beacon-bearing technologies), the per-level feasible
-ranges, the enumeration itself (one leaf walker shared by the reference
-generator and ``grid_search``, which also returns the rounded-up upper bound
-from the same pass), and the grid-quality lower-bound formula.
+ranges (one vector kernel for a block of prefixes), the enumeration itself
+(one walker shared by the reference generator and ``grid_search``, which
+also returns the rounded-up upper bound from the same pass), and the
+grid-quality lower-bound formula.
 """
 
 from __future__ import annotations
@@ -50,15 +51,15 @@ __all__ = [
     "grid_search",
     "ratio_bound",
     "saturating_threshold",
-    "upper_bound",
 ]
 
 # Slack, in sub-slot units, protecting ceil/floor of solved thresholds from
 # float noise at range endpoints.
 _SNAP = 1e-9
 _RESIDUAL_TOL = 1e-10
-# Candidates per vector pass of the batched leaf level (whole penultimate
-# values, so a pass may run over by one); bounds the pass's memory.
+# Rows per chunk of a level step's expansion (whole prefixes, so a chunk may
+# run over by one prefix's range); bounds the memory of the next level's
+# range solve or of the closure solve.
 _LEAF_CHUNK = 65_536
 
 
@@ -101,9 +102,6 @@ class FeasibleRange:
     def empty(self) -> bool:
         return self.hi < self.lo
 
-    def values(self) -> np.ndarray:
-        return np.arange(self.lo, self.hi + 1)
-
 
 @dataclass
 class SolveReport:
@@ -115,7 +113,6 @@ class SolveReport:
     upper_bound: float
     ratio_bound: float
     enumerated: int = 0
-    wall_time: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +222,27 @@ def _completion_masses(c2: int, assigned: Mapping, sc: Scenario, unassigned: str
     return masses
 
 
+@functools.lru_cache(maxsize=256)
+def _tx_terms(weight: float, scale: float, n: int) -> np.ndarray:
+    """weight * -expm1(scale * v) at the integer thresholds v < n, each
+    through math.expm1 as the scalar path takes it (read-only)."""
+    terms = np.array([weight * -math.expm1(scale * v) for v in range(n)])
+    terms.flags.writeable = False
+    return terms
+
+
 def _tx_energy(masses: dict, sc: Scenario):
     """Transmission energy of the classes in ``masses``, summed in dict order.
 
-    An array mass is still taken value by value through math.expm1, so each
-    entry carries the bits of the scalar path.
+    An array mass holds integer thresholds and reads its terms from
+    ``_tx_terms``, so each entry carries the bits of the scalar path.
     """
     total = 0.0
     for c, h in masses.items():
         cls = sc.classes[c]
-        scale = -sc.rates[c] * sc.eff_slot
-        terms = [cls.tx_cost * cls.population * -math.expm1(scale * v)
-                 for v in np.ravel(h).tolist()]
-        total = total + (np.array(terms) if np.ndim(h) else terms[0])
+        weight, scale = cls.tx_cost * cls.population, -sc.rates[c] * sc.eff_slot
+        total = total + (_tx_terms(weight, scale, sc.subslots)[h] if np.ndim(h)
+                         else weight * -math.expm1(scale * h))
     return total
 
 
@@ -316,6 +321,29 @@ def saturating_threshold(c: int, thresholds, sc: Scenario) -> float:
     return 0.0 if lo_b < _SNAP else lo_b
 
 
+def _ranges(c: int, fixed: Mapping, sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Integer thresholds of class c that admit a budget-saturating
+    completion, as closed ranges (lo, hi), one per prefix row of ``fixed``
+    (class -> threshold, or an array holding one threshold per row).
+
+    The upper end solves the completion with every class not fixed (the
+    fractional one included) silent, the lower end the completion with them
+    at full transmission; each solve is its own Newton segment, so a row
+    keeps the bits of a one-row call.  A row whose silent completion already
+    overspends (NaN) or whose full completion cannot exhaust the budget
+    (inf) is (0, -1).
+    """
+    n_rows = max(map(np.size, fixed.values()), default=1)
+    parts = [_remaining(c, m, sc, _tx_energy(m, sc))
+             for m in (_completion_masses(c, fixed, sc, fill) for fill in ("zero", "full"))]
+    rem, m2 = (np.concatenate([np.broadcast_to(p[k], n_rows) for p in parts]) for k in (0, 1))
+    ends = _solve_for(c, rem, m2, sc, starts=np.arange(2 * n_rows))
+    hi = np.minimum(sc.max_threshold, np.floor(ends[:n_rows] + _SNAP))
+    lo = np.fmax(0.0, np.ceil(ends[n_rows:] - _SNAP))
+    void = np.isnan(hi) | np.isinf(lo)
+    return np.where(void, 0, lo).astype(int), np.where(void, -1, hi).astype(int)
+
+
 def feasible_range(c2: int, partial: PartialAssignment, sc: Scenario) -> FeasibleRange:
     """Integer thresholds for c2 that admit a budget-saturating completion.
 
@@ -323,22 +351,8 @@ def feasible_range(c2: int, partial: PartialAssignment, sc: Scenario) -> Feasibl
     fractional one) at full transmission, the upper end from the all-zero
     completion.  An empty range prunes the enumeration branch.
     """
-    n1 = sc.max_threshold
-    try:
-        r_hi = boundary_threshold(c2, partial, sc, unassigned="zero")
-        hi = min(n1, int(math.floor(r_hi + _SNAP)))
-    except BudgetExceededError:
-        return FeasibleRange(0, -1)
-    except BudgetUnboundedError:
-        hi = n1
-    try:
-        r_lo = boundary_threshold(c2, partial, sc, unassigned="full")
-        lo = max(0, int(math.ceil(r_lo - _SNAP)))
-    except BudgetExceededError:
-        lo = 0
-    except BudgetUnboundedError:
-        return FeasibleRange(0, -1)
-    return FeasibleRange(lo, hi)
+    lo, hi = _ranges(c2, partial.assigned, sc)
+    return FeasibleRange(int(lo[0]), int(hi[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -349,100 +363,66 @@ def _costly_classes(sc: Scenario) -> list[int]:
     return [c for c in range(len(sc.classes)) if not is_costless(c, sc)]
 
 
-def _leaf_level(sc: Scenario, frac_c: int, batched: list[int], assigned: dict[int, int]
-                ) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
-    """Every candidate under one prefix of integer levels, as (vals, r)
-    chunks: ``vals`` holds one array per batched class, aligned with the
-    fractional thresholds ``r`` (invalid entries dropped).
-
-    ``batched`` is the last (at most two) costly classes.  The penultimate
-    class's range comes from ``feasible_range``; the leaf's ranges for all
-    penultimate values come from one solve, and the fractional closures of
-    all (penultimate, leaf) pairs from one solve per chunk of whole
-    penultimate values.  Every scalar solve the walk used to make is one
-    Newton segment here, so every value keeps its bits.
-    """
-    n1 = sc.max_threshold
-    fixed = dict(assigned)
-    if len(batched) == 2:
-        hp = feasible_range(batched[0], PartialAssignment(frac_c, assigned), sc).values()
-        if hp.size == 0:
-            return
-        fixed[batched[0]] = hp
-    # the closure's transmission energy without the leaf, one entry per
-    # penultimate value: the leaf sits at mass 0 here, adding exactly +0.0
-    row = _completion_masses(frac_c, fixed, sc, "zero")
-    row_tx = _tx_energy(row, sc)
-    if not batched:
-        r = _solve_for(frac_c, *_remaining(frac_c, row, sc, row_tx), sc)
-        yield [], r[np.isfinite(r)]
-        return
-
-    # the leaf's range for every row, as feasible_range finds it: the zero-
-    # and full-completion boundary solves, one segment each
-    leaf = batched[-1]
-    n_rows = np.size(row_tx)
-    parts = [_remaining(leaf, m, sc, _tx_energy(m, sc))
-             for m in (_completion_masses(leaf, fixed, sc, fill) for fill in ("zero", "full"))]
-    rem, m2 = (np.concatenate([np.broadcast_to(p[k], n_rows) for p in parts]) for k in (0, 1))
-    ends = _solve_for(leaf, rem, m2, sc, starts=np.arange(2 * n_rows))
-    hi = np.minimum(n1, np.floor(ends[:n_rows] + _SNAP))      # NaN: overspent, empty
-    lo = np.fmax(0.0, np.ceil(ends[n_rows:] - _SNAP))         # inf: cannot saturate, empty
-    rows = np.flatnonzero(lo <= hi)
-    lo = lo[rows].astype(int)
-    count = hi[rows].astype(int) - lo + 1
-    total = np.cumsum(count)
-    leaf_cls = sc.classes[leaf]
-    a = 0
-    while a < rows.size:
-        before = total[a] - count[a]
-        b = max(a + 1, int(np.searchsorted(total, before + _LEAF_CHUNK, "right")))
-        seg = np.repeat(np.arange(b - a), count[a:b])
-        starts = total[a:b] - count[a:b] - before
-        sel = rows[a:b][seg]
-        h = lo[a:b][seg] + np.arange(seg.size) - starts[seg]
-        pair = dict(row)
-        if len(batched) == 2:
-            pair[batched[0]] = hp[sel]
-        pair[leaf] = h
-        const = (row_tx[sel] if np.ndim(row_tx) else row_tx) \
-            + leaf_cls.tx_cost * leaf_cls.population * -np.expm1(-sc.rates[leaf] * sc.eff_slot * h)
-        r = _solve_for(frac_c, *_remaining(frac_c, pair, sc, const), sc, starts=starts)
-        ok = np.isfinite(r)
-        yield [pair[c][ok] for c in batched], r[ok]
-        a = b
-
-
 def _leaf_batches(sc: Scenario, frac_c: int
-                  ) -> Iterator[tuple[dict[int, int], list[int], list[np.ndarray], np.ndarray]]:
-    """The enumeration walker: yields (assigned, batched, vals, r) chunks
-    covering every candidate with fractional class ``frac_c``.
+                  ) -> Iterator[tuple[list[int], list[np.ndarray], np.ndarray]]:
+    """The enumeration walker: yields (levels, vals, r) batches covering every
+    candidate with fractional class ``frac_c``.
 
-    Integer levels are the costly classes other than ``frac_c`` in ascending
-    order; all but the last two are walked here and ``assigned`` maps them to
-    thresholds in level order (reused between chunks, so copy it to keep
-    it).  The last (at most two) levels, ``batched``, are solved as vectors
-    by ``_leaf_level``; ``vals`` aligns their values with ``r``.
+    ``levels`` are the costly classes other than ``frac_c`` in ascending
+    order, and ``vals`` holds one integer array per level, aligned with the
+    fractional thresholds ``r`` (unsaturable entries dropped).  Each level is
+    one step over a block of prefixes: one ``_ranges`` call for the block,
+    then its expansion in chunks of whole prefixes, about ``_LEAF_CHUNK``
+    rows each.  Above the last level a chunk is the next level's block and
+    is first yielded empty, so a consumer's deadline check runs once per
+    chunk at every level; after the last level each chunk is closed by one
+    fractional solve with one Newton segment per parent prefix, the
+    segmentation of the scalar walk, so every value keeps its bits.
     """
-    others = [c for c in _costly_classes(sc) if c != frac_c]
-    batched = others[-2:]
-    assigned: dict[int, int] = {}
+    levels = [c for c in _costly_classes(sc) if c != frac_c]
+    no_vals = [np.empty(0, int)] * len(levels)
 
-    def walk(level: int):
-        if level >= len(others) - 2:
-            for vals, r in _leaf_level(sc, frac_c, batched, assigned):
-                yield assigned, batched, vals, r
-            return
-        c2 = others[level]
-        rng = feasible_range(c2, PartialAssignment(frac_c, dict(assigned)), sc)
-        if rng.empty:
-            return
-        for h in range(rng.lo, rng.hi + 1):
-            assigned[c2] = h
-            yield from walk(level + 1)
-            del assigned[c2]
+    def step(fixed: dict[int, np.ndarray]):
+        c = levels[len(fixed)]
+        lo, hi = _ranges(c, fixed, sc)
+        rows = np.flatnonzero(lo <= hi)
+        fixed = {k: v[rows] for k, v in fixed.items()}
+        lo = lo[rows]
+        count = hi[rows] - lo + 1
+        total = np.cumsum(count)
+        last = len(fixed) == len(levels) - 1
+        if last:
+            # the closure's transmission energy with the leaf at mass 0
+            # (adding exactly +0.0), once per parent prefix
+            row_tx = np.broadcast_to(
+                _tx_energy(_completion_masses(frac_c, fixed, sc, "zero"), sc), rows.shape)
+            cls = sc.classes[c]
+        a = 0
+        while a < rows.size:
+            before = total[a] - count[a]
+            b = max(a + 1, int(np.searchsorted(total, before + _LEAF_CHUNK, "right")))
+            seg = np.repeat(np.arange(a, b), count[a:b])
+            starts = total[a:b] - count[a:b] - before
+            child = {k: v[seg] for k, v in fixed.items()}
+            child[c] = lo[seg] + np.arange(seg.size) - starts[seg - a]
+            if last:
+                const = row_tx[seg] + cls.tx_cost * cls.population * -np.expm1(
+                    -sc.rates[c] * sc.eff_slot * child[c])
+                masses = _completion_masses(frac_c, child, sc, "zero")
+                r = _solve_for(frac_c, *_remaining(frac_c, masses, sc, const), sc, starts=starts)
+                ok = np.isfinite(r)
+                yield levels, [child[k][ok] for k in levels], r[ok]
+            else:
+                yield levels, no_vals, np.empty(0)
+                yield from step(child)
+            a = b
 
-    yield from walk(0)
+    if levels:
+        yield from step({})
+    else:
+        masses = _completion_masses(frac_c, {}, sc, "zero")
+        r = _solve_for(frac_c, *_remaining(frac_c, masses, sc, _tx_energy(masses, sc)), sc)
+        yield levels, no_vals, r[np.isfinite(r)]
 
 
 def enumerate_saturating(sc: Scenario, fractional_class: int
@@ -456,11 +436,9 @@ def enumerate_saturating(sc: Scenario, fractional_class: int
     """
     if is_costless(fractional_class, sc):
         raise ValueError("fractional class must have a positive cost")
-    for assigned, batched, vals, r in _leaf_batches(sc, fractional_class):
+    for levels, vals, r in _leaf_batches(sc, fractional_class):
         for i in range(r.size):
-            full = dict(assigned)
-            full.update((c, int(v[i])) for c, v in zip(batched, vals))
-            yield full, float(r[i])
+            yield {c: int(v[i]) for c, v in zip(levels, vals)}, float(r[i])
 
 
 def brute_force_saturating(sc: Scenario, frac_c: int) -> set[tuple[tuple[int, int], ...]]:
@@ -545,8 +523,8 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     threshold (or the all-full profile when the budget allows it).
 
     Enumerates every fractional-class choice; integer levels are walked in
-    ascending class order and the last two are solved as vectors.  The
-    log-miss is convex in the fractional tail, so every candidate lies
+    ascending class order, each as one vector step over a block of prefixes.
+    The log-miss is convex in the fractional tail, so every candidate lies
     between a tangent and a chord of the cached per-class log-miss table;
     the smallest chord is an incumbent, and only candidates whose tangent
     reaches it (within a rounding margin) are evaluated exactly, which
@@ -565,8 +543,7 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     if threshold_energy(full, sc) <= sc.budget + budget_tolerance(sc.budget):
         obj = threshold_objective(full, sc)
         return SolveReport(ThresholdPolicy(full), obj, upper_bound=obj,
-                           ratio_bound=rb, enumerated=1,
-                           wall_time=time.perf_counter() - t0)
+                           ratio_bound=rb, enumerated=1)
 
     tables = [class_log_miss_table(c, sc) for c in range(n_classes)]
     # the classes outside the enumeration are the costless ones, pinned full
@@ -580,18 +557,14 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
         following = np.append(table[1:], table[-1])   # T[j + 1]; j = n - 1 only with a = 0
         slopes = _log_miss_slopes(frac_c, sc)
         margin = _prune_margin(frac_c, sc, tables)
-        for assigned, batched, vals, r in _leaf_batches(sc, frac_c):
+        for levels, vals, r in _leaf_batches(sc, frac_c):
             if deadline is not None and time.perf_counter() > deadline:
                 raise SolveTimeout(f"grid search exceeded {timeout_s:g} s")
             if r.size == 0:
                 continue
             enumerated += r.size
-            known = known_up = pinned
-            for c, h in assigned.items():
-                known = known + tables[c][h]
-                known_up = known_up + tables[c][min(h + 1, n1)]
-            known, known_up = np.full(r.shape, known), np.full(r.shape, known_up)
-            for c, h in zip(batched, vals):
+            known = known_up = np.full(r.shape, pinned)
+            for c, h in zip(levels, vals):
                 known = known + tables[c][h]
                 known_up = known_up + tables[c][np.minimum(h + 1, n1)]
             up_r = np.minimum(np.floor(r + _SNAP).astype(int) + 1, n1)
@@ -610,8 +583,7 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
                 if val > best.log_miss:
                     break
                 i = keep[idx]
-                fixed = dict(assigned)
-                fixed.update((c, int(v[i])) for c, v in zip(batched, vals))
+                fixed = {c: int(v[i]) for c, v in zip(levels, vals)}
                 best.offer(val, _full_profile(sc, frac_c, fixed, r[i]))
 
     thresholds = best.thresholds
@@ -621,13 +593,7 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     objective = threshold_objective(thresholds, sc)
     ub = objective if math.isinf(ub_log_miss) else max(-math.expm1(ub_log_miss), objective)
     return SolveReport(ThresholdPolicy(thresholds), objective, upper_bound=ub, ratio_bound=rb,
-                       enumerated=enumerated, wall_time=time.perf_counter() - t0)
-
-
-def upper_bound(sc: Scenario, *, timeout_s: float | None = None) -> float:
-    """Objective bound from the rounded-up enumeration; never below the best
-    saturating profile and never below the true optimum."""
-    return grid_search(sc, timeout_s=timeout_s).upper_bound
+                       enumerated=enumerated)
 
 
 def ratio_bound(k_slots: int, resolution: int, n_classes: float) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import twohop.cli
-from twohop import contact_rate, grid_search
+from twohop import contact_rate, grid_search, ratio_bound
 from twohop.cli import (
     CSV_FIELDS,
     main,
@@ -208,9 +208,17 @@ def test_bad_flag_is_input_error(capsys):
     (["solve", "--timeout", "nan"], "--timeout"),
     (["solve", "--resolution", "0"], "--resolution"),
     (["validate-enum", "--limit", "0"], "--limit"),
-], ids=["trials", "slots", "timeout-negative", "timeout-nan", "resolution", "limit"])
+    (["sweep", "--count", "0"], "--count"),
+    (["sweep", "--mode", "scalability", "--classes", "a"], "--classes"),
+    (["sweep", "--mode", "scalability", "--classes", "2,x"], "--classes"),
+    (["bound", "--slots", "5", "--classes", "abc"], "--classes"),
+    (["bound", "--slots", "5", "--classes", "0.5"], "--classes"),
+    (["bound", "--slots", "5", "--classes", "nan"], "--classes"),
+], ids=["trials", "slots", "timeout-negative", "timeout-nan", "resolution", "limit", "count",
+        "sweep-classes-text", "sweep-classes-list", "bound-classes-text", "bound-classes-below-one",
+        "bound-classes-nan"])
 def test_bad_numeric_flag_is_input_error(tmp_path, capsys, argv, flag):
-    if argv[0] != "bound":
+    if argv[0] not in ("bound", "sweep"):
         argv = argv + ["--scenario", write_doc(tmp_path, two_class_doc())]
     assert main(argv) == 1
     assert f"argument {flag}" in capsys.readouterr().err
@@ -222,6 +230,15 @@ def test_bound_command(capsys):
     assert value == 1.0 - 2.0 ** -10
     assert main(["bound", "--slots", "2"]) == 0
     assert float(capsys.readouterr().out.strip()) == 0.5
+
+
+def test_bound_json_keeps_class_text(capsys):
+    # an empty --classes is the many-class limit, like inf; the JSON echoes the text
+    for text, q in (("", math.inf), (" inf", math.inf), ("3", 3)):
+        assert main(["bound", "--slots", "4", "--classes", text, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["classes"] == text
+        assert doc["ratio_bound"] == ratio_bound(4, 1, q)
 
 
 def test_sweep_deterministic_bytes(tmp_path):

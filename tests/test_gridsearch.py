@@ -23,12 +23,14 @@ from twohop import (
     saturating_threshold,
     threshold_energy,
     threshold_objective,
-    upper_bound,
 )
 from twohop.cli import sample_table_scenario
 from twohop.gridsearch import (
+    _SNAP,
+    FeasibleRange,
     SolveTimeout,
     _prune_margin,
+    _ranges,
     _solve_saturating_vec,
     brute_force_saturating,
 )
@@ -234,8 +236,8 @@ def test_grid_search_matches_exhaustive_candidates():
 def test_grid_search_matches_exhaustive_three_and_four_classes():
     # every candidate ranked in log-miss space, summed as the grid search
     # sums it (integer classes in class order, then the fractional class),
-    # with the lexicographic tie-break; three classes run the batched leaf
-    # level alone, four add one level walked in Python
+    # with the lexicographic tie-break; three classes walk two vector
+    # levels, four walk three
     rng = np.random.default_rng(29)
     checked = 0
     for trial in range(16):
@@ -263,20 +265,65 @@ def test_grid_search_matches_exhaustive_three_and_four_classes():
 
 
 def test_leaf_chunks_keep_candidates_and_bits(monkeypatch):
-    # chunks of a few candidates (whole penultimate values) enumerate the
-    # same profiles, with the same bits, as one pass per prefix
+    # chunks of a few rows (whole prefixes, which on four classes span
+    # several upper-level prefixes) enumerate the same profiles, with the
+    # same bits, as one pass per block
     rng = np.random.default_rng(32)
-    for _ in range(6):
-        sc = random_small_scenario(rng, n_classes=3, max_slots=8, beacon_scale=0.05,
-                                   share_prob=0.5)
-        whole = [list(enumerate_saturating(sc, f)) for f in range(3)]
+    for n_classes in (3,) * 6 + (4,) * 6:
+        sc = random_small_scenario(rng, n_classes=n_classes, max_slots=8 if n_classes == 3 else 6,
+                                   beacon_scale=0.05, share_prob=0.5)
+        whole = [list(enumerate_saturating(sc, f)) for f in range(n_classes)]
         rep = grid_search(sc)
         monkeypatch.setattr(twohop.gridsearch, "_LEAF_CHUNK", 3)
-        assert [list(enumerate_saturating(sc, f)) for f in range(3)] == whole
+        assert [list(enumerate_saturating(sc, f)) for f in range(n_classes)] == whole
         chunked = grid_search(sc)
         monkeypatch.undo()
         assert (chunked.policy, chunked.objective, chunked.upper_bound, chunked.enumerated) \
             == (rep.policy, rep.objective, rep.upper_bound, rep.enumerated)
+
+
+def _scalar_range(c, partial, sc):
+    """The range rule on two scalar boundary solves, and which branch set it."""
+    n1 = sc.max_threshold
+    try:
+        hi, kind = min(n1, math.floor(boundary_threshold(c, partial, sc, "zero") + _SNAP)), "solved"
+    except BudgetExceededError:
+        return (0, -1), "overspent"
+    except BudgetUnboundedError:
+        hi, kind = n1, "hi-unbounded"
+    try:
+        lo = max(0, math.ceil(boundary_threshold(c, partial, sc, "full") - _SNAP))
+    except BudgetExceededError:
+        lo, kind = 0, "lo-overspent"
+    except BudgetUnboundedError:
+        return (0, -1), "unsaturable"
+    return (lo, hi), kind if lo <= hi else "empty"
+
+
+def test_range_kernel_rows_match_scalar_boundaries():
+    # one kernel call over a block of prefixes: every row is the ceil/floor
+    # of the scalar boundary solves at the full and the silent completion,
+    # and a raised boundary maps to the range the scalar rule gives it
+    rng = np.random.default_rng(33)
+    kinds = set()
+    for trial in range(40):
+        n_classes = 3 + trial % 2
+        sc = random_small_scenario(rng, n_classes=n_classes, max_slots=8,
+                                   beacon_scale=0.05 if trial % 4 < 2 else 0.0, share_prob=0.5,
+                                   budget_frac=(0.02, 0.98))
+        frac_c, c = (int(k) for k in rng.choice(n_classes, 2, replace=False))
+        others = [k for k in range(n_classes) if k not in (frac_c, c)]
+        prefix = [k for k in others if rng.random() < 0.7] or others[:1]
+        block = {k: rng.integers(0, sc.subslots, 30) for k in prefix}
+        lo, hi = _ranges(c, block, sc)
+        for i in range(30):
+            partial = PartialAssignment(frac_c, {k: int(v[i]) for k, v in block.items()})
+            expect, kind = _scalar_range(c, partial, sc)
+            assert (int(lo[i]), int(hi[i])) == expect
+            assert feasible_range(c, partial, sc) == FeasibleRange(*expect)
+            kinds.add(kind)
+    assert kinds == {"solved", "overspent", "hi-unbounded", "lo-overspent", "unsaturable",
+                     "empty"}
 
 
 def test_log_miss_slopes_bracket_fractional_tails():
@@ -398,7 +445,7 @@ def test_upper_bound_dominates_solutions():
 
 def test_upper_bound_equals_full_policy_when_unconstrained():
     sc = make_scenario([0.1, 0.2], 100.0, slots=6)
-    assert upper_bound(sc) == pytest.approx(
+    assert grid_search(sc).upper_bound == pytest.approx(
         threshold_objective([5.0, 5.0], sc), abs=1e-12)
 
 
