@@ -11,12 +11,18 @@ are exact under this model, unlike the delivery law itself.
 
 Trials are processed in fixed-size batches; each batch draws from its own
 counter-based substream keyed by (seed, batch index), so results depend only
-on the seed and the inputs, never on scheduling.
+on the seed and the inputs, never on scheduling.  Per relay, a batch draws a
+source and a sink variate for every trial, whichever rows are then evaluated:
+without holding counts only the accepted contacts of undelivered trials
+(delivery is a monotone OR; transmissions count acceptances alone), with them
+every accepted contact, whose holding moments are exact integer sums over
+sorted start and end events.  Either way the outputs keep their bits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +40,7 @@ __all__ = ["SimConfig", "SimOutcome", "ValidationRecord", "holding_expectation",
            "simulate", "validate"]
 
 _BATCH = 8192
+_CHUNK = 1 << 18   # contacts per holding-moment pass, beacon draws per block
 _Z95 = 1.959963984540054
 
 
@@ -53,6 +60,11 @@ class SimConfig:
     beacon_accounting: str = "expected"
 
     def __post_init__(self):
+        if isinstance(self.trials, bool):
+            raise TypeError("trials must be an integer, not bool")
+        # numpy integers become Python ints: equal seeds, equal substream keys
+        object.__setattr__(self, "trials", operator.index(self.trials))
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.beacon_accounting not in ("expected", "sampled"):
@@ -124,6 +136,26 @@ def holding_expectation(pol: Policy, sc: Scenario) -> np.ndarray:
     return out
 
 
+def _holding_moments(starts: np.ndarray, ttl: int, n: int) -> np.ndarray:
+    """Per-sub-slot sums over trials of y and y*y (rows 0 and 1), y[t, k]
+    counting the relays holding at sub-slot k of trial t, from the keys
+    t*(n+1) + k of whole trials' accepted contacts, each held through
+    min(k + ttl, n - 1).  A trial's +1/-1 events balance, so one running sum
+    gives y between consecutive events; y*y there enters a difference array.
+    """
+    m = n + 1
+    pos = starts % m
+    ends = starts + np.minimum(min(ttl, n), n - 1 - pos) + 1
+    y_sum = np.cumsum(np.bincount(pos, minlength=m) - np.bincount(ends % m, minlength=m))
+    # sorted keys give two sorted runs, which the stable sort merges
+    events = np.sort(np.concatenate((2 * starts + 1, 2 * ends)), kind="stable")
+    y = np.cumsum(2 * (events & 1) - 1)[:-1]
+    at = (events >> 1) % m
+    w = (y * y).astype(float)
+    y_sq = np.cumsum(np.bincount(at[:-1], w, m) - np.bincount(at[1:], w, m))
+    return np.stack((y_sum, y_sq))[:, :n]
+
+
 def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
     """Run the contact process for cfg.trials independent packets.
 
@@ -135,6 +167,10 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
     any relay's first sink contact after reception falls inside its holding
     window and before the horizon.  Energy sums one tx_cost per successful
     forward plus the beacon share per cfg.beacon_accounting.
+
+    A contact is placed only if its trial is undelivered, or for every
+    accepted contact when cfg.record_holding is set; either way the draws
+    and the outputs the two paths share are bit-identical.
     """
     n = sc.subslots
     n_classes = len(sc.classes)
@@ -147,74 +183,63 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
     beacons = [(sc.beacon_rate(tech.ident), active)
                for tech, active in beacon_activity(pol, sc)]
     sampled_beacons = cfg.beacon_accounting == "sampled" and bool(beacons)
-    beacon_const = 0.0
-    if not sampled_beacons:
-        for rate, active in beacons:
-            beacon_const += rate * float(active.sum())
+    beacon_const = 0.0 if sampled_beacons else sum(
+        rate * float(active.sum()) for rate, active in beacons)
 
     # per class: cumulative acceptance hazard over sub-slot boundaries
-    hazards = []
-    for c in range(n_classes):
-        lam = sc.rates[c]
-        hc = np.concatenate(([0.0], np.cumsum(lam * dt * pol.probs[c])))
-        hazards.append(hc)
+    hazards = [np.concatenate(([0.0], np.cumsum(sc.rates[c] * dt * pol.probs[c])))
+               for c in range(n_classes)]
 
-    delivered_total = 0
-    energy_sum = 0.0
-    energy_sq = 0.0
-    tx_sum = np.zeros(n_classes)
-    tx_sq = np.zeros(n_classes)
-    hold_sum = np.zeros((n_classes, n)) if cfg.record_holding else None
-    hold_sq = np.zeros((n_classes, n)) if cfg.record_holding else None
+    delivered_total, energy_sum, energy_sq = 0, 0.0, 0.0
+    tx_sum, tx_sq = np.zeros((2, n_classes))
+    hold = np.zeros((n_classes, 2, n))   # per class: sums of y and y*y
 
-    done = 0
-    batch_index = 0
-    while done < cfg.trials:
+    # holding keys t*(n+1) + k; doubled, they must still fit
+    key_type = np.int32 if _BATCH * (n + 1) < 2**30 else np.int64
+    for batch_index, done in enumerate(range(0, cfg.trials, _BATCH)):
         size = min(_BATCH, cfg.trials - done)
         rng = np.random.Generator(np.random.Philox(key=[
             np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF), np.uint64(batch_index)]))
         delivered = np.zeros(size, dtype=bool)
         tx_batch = np.zeros((n_classes, size))
         for c, cls in enumerate(sc.classes):
-            lam = sc.rates[c]
-            hc = hazards[c]
-            total_hazard = hc[-1]
-            diff = np.zeros((size, n + 1)) if cfg.record_holding else None
+            lam, hc = sc.rates[c], hazards[c]
+            starts = []
             for _node in range(cls.population):
                 e1 = rng.standard_exponential(size)
                 g = rng.standard_exponential(size)
-                if total_hazard <= 0.0 or lam <= 0.0:
+                if hc[-1] <= 0.0 or lam <= 0.0:
                     continue
-                accepted = e1 < total_hazard
-                if not accepted.any():
+                accepted = e1 < hc[-1]
+                tx_batch[c] += accepted
+                rows = np.flatnonzero(accepted if cfg.record_holding
+                                      else accepted & ~delivered)
+                if rows.size == 0:
                     continue
-                idx = np.searchsorted(hc, e1[accepted], side="right") - 1
-                idx = np.clip(idx, 0, n - 1)
-                mu = pol.probs[c][idx]
-                offset = (e1[accepted] - hc[idx]) / (lam * mu)
-                u = idx * dt + offset
+                idx = np.clip(np.searchsorted(hc, e1[rows], side="right") - 1, 0, n - 1)
+                u = idx * dt + (e1[rows] - hc[idx]) / (lam * pol.probs[c][idx])
                 hold_end = np.minimum((idx + cls.ttl_slots + 1) * dt, horizon)
-                window = np.maximum(hold_end - u, 0.0)
-                hit = g[accepted] < lam * window
-                rows = np.where(accepted)[0]
-                delivered[rows[hit]] = True
-                tx_batch[c, rows] += 1.0
+                delivered[rows[g[rows] < lam * np.maximum(hold_end - u, 0.0)]] = True
                 if cfg.record_holding:
-                    ends = np.minimum(idx + cls.ttl_slots, n - 1)
-                    np.add.at(diff, (rows, idx), 1.0)
-                    np.add.at(diff, (rows, ends + 1), -1.0)
-            if cfg.record_holding:
-                y = np.cumsum(diff[:, :-1], axis=1)
-                hold_sum[c] += y.sum(axis=0)
-                hold_sq[c] += (y * y).sum(axis=0)
+                    starts.append((rows * (n + 1) + idx).astype(key_type))
+            if starts:   # in passes of whole trials, to bound the event arrays
+                keys = np.concatenate(starts)
+                starts.clear()
+                keys.sort(kind="stable")
+                edges = np.append(np.arange(0, size, max(1, size * _CHUNK // keys.size)), size)
+                cuts = np.searchsorted(keys, (edges * (n + 1)).astype(key_type))
+                for lo, hi in zip(cuts[:-1], cuts[1:]):
+                    hold[c] += _holding_moments(keys[lo:hi], cls.ttl_slots, n)
 
         energy_batch = np.zeros(size)
         for c, cls in enumerate(sc.classes):
             energy_batch += cls.tx_cost * tx_batch[c]
         if sampled_beacons:
+            block = max(1, _CHUNK // n)   # trials per draw; the stream is the same
             for rate, active in beacons:
-                draws = rng.random((size, n)) < active
-                energy_batch += rate * draws.sum(axis=1)
+                for lo in range(0, size, block):
+                    draws = rng.random((min(block, size - lo), n)) < active
+                    energy_batch[lo:lo + block] += rate * draws.sum(axis=1)
         else:
             energy_batch += beacon_const
 
@@ -223,8 +248,6 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
         energy_sq += float((energy_batch ** 2).sum())
         tx_sum += tx_batch.sum(axis=1)
         tx_sq += (tx_batch ** 2).sum(axis=1)
-        done += size
-        batch_index += 1
 
     t = cfg.trials
     freq = delivered_total / t
@@ -232,36 +255,19 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
     # report an honestly wide interval
     ci = _Z95 * math.sqrt(freq * (1.0 - freq) / t) + 1.0 / t
 
-    def mean_ci(s: float, sq: float) -> tuple[float, float]:
+    def mean_ci(s, sq):
         m = s / t
         if t < 2:
-            return m, math.inf
-        var = max(sq / t - m * m, 0.0) * t / (t - 1)
-        return m, _Z95 * math.sqrt(var / t)
+            return m, np.full_like(m, math.inf)
+        var = np.maximum(sq / t - m * m, 0.0) * t / (t - 1)
+        return m, _Z95 * np.sqrt(var / t)
 
-    mean_energy, energy_ci = mean_ci(energy_sum, energy_sq)
-    tx_mean = np.empty(n_classes)
-    tx_ci = np.empty(n_classes)
-    for c in range(n_classes):
-        tx_mean[c], tx_ci[c] = mean_ci(tx_sum[c], tx_sq[c])
-
-    outcome = SimOutcome(
-        delivery_freq=freq,
-        ci95_halfwidth=ci,
-        mean_energy=mean_energy,
-        mean_energy_ci=energy_ci,
-        trials=t,
-        mean_tx=tx_mean,
-        mean_tx_ci=tx_ci,
-    )
+    mean_energy, energy_ci = map(float, mean_ci(energy_sum, energy_sq))
+    tx_mean, tx_ci = mean_ci(tx_sum, tx_sq)
+    outcome = SimOutcome(delivery_freq=freq, ci95_halfwidth=ci, mean_energy=mean_energy,
+                         mean_energy_ci=energy_ci, trials=t, mean_tx=tx_mean, mean_tx_ci=tx_ci)
     if cfg.record_holding:
-        hold_mean = hold_sum / t
-        if t >= 2:
-            var = np.maximum(hold_sq / t - hold_mean ** 2, 0.0) * t / (t - 1)
-            outcome.mean_holding_ci = _Z95 * np.sqrt(var / t)
-        else:
-            outcome.mean_holding_ci = np.full((n_classes, n), math.inf)
-        outcome.mean_holding = hold_mean
+        outcome.mean_holding, outcome.mean_holding_ci = mean_ci(hold[:, 0], hold[:, 1])
     return outcome
 
 

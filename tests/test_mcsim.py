@@ -1,7 +1,9 @@
 """Monte Carlo simulator: determinism, trivial cases, the exact single-relay
-law, moment checks against the closed-form expectations, and coupling
-monotonicity."""
+law, moment checks against the closed-form expectations, coupling
+monotonicity, pinned output bits and input checks."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +20,8 @@ from twohop import (
     simulate,
     validate,
 )
+from twohop.cli import sample_table_scenario
+from twohop import mcsim
 from twohop.mcsim import holding_expectation
 from conftest import make_scenario, random_small_scenario
 
@@ -42,6 +46,13 @@ def test_determinism_same_seed():
     assert np.array_equal(a.mean_holding, b.mean_holding)
     c = simulate(sc, pol, SimConfig(trials=30_000, seed=100))
     assert c.delivery_freq != a.delivery_freq
+    # recording holding counts evaluates more rows but draws the same variates
+    plain = simulate(sc, pol, SimConfig(trials=30_000, seed=99))
+    assert plain.mean_holding is None
+    assert (plain.delivery_freq, plain.ci95_halfwidth) == (a.delivery_freq, a.ci95_halfwidth)
+    assert (plain.mean_energy, plain.mean_energy_ci) == (a.mean_energy, a.mean_energy_ci)
+    assert np.array_equal(plain.mean_tx, a.mean_tx)
+    assert np.array_equal(plain.mean_tx_ci, a.mean_tx_ci)
 
 
 def test_single_relay_exact_law():
@@ -170,3 +181,119 @@ def test_sampled_beacon_accounting_mode():
     out = simulate(sc, pol, SimConfig(trials=50_000, seed=21,
                                       beacon_accounting="sampled"))
     assert abs(out.mean_energy - energy_spent(pol, sc)) <= 3.0 * out.mean_energy_ci
+
+
+def _golden_cases():
+    base = make_scenario([0.3, 0.15], 1.0, slots=4, populations=[3, 2],
+                         beta=[0.004, 0.002], ttl=[2, 4], resolution=2)
+    th = expand_threshold(ThresholdPolicy((5.0, 3.5)), base)
+    full = make_scenario([0.25, 0.4], 1.0, slots=5, populations=[4, 3],
+                         beta=[0.003, 0.0], shared_tech=True)
+    probs = np.array([[0.8, 0.0, 0.3, 0.0, 1.0], [0.0, 0.5, 0.0, 0.0, 0.7]])
+    rng = np.random.default_rng(5)
+    a4 = next(sc for _, sc in iter(lambda: sample_table_scenario(rng, resolution=5,
+                                                                 n_classes=3), None)
+              if sc.slots == 250)
+    a4_pol = expand_threshold(ThresholdPolicy((300.0, 600.5, 1100.25)), a4)
+    # 131,072 sub-slots: holding keys t*(n+1) + k take 64 bits
+    fine = make_scenario([0.3], 1.0, slots=1024, populations=[3], ttl=[2], resolution=128)
+    fine_pol = expand_threshold(ThresholdPolicy((65_000.5,)), fine)
+    return {
+        "plain-expected-1": (base, th, SimConfig(1, 41)),
+        "holding-sampled-3": (base, th, SimConfig(3, 42, True, "sampled")),
+        "plain-ttl-below-9000": (base, th, SimConfig(9_000, 43)),
+        "holding-sampled-ttl-below-9000": (base, th, SimConfig(9_000, 44, True, "sampled")),
+        "holding-general-full-ttl-9000": (full, Policy(probs), SimConfig(9_000, 45, True)),
+        "plain-general-sampled-3": (full, Policy(probs), SimConfig(3, 46, False, "sampled")),
+        "holding-general-1": (full, Policy(probs), SimConfig(1, 47, True)),
+        "holding-a4-250-slots": (a4, a4_pol, SimConfig(4_000, 48, True)),
+        "holding-131072-subslots-5": (fine, fine_pol, SimConfig(5, 49, True)),
+    }
+
+
+# sha256 prefixes of every SimOutcome field, recorded with a dense per-trial
+# holding recount: a change to which rows are evaluated, or to how the holding
+# moments are summed, must keep every bit
+GOLDEN = {
+    "plain-expected-1": "02085ba0caef0377",
+    "holding-sampled-3": "21e561dbdea7c3b2",
+    "plain-ttl-below-9000": "956afee6bbbc75a9",
+    "holding-sampled-ttl-below-9000": "525475e60cdf6c06",
+    "holding-general-full-ttl-9000": "a48637f4910c7e4c",
+    "plain-general-sampled-3": "2ebc4ebf7992b3d8",
+    "holding-general-1": "30c64d599357aa1e",
+    "holding-a4-250-slots": "9ff9e5575e2579bf",
+    "holding-131072-subslots-5": "4cefd85dcc8b85e4",
+}
+
+
+def test_simulate_outputs_golden():
+    got = {}
+    for name, (sc, pol, cfg) in _golden_cases().items():
+        out = simulate(sc, pol, cfg)
+        parts = []
+        for f in dataclasses.fields(out):
+            v = getattr(out, f.name)
+            parts.append(f"{f.name}={(v.tolist() if isinstance(v, np.ndarray) else v)!r}")
+        got[name] = hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:16]
+    assert got == GOLDEN
+
+
+def test_passes_keep_bits(monkeypatch):
+    # holding moments in passes of whole trials and beacon draws in blocks of
+    # trials give the same bits as one pass
+    sc, pol, cfg = _golden_cases()["holding-sampled-ttl-below-9000"]
+    whole = simulate(sc, pol, cfg)
+    monkeypatch.setattr(mcsim, "_CHUNK", 1000)
+    parts = simulate(sc, pol, cfg)
+    for f in dataclasses.fields(whole):
+        assert np.array_equal(getattr(whole, f.name), getattr(parts, f.name)), f.name
+
+
+def test_holding_moments_match_dense_recount():
+    rng = np.random.default_rng(8)
+    for n, ttl, trials, relays in [(1, 0, 5, 3), (6, 2, 40, 7), (9, 20, 25, 12), (12, 0, 30, 5)]:
+        rows, ks = [], []
+        for _ in range(relays):
+            r = np.flatnonzero(rng.random(trials) < 0.7)
+            rows.append(r)
+            ks.append(rng.integers(0, n, r.size))
+        # one relay per array: equal starts in trial 0, a start one past the
+        # first relay's end in trial 1, a hold clipped at n - 1 in trial 2
+        rows += [np.array([0, 1]), np.array([0]), np.array([1]), np.array([2])]
+        ks += [np.array([0, 0]), np.array([0]), np.array([min(n - 1, ttl + 1)]),
+               np.array([n - 1])]
+        y = np.zeros((trials, n), dtype=np.int64)
+        for r, k in zip(rows, ks):
+            for t, s in zip(r, k):
+                y[t, s:min(s + ttl, n - 1) + 1] += 1
+        starts = np.concatenate([r * (n + 1) + k for r, k in zip(rows, ks)])
+        y_sum, y_sq = mcsim._holding_moments(starts, ttl, n)
+        assert np.array_equal(y_sum, y.sum(axis=0))
+        assert np.array_equal(y_sq, (y * y).sum(axis=0))
+
+
+def test_simconfig_normalises_numpy_seed():
+    sc = make_scenario([0.3], 1.0, slots=3, populations=[2])
+    pol = Policy(np.ones((1, 3)))
+    cfg = SimConfig(trials=100, seed=np.int64(3))
+    assert type(cfg.seed) is int and cfg.seed == 3
+    a = simulate(sc, pol, cfg)
+    b = simulate(sc, pol, SimConfig(trials=100, seed=3))
+    assert (a.delivery_freq, a.mean_energy) == (b.delivery_freq, b.mean_energy)
+    assert type(SimConfig(trials=np.int32(5), seed=0).trials) is int
+
+
+def test_simconfig_rejects_float_trials():
+    with pytest.raises(TypeError):
+        SimConfig(trials=2.0, seed=1)
+
+
+def test_simconfig_rejects_float_seed():
+    with pytest.raises(TypeError):
+        SimConfig(trials=2, seed=1.5)
+
+
+def test_simconfig_rejects_bool_trials():
+    with pytest.raises(TypeError):
+        SimConfig(trials=True, seed=1)
