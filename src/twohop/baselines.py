@@ -56,8 +56,10 @@ def class_independent(sc: Scenario) -> float:
     The saturation residual is strictly decreasing in h, so Newton iterations
     from zero converge quadratically; a bisection safeguard keeps iterates in
     [0, subslots - 1].  The returned threshold is clamped when even full
-    transmission stays within budget, and trimmed when the evaluated policy's
-    overlapping fractional tails would overshoot the budget.
+    transmission stays within budget, and trimmed by bisection when the
+    evaluated policy's overlapping fractional tails would overshoot the
+    budget; that bisection stops at the first step that leaves its bracket
+    unchanged, since every later step would repeat it.
     """
     n1 = float(sc.max_threshold)
     tol = budget_tolerance(sc.budget)
@@ -93,8 +95,12 @@ def class_independent(sc: Scenario) -> float:
             mid = 0.5 * (lo + hi)
             pol = expand_threshold(uniform_policy(sc, mid), sc)
             if energy_spent(pol, sc) > sc.budget:
+                if mid == hi:
+                    break
                 hi = mid
             else:
+                if mid == lo:
+                    break
                 lo = mid
         h = lo
     return float(h)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -25,9 +26,11 @@ from .model import (
     ScenarioError,
     Technology,
     ThresholdPolicy,
+    energy_spent,
     evaluate,
     expand_threshold,
     threshold_energy,
+    within_budget,
 )
 from .gridsearch import (SolveReport, SolveTimeout, brute_force_saturating,
                          enumerate_saturating, grid_search, ratio_bound)
@@ -142,10 +145,13 @@ def parse_scenario(doc: dict, *, resolution_override: int | None = None) -> Scen
         tpath = f"technologies[{i}]"
         if not isinstance(td, dict):
             raise CliInputError(f"{tpath}: expected an object")
-        technologies.append(Technology(
-            ident=_field(td, tpath, "id", str),
-            beacon_cost=_field(td, tpath, "beacon_cost", float),
-        ))
+        try:
+            technologies.append(Technology(
+                ident=_field(td, tpath, "id", str),
+                beacon_cost=_field(td, tpath, "beacon_cost", float),
+            ))
+        except ScenarioError as exc:
+            raise CliInputError(f"{tpath}: {exc}") from exc
 
     class_docs = _field(doc, path, "classes", list)
     if not class_docs:
@@ -156,8 +162,9 @@ def parse_scenario(doc: dict, *, resolution_override: int | None = None) -> Scen
         if not isinstance(cd, dict):
             raise CliInputError(f"{cpath}: expected an object")
         ttl_slots = cd.get("ttl_slots")
-        if not isinstance(ttl_slots, (int, float)) or isinstance(ttl_slots, bool):
-            raise CliInputError(f"{cpath}.ttl_slots: expected a number")
+        if (not isinstance(ttl_slots, (int, float)) or isinstance(ttl_slots, bool)
+                or not math.isfinite(ttl_slots)):
+            raise CliInputError(f"{cpath}.ttl_slots: expected a finite number")
         ttl_sub = int(round(ttl_slots * resolution))
         if abs(ttl_slots * resolution - ttl_sub) > 1e-9:
             raise CliInputError(
@@ -422,7 +429,7 @@ def _solve_instance(ident: str, sc: Scenario, names: list[str], *,
             "upper_bound": ub,
             "ratio": (res.objective / ub) if ub else None,
             "energy": threshold_energy(res.policy.thresholds, sc),
-            "feasible": evaluate(res.policy, sc).feasible,
+            "feasible": within_budget(energy_spent(expand_threshold(res.policy, sc), sc), sc),
             "thresholds_subslots": list(res.policy.thresholds),
             "thresholds_slots": [h / sc.resolution for h in res.policy.thresholds],
             "wall_time_s": wall,
@@ -645,7 +652,10 @@ def _seconds(text: str) -> float:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process.  Parsing leaves it
+    unchanged: every parse fills a fresh namespace from the defaults."""
     parser = _Parser(prog="twohop",
                      description="Two-hop forwarding policy solver toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -714,9 +724,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (CliInputError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -136,11 +136,21 @@ def greedy_construct(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN,
         if any(t.beacon_cost > 0.0 for t in sc.technologies):
             raise ValueError("gain_per_cost requires all beacon costs to be zero")
 
-    tables = [class_log_miss_table(c, sc) for c in range(n_classes)]
+    tables = [class_log_miss_table(c, sc).tolist() for c in range(n_classes)]
     k = [n1 if is_costless(c, sc) else 0 for c in range(n_classes)]
     costly = [c for c in range(n_classes) if not is_costless(c, sc)]
     log_miss = sum(tables[c][k[c]] for c in range(n_classes))
     energy = threshold_energy([float(x) for x in k], sc)
+    limit = sc.budget + tol
+    per_cost = variant is GreedyVariant.GAIN_PER_COST
+
+    # per costly class: (class, tx_cost * population, lam dt, beacon rate,
+    # technology, log-miss table)
+    terms = []
+    for c in costly:
+        cls = sc.classes[c]
+        terms.append((c, cls.tx_cost * cls.population, sc.rates[c] * dt,
+                      sc.beacon_rate(cls.technology), cls.technology, tables[c]))
 
     # per-technology integer beacon coverage
     cover = {t.ident: max((k[c] for c in sc.tech_members[t.ident]), default=0)
@@ -148,39 +158,37 @@ def greedy_construct(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN,
 
     iterations = 0
     while True:
-        best_c = -1
+        best = None
         best_score = 0.0
         best_energy = 0.0
         f_cur = -math.expm1(log_miss)
-        for c in costly:
-            if k[c] >= n1:
+        for term in terms:
+            c, weight, g, rate, tech, table = term
+            kc = k[c]
+            if kc >= n1:
                 continue
-            cls = sc.classes[c]
-            g = sc.rates[c] * dt
-            tx_marg = cls.tx_cost * cls.population * (
-                math.exp(-g * k[c]) - math.exp(-g * (k[c] + 1)))
-            rate = sc.beacon_rate(cls.technology)
-            beacon_marg = rate * max(0, k[c] + 1 - cover[cls.technology])
+            tx_marg = weight * (math.exp(-g * kc) - math.exp(-g * (kc + 1)))
+            beacon_marg = rate * max(0, kc + 1 - cover[tech])
             e_new = energy + tx_marg + beacon_marg
-            if e_new > sc.budget + tol:
+            if e_new > limit:
                 continue
-            gain = -math.expm1(log_miss - tables[c][k[c]] + tables[c][k[c] + 1]) - f_cur
-            if variant is GreedyVariant.GAIN_PER_COST:
-                marg = cls.tx_cost * cls.population * math.exp(-g * k[c]) * -math.expm1(-g)
+            gain = -math.expm1(log_miss - table[kc] + table[kc + 1]) - f_cur
+            if per_cost:
+                marg = weight * math.exp(-g * kc) * -math.expm1(-g)
                 score = gain / marg if marg > 0.0 else math.inf
             else:
                 score = gain
-            if best_c < 0 or score > best_score:
-                best_c = c
+            if best is None or score > best_score:
+                best = term
                 best_score = score
                 best_energy = e_new
-        if best_c < 0:
+        if best is None:
             break
-        log_miss += tables[best_c][k[best_c] + 1] - tables[best_c][k[best_c]]
-        k[best_c] += 1
+        c, _, _, _, tech, table = best
+        log_miss += table[k[c] + 1] - table[k[c]]
+        k[c] += 1
         energy = best_energy
-        cover[sc.classes[best_c].technology] = max(
-            cover[sc.classes[best_c].technology], k[best_c])
+        cover[tech] = max(cover[tech], k[c])
         iterations += 1
 
     thresholds = [float(x) for x in k]

@@ -35,6 +35,7 @@ from .model import (
     is_costless,
     threshold_energy,
     threshold_objective,
+    within_budget,
 )
 
 __all__ = [
@@ -296,7 +297,9 @@ def saturating_threshold(c: int, thresholds, sc: Scenario) -> float:
     Clamps instead of raising: returns 0 when nothing is affordable and
     subslots - 1 when even full transmission stays under budget.  Solved by
     bisection on the exact threshold energy, so it is valid for any mix of
-    fractional thresholds and shared technologies.
+    fractional thresholds and shared technologies.  The bisection stops at
+    the first step that leaves the bracket unchanged: every later step would
+    repeat it, so the 200-step cap only bounds the loop.
     """
     hs = [float(h) for h in thresholds]
     hi = float(sc.max_threshold)
@@ -315,8 +318,12 @@ def saturating_threshold(c: int, thresholds, sc: Scenario) -> float:
     for _ in range(200):
         mid = 0.5 * (lo_b + hi_b)
         if energy_at(mid) > sc.budget:
+            if mid == hi_b:
+                break
             hi_b = mid
         else:
+            if mid == lo_b:
+                break
             lo_b = mid
     return 0.0 if lo_b < _SNAP else lo_b
 
@@ -540,7 +547,7 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     rb = ratio_bound(sc.slots, sc.resolution, n_classes)
 
     full = tuple(float(n1) for _ in range(n_classes))
-    if threshold_energy(full, sc) <= sc.budget + budget_tolerance(sc.budget):
+    if within_budget(threshold_energy(full, sc), sc):
         obj = threshold_objective(full, sc)
         return SolveReport(ThresholdPolicy(full), obj, upper_bound=obj,
                            ratio_bound=rb, enumerated=1)

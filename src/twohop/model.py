@@ -52,6 +52,7 @@ __all__ = [
     "q_no_receive",
     "threshold_energy",
     "threshold_objective",
+    "within_budget",
 ]
 
 # Relative slack applied to the budget when deciding feasibility; saturating
@@ -90,8 +91,9 @@ class Technology:
     def __post_init__(self):
         if not self.ident:
             raise ScenarioError("technology ident must be non-empty")
-        if not (self.beacon_cost >= 0.0):
-            raise ScenarioError(f"technology {self.ident!r}: beacon_cost must be >= 0")
+        if not (0.0 <= self.beacon_cost < math.inf):
+            raise ScenarioError(
+                f"technology {self.ident!r}: beacon_cost must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -116,12 +118,12 @@ class NodeClass:
             raise ScenarioError("population must be an integer >= 1")
         if not (isinstance(self.ttl_slots, int) and self.ttl_slots >= 1):
             raise ScenarioError("ttl_slots must be an integer >= 1")
-        if not (self.speed > 0.0):
-            raise ScenarioError("speed must be > 0")
-        if not (self.range_m > 0.0):
-            raise ScenarioError("range_m must be > 0")
-        if not (self.tx_cost >= 0.0):
-            raise ScenarioError("tx_cost must be >= 0")
+        if not (0.0 < self.speed < math.inf):
+            raise ScenarioError("speed must be finite and > 0")
+        if not (0.0 < self.range_m < math.inf):
+            raise ScenarioError("range_m must be finite and > 0")
+        if not (0.0 <= self.tx_cost < math.inf):
+            raise ScenarioError("tx_cost must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -149,20 +151,23 @@ class Scenario:
         object.__setattr__(self, "technologies", tuple(self.technologies))
         if not self.classes:
             raise ScenarioError("at least one class required")
-        if not (self.deadline > 0.0):
-            raise ScenarioError("deadline must be > 0")
-        if not (self.slot_len > 0.0):
-            raise ScenarioError("slot_len must be > 0")
-        if math.floor(self.deadline / self.slot_len) < 1:
+        if not (0.0 < self.deadline < math.inf):
+            raise ScenarioError("deadline must be finite and > 0")
+        if not (0.0 < self.slot_len < math.inf):
+            raise ScenarioError("slot_len must be finite and > 0")
+        if self.deadline / self.slot_len < 1.0:
             raise ScenarioError("deadline shorter than one slot")
-        if not (self.arena_radius > 0.0):
-            raise ScenarioError("arena_radius must be > 0")
+        if self.deadline / self.slot_len == math.inf:
+            raise ScenarioError("deadline spans too many slots")
+        if not (0.0 < self.arena_radius < math.inf):
+            raise ScenarioError("arena_radius must be finite and > 0")
+        # an infinite budget is valid: every class then transmits in full
         if not (self.budget >= 0.0):
             raise ScenarioError("budget must be >= 0")
         if not (isinstance(self.resolution, int) and self.resolution >= 1):
             raise ScenarioError("resolution must be an integer >= 1")
-        if not (self.speed_constant > 0.0):
-            raise ScenarioError("speed_constant must be > 0")
+        if not (0.0 < self.speed_constant < math.inf):
+            raise ScenarioError("speed_constant must be finite and > 0")
         idents = [t.ident for t in self.technologies]
         if len(set(idents)) != len(idents):
             raise ScenarioError("technology idents must be unique")
@@ -595,4 +600,10 @@ def evaluate(pol: Policy | ThresholdPolicy, sc: Scenario) -> PolicyEvaluation:
         pol = expand_threshold(pol, sc)
     f = delivery_probability(pol, sc.subslots, sc)
     e = energy_spent(pol, sc)
-    return PolicyEvaluation(f, e, e <= sc.budget + budget_tolerance(sc.budget))
+    return PolicyEvaluation(f, e, within_budget(e, sc))
+
+
+def within_budget(energy: float, sc: Scenario) -> bool:
+    """The feasibility verdict on an energy draw: at most the budget plus
+    its tolerance."""
+    return energy <= sc.budget + budget_tolerance(sc.budget)

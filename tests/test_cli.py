@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,41 @@ def test_parse_errors_carry_field_paths():
     doc["classes"][0]["population"] = 0
     with pytest.raises(ValueError, match=r"classes\[0\]"):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ("deadline_s", math.inf, r"scenario: deadline must be finite"),
+    ("slot_len_s", math.inf, r"scenario: slot_len must be finite"),
+    ("arena_radius_m", math.inf, r"scenario: arena_radius must be finite"),
+    ("speed_constant", math.inf, r"scenario: speed_constant must be finite"),
+    ("technologies.beacon_cost", math.inf, r"technologies\[0\]: .*beacon_cost must be finite"),
+    ("classes.ttl_slots", math.nan, r"classes\[0\]\.ttl_slots: expected a finite number"),
+    ("classes.ttl_slots", math.inf, r"classes\[0\]\.ttl_slots: expected a finite number"),
+    ("classes.speed_mps", math.inf, r"classes\[0\]: speed must be finite"),
+    ("classes.range_m", math.inf, r"classes\[0\]: range_m must be finite"),
+    ("classes.tx_cost", math.inf, r"classes\[0\]: tx_cost must be finite"),
+], ids=["deadline", "slot-len", "arena", "speed-constant", "beacon-cost", "ttl-nan",
+        "ttl-inf", "speed", "range", "tx-cost"])
+def test_non_finite_scenario_number_is_input_error(tmp_path, capsys, path, value, message):
+    doc = scenario_doc()
+    part, _, key = path.rpartition(".")
+    (doc[part][0] if part else doc)[key] = value
+    with pytest.raises(ValueError, match=message):
+        parse_scenario(doc)
+    assert main(["solve", "--scenario", write_doc(tmp_path, doc)]) == 1
+    assert re.search(message, capsys.readouterr().err)
+
+
+def test_infinite_budget_gives_the_all_full_profile(tmp_path):
+    doc = two_class_doc()
+    doc["budget"] = math.inf
+    out = tmp_path / "reports.json"
+    assert main(["solve", "--scenario", write_doc(tmp_path, doc), "--format", "json",
+                 "--algorithm", ",".join(twohop.cli.ALGORITHMS), "--out", str(out)]) == 0
+    sc = parse_scenario(doc)
+    for rep in json.loads(out.read_text()):
+        assert rep["thresholds_subslots"] == [float(sc.max_threshold)] * 2
+        assert rep["feasible"] is True
 
 
 def test_resolution_scales_grid_and_ttl():
@@ -241,6 +277,48 @@ def test_bound_json_keeps_class_text(capsys):
         assert doc["ratio_bound"] == ratio_bound(4, 1, q)
 
 
+def _without_wall_times(text: str):
+    """A command's output with its wall times removed."""
+    if text.startswith(("{", "[")):
+        doc = json.loads(text)
+        for report in doc if isinstance(doc, list) else [doc]:
+            report.pop("wall_time_s", None)
+        return doc
+    if text.startswith("instance_id,"):
+        return [{k: v for k, v in row.items() if k != "wall_time_s"}
+                for row in csv.DictReader(text.splitlines())]
+    return text
+
+
+def test_cached_parser_keeps_no_state(tmp_path, capsys):
+    # the parser is built once per process; flags, formats, defaults and
+    # errors of one call must not reach the next
+    assert twohop.cli._build_parser() is twohop.cli._build_parser()
+    path = write_doc(tmp_path, scenario_doc())
+    sequence = [
+        ["solve", "--scenario", path, "--format", "json"],
+        ["solve", "--scenario", path, "--nope"],
+        ["simulate", "--scenario", path, "--resolution", "2", "--trials", "2000"],
+        ["bound", "--slots", "2"],
+        ["solve", "--scenario", path],
+    ]
+    rounds = []
+    for _ in range(2):
+        replies = []
+        for argv in sequence:
+            code = main(argv)
+            captured = capsys.readouterr()
+            replies.append((code, _without_wall_times(captured.out), captured.err))
+        rounds.append(replies)
+    assert rounds[0] == rounds[1]
+    solve_json, bad_flag, simulate, bound, solve_csv = rounds[0]
+    assert solve_json[0] == 0 and solve_json[1]["algorithm"] == "grid"
+    assert bad_flag[0] == 1 and "--nope" in bad_flag[2]
+    assert simulate[0] == 0 and simulate[1][0]["trials"] == "2000"
+    assert bound == (0, "0.5\n", "")   # resolution 1 and plain output
+    assert solve_csv[0] == 0 and solve_csv[1][0]["objective"] == repr(solve_json[1]["objective"])
+
+
 def test_sweep_deterministic_bytes(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -252,12 +330,22 @@ def test_sweep_deterministic_bytes(tmp_path):
 
 
 def test_sweep_table_csv_golden(capsys):
-    # pins the solver's bits (objective, bound, thresholds) on nine
-    # three-class instances; any change to them must be deliberate
+    # pins the CSV columns (objective, upper bound, ratio, energy, work) on
+    # 25 instances, nine of them three-class; thresholds are not CSV columns,
+    # so the JSON golden below pins them
     assert main(["sweep", "--mode", "table", "--count", "25", "--seed", "7",
                  "--resolution", "5"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "bdcd84bc992813c3613ce6888b6c349237a0a5858c265beaf30827f6d762f176"
+
+
+def test_sweep_table_json_golden(capsys):
+    # pins every report field but the wall time, thresholds, feasibility,
+    # the greedy certificates and the common threshold included
+    assert main(["sweep", "--mode", "table", "--count", "25", "--seed", "7",
+                 "--resolution", "5", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "ce29b02c64be60254403ee8c3a2f38c18f1835194a83ffb084cdc666bb589ca2"
 
 
 def test_sweep_json_lists_reports(capsys):

@@ -452,6 +452,28 @@ def test_scenario_invariants():
                  10.0, 10.0, 100.0, 1.0)                  # duplicate ident
 
 
+def test_scenario_rejects_non_finite_numbers():
+    tech = (Technology("t", 0.0),)
+    cls = NodeClass(1, 1, 1.0, 10.0, 0.1, "t")
+    for bad in (math.inf, math.nan):
+        for args in ((bad, 10.0, 0.1), (1.0, bad, 0.1), (1.0, 10.0, bad)):
+            with pytest.raises(ScenarioError, match="finite"):
+                NodeClass(1, 1, *args, "t")
+        with pytest.raises(ScenarioError, match="finite"):
+            Technology("t", bad)
+        for i in range(3):   # deadline, slot length, arena radius
+            geometry = [10.0, 10.0, 100.0]
+            geometry[i] = bad
+            with pytest.raises(ScenarioError):
+                Scenario((cls,), tech, *geometry, 1.0)
+        with pytest.raises(ScenarioError, match="speed_constant"):
+            Scenario((cls,), tech, 10.0, 10.0, 100.0, 1.0, speed_constant=bad)
+    with pytest.raises(ScenarioError, match="too many slots"):
+        Scenario((cls,), tech, 1e300, 1e-300, 100.0, 1.0)
+    # an infinite budget is valid: every class transmits in full
+    assert Scenario((cls,), tech, 10.0, 10.0, 100.0, math.inf).budget == math.inf
+
+
 def test_subslot_grid_derivation():
     sc = make_scenario([0.1], 1.0, slots=4, resolution=5)
     assert sc.slots == 4
