@@ -8,12 +8,13 @@ import math
 from .model import (
     Scenario,
     ThresholdPolicy,
+    _tx_energy,
     budget_tolerance,
     energy_spent,
     expand_threshold,
     is_costless,
 )
-from .gridsearch import saturating_threshold
+from .gridsearch import _bisect_budget, saturating_threshold
 
 __all__ = ["arrival_rate_greedy", "class_independent", "uniform_policy"]
 
@@ -40,10 +41,7 @@ def _uniform_energy(h: float, sc: Scenario) -> float:
     """Budget draw of the common threshold h when the source either transmits
     to all classes in a slot or stays silent: the fractional tail multiplies
     each technology's beacon share linearly."""
-    total = 0.0
-    dt = sc.eff_slot
-    for c, cls in enumerate(sc.classes):
-        total += cls.tx_cost * cls.population * -math.expm1(-sc.rates[c] * dt * h)
+    total = _tx_energy(enumerate([h] * len(sc.classes)), sc)
     for tech in sc.technologies:
         if sc.tech_members[tech.ident]:
             total += sc.beacon_rate(tech.ident) * h
@@ -56,10 +54,9 @@ def class_independent(sc: Scenario) -> float:
     The saturation residual is strictly decreasing in h, so Newton iterations
     from zero converge quadratically; a bisection safeguard keeps iterates in
     [0, subslots - 1].  The returned threshold is clamped when even full
-    transmission stays within budget, and trimmed by bisection when the
-    evaluated policy's overlapping fractional tails would overshoot the
-    budget; that bisection stops at the first step that leaves its bracket
-    unchanged, since every later step would repeat it.
+    transmission stays within budget, and trimmed by ``_bisect_budget`` on
+    the evaluated energy when the evaluated policy's overlapping fractional
+    tails would overshoot the budget.
     """
     n1 = float(sc.max_threshold)
     tol = budget_tolerance(sc.budget)
@@ -89,20 +86,11 @@ def class_independent(sc: Scenario) -> float:
 
     # the per-class energy accounting charges overlapping fractional tails
     # once per class; shave the tail if that overshoots the budget
-    if energy_spent(expand_threshold(uniform_policy(sc, h), sc), sc) > sc.budget + tol:
-        lo, hi = math.floor(h), h
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            pol = expand_threshold(uniform_policy(sc, mid), sc)
-            if energy_spent(pol, sc) > sc.budget:
-                if mid == hi:
-                    break
-                hi = mid
-            else:
-                if mid == lo:
-                    break
-                lo = mid
-        h = lo
+    def energy_at(mid: float) -> float:
+        return energy_spent(expand_threshold(uniform_policy(sc, mid), sc), sc)
+
+    if energy_at(h) > sc.budget + tol:
+        h = _bisect_budget(energy_at, math.floor(h), h, sc.budget)
     return float(h)
 
 

@@ -32,7 +32,7 @@ from .model import (
     threshold_energy,
     within_budget,
 )
-from .gridsearch import (SolveReport, SolveTimeout, brute_force_saturating,
+from .gridsearch import (SolveReport, SolveTimeout, _costly_classes, brute_force_saturating,
                          enumerate_saturating, grid_search, ratio_bound)
 from .greedy import COMBINED_GUARANTEE, GreedyVariant, combined_best, greedy_construct
 from .baselines import arrival_rate_greedy, class_independent, uniform_policy
@@ -522,6 +522,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _numbers(value, path: str) -> None:
+    """Reject any leaf of a policy-file entry that is not a JSON number."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _numbers(item, f"{path}[{i}]")
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliInputError(f"{path}: expected a number, got {value!r}")
+
+
 def _policy_from_source(args, sc: Scenario) -> tuple[str, Policy]:
     if args.policy_file:
         try:
@@ -534,11 +543,13 @@ def _policy_from_source(args, sc: Scenario) -> tuple[str, Policy]:
             if not isinstance(th, list) or len(th) != len(sc.classes):
                 raise CliInputError(
                     f"policy.thresholds: expected {len(sc.classes)} entries")
+            _numbers(th, "policy.thresholds")
             try:
                 return "file", expand_threshold(ThresholdPolicy(tuple(th)), sc)
             except (TypeError, ValueError) as exc:
                 raise CliInputError(f"policy.thresholds: {exc}") from exc
         if isinstance(doc, dict) and "policy" in doc:
+            _numbers(doc["policy"], "policy.policy")
             try:
                 mat = np.asarray(doc["policy"], dtype=float)
                 if mat.shape != (len(sc.classes), sc.subslots):
@@ -590,10 +601,13 @@ def cmd_validate_enum(args) -> int:
             f"instance too large for exhaustive validation ({n}^{n_classes - 1}"
             f" > {args.limit}); reduce slots, resolution, or classes")
 
+    # costless classes are pinned full: never fractional, never enumerated
+    costly = _costly_classes(sc)
     mismatches = checked = 0
-    for frac_c in range(n_classes):
+    for frac_c in costly:
         enumerated = {tuple(sorted(a.items())) for a, _ in enumerate_saturating(sc, frac_c)}
-        brute = brute_force_saturating(sc, frac_c)
+        brute = {tuple((c, h) for c, h in profile if c in costly)
+                 for profile in brute_force_saturating(sc, frac_c)}
         checked += len(brute)
         mismatches += len(enumerated ^ brute)
     if args.format == "json":

@@ -29,6 +29,7 @@ from .model import (
     Scenario,
     ThresholdPolicy,
     _log_miss_slopes,
+    _tx_energy,
     budget_tolerance,
     class_log_miss,
     class_log_miss_table,
@@ -223,30 +224,6 @@ def _completion_masses(c2: int, assigned: Mapping, sc: Scenario, unassigned: str
     return masses
 
 
-@functools.lru_cache(maxsize=256)
-def _tx_terms(weight: float, scale: float, n: int) -> np.ndarray:
-    """weight * -expm1(scale * v) at the integer thresholds v < n, each
-    through math.expm1 as the scalar path takes it (read-only)."""
-    terms = np.array([weight * -math.expm1(scale * v) for v in range(n)])
-    terms.flags.writeable = False
-    return terms
-
-
-def _tx_energy(masses: dict, sc: Scenario):
-    """Transmission energy of the classes in ``masses``, summed in dict order.
-
-    An array mass holds integer thresholds and reads its terms from
-    ``_tx_terms``, so each entry carries the bits of the scalar path.
-    """
-    total = 0.0
-    for c, h in masses.items():
-        cls = sc.classes[c]
-        weight, scale = cls.tx_cost * cls.population, -sc.rates[c] * sc.eff_slot
-        total = total + (_tx_terms(weight, scale, sc.subslots)[h] if np.ndim(h)
-                         else weight * -math.expm1(scale * h))
-    return total
-
-
 def _remaining(c2: int, masses: dict, sc: Scenario, const):
     """Budget left for class c2 once ``const`` and the beacon energy of the
     other classes (at ``masses``, arrays allowed) are paid, and the beacon
@@ -279,7 +256,7 @@ def boundary_threshold(c2: int, partial: PartialAssignment, sc: Scenario,
     BudgetUnboundedError when even h = subslots - 1 cannot exhaust the budget.
     """
     masses = _completion_masses(c2, partial.assigned, sc, unassigned)
-    rem, m2 = _remaining(c2, masses, sc, _tx_energy(masses, sc))
+    rem, m2 = _remaining(c2, masses, sc, _tx_energy(masses.items(), sc))
     sol = _solve_for(c2, rem, m2, sc)[0]
     if math.isnan(sol):
         raise BudgetExceededError(
@@ -290,16 +267,34 @@ def boundary_threshold(c2: int, partial: PartialAssignment, sc: Scenario,
     return float(sol)
 
 
+def _bisect_budget(energy_at, lo: float, hi: float, budget: float) -> float:
+    """Bisect [lo, hi] for the point where the nondecreasing energy_at
+    crosses the budget; returns the last point found within it.
+
+    The loop stops at the first step that leaves the bracket unchanged:
+    every later step would repeat it, so the 200-step cap only bounds it.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if energy_at(mid) > budget:
+            if mid == hi:
+                break
+            hi = mid
+        else:
+            if mid == lo:
+                break
+            lo = mid
+    return lo
+
+
 def saturating_threshold(c: int, thresholds, sc: Scenario) -> float:
     """Largest threshold for class c that keeps the profile within budget,
     with every other class pinned at its (possibly fractional) threshold.
 
     Clamps instead of raising: returns 0 when nothing is affordable and
     subslots - 1 when even full transmission stays under budget.  Solved by
-    bisection on the exact threshold energy, so it is valid for any mix of
-    fractional thresholds and shared technologies.  The bisection stops at
-    the first step that leaves the bracket unchanged: every later step would
-    repeat it, so the 200-step cap only bounds the loop.
+    ``_bisect_budget`` on the exact threshold energy, so it is valid for any
+    mix of fractional thresholds and shared technologies.
     """
     hs = [float(h) for h in thresholds]
     hi = float(sc.max_threshold)
@@ -314,18 +309,8 @@ def saturating_threshold(c: int, thresholds, sc: Scenario) -> float:
         return 0.0
     if energy_at(hi) <= sc.budget + tol:
         return hi
-    lo_b, hi_b = 0.0, hi
-    for _ in range(200):
-        mid = 0.5 * (lo_b + hi_b)
-        if energy_at(mid) > sc.budget:
-            if mid == hi_b:
-                break
-            hi_b = mid
-        else:
-            if mid == lo_b:
-                break
-            lo_b = mid
-    return 0.0 if lo_b < _SNAP else lo_b
+    h = _bisect_budget(energy_at, 0.0, hi, sc.budget)
+    return 0.0 if h < _SNAP else h
 
 
 def _ranges(c: int, fixed: Mapping, sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +326,7 @@ def _ranges(c: int, fixed: Mapping, sc: Scenario) -> tuple[np.ndarray, np.ndarra
     (inf) is (0, -1).
     """
     n_rows = max(map(np.size, fixed.values()), default=1)
-    parts = [_remaining(c, m, sc, _tx_energy(m, sc))
+    parts = [_remaining(c, m, sc, _tx_energy(m.items(), sc))
              for m in (_completion_masses(c, fixed, sc, fill) for fill in ("zero", "full"))]
     rem, m2 = (np.concatenate([np.broadcast_to(p[k], n_rows) for p in parts]) for k in (0, 1))
     ends = _solve_for(c, rem, m2, sc, starts=np.arange(2 * n_rows))
@@ -402,7 +387,7 @@ def _leaf_batches(sc: Scenario, frac_c: int
             # the closure's transmission energy with the leaf at mass 0
             # (adding exactly +0.0), once per parent prefix
             row_tx = np.broadcast_to(
-                _tx_energy(_completion_masses(frac_c, fixed, sc, "zero"), sc), rows.shape)
+                _tx_energy(_completion_masses(frac_c, fixed, sc, "zero").items(), sc), rows.shape)
             cls = sc.classes[c]
         a = 0
         while a < rows.size:
@@ -428,7 +413,7 @@ def _leaf_batches(sc: Scenario, frac_c: int
         yield from step({})
     else:
         masses = _completion_masses(frac_c, {}, sc, "zero")
-        r = _solve_for(frac_c, *_remaining(frac_c, masses, sc, _tx_energy(masses, sc)), sc)
+        r = _solve_for(frac_c, *_remaining(frac_c, masses, sc, _tx_energy(masses.items(), sc)), sc)
         yield levels, no_vals, r[np.isfinite(r)]
 
 

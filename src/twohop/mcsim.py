@@ -30,6 +30,8 @@ import numpy as np
 from .model import (
     Policy,
     Scenario,
+    _prefix_mass,
+    _windows,
     beacon_activity,
     delivery_probability,
     energy_spent,
@@ -128,11 +130,9 @@ def holding_expectation(pol: Policy, sc: Scenario) -> np.ndarray:
     out = np.empty((len(sc.classes), n))
     for c, cls in enumerate(sc.classes):
         x = sc.rates[c] * sc.eff_slot
-        csum = np.concatenate(([0.0], np.cumsum(pol.probs[c])))
-        ks = np.arange(n)
-        lo = np.maximum(0, ks - cls.ttl_slots)
-        q_before = np.exp(-x * csum[lo])
-        out[c] = cls.population * q_before * -np.expm1(-x * (csum[ks + 1] - csum[lo]))
+        cum = _prefix_mass(pol.probs[c])
+        q_before = np.exp(-x * cum(np.maximum(0, np.arange(n) - cls.ttl_slots)))
+        out[c] = cls.population * q_before * -np.expm1(-x * _windows(cum, cls.ttl_slots, n))
     return out
 
 

@@ -63,7 +63,7 @@ BUDGET_RTOL = 1e-9
 # Row chunk used when materialising threshold-by-slot matrices.
 _CHUNK_CELLS = 4_000_000
 
-# Per-class log-miss tables kept in memory; one entry holds subslots floats.
+# Per-class tables (log-miss sums, tx terms) kept in memory; each holds subslots floats.
 _TABLE_CACHE_SIZE = 256
 
 
@@ -329,30 +329,45 @@ def contact_rate(cls: NodeClass, sc: Scenario) -> float:
     return 8.0 * sc.speed_constant * cls.range_m * cls.speed / (math.pi * sc.arena_radius ** 2)
 
 
-def _window_mass(mu_c: Sequence[float], k: int, k2: int) -> float:
-    mu = np.asarray(mu_c, dtype=float)
-    if not (0 <= k <= k2 < mu.shape[0]):
-        raise ValueError(f"window [{k}, {k2}] outside policy of length {mu.shape[0]}")
-    return float(mu[k:k2 + 1].sum())
+def _windows(cum, ttl: int, n: int) -> np.ndarray:
+    """Policy mass in the TTL window of every sub-slot k < n,
+    w[k] = cum(k + 1) - cum(max(0, k - ttl)), where cum(m) is the mass of
+    the first m sub-slots: ``_prefix_mass`` of a policy row, or min(m, h)
+    for a threshold h.  A column of thresholds gives one C-ordered row of
+    windows per threshold, so a row sum keeps numpy's pairwise order."""
+    k = np.arange(n)
+    return cum(k + 1) - cum(np.maximum(0, k - ttl))
+
+
+def _prefix_mass(mu: np.ndarray):
+    """cum(m) of a policy row: the sum of its first m entries."""
+    return np.concatenate(([0.0], np.cumsum(mu))).__getitem__
 
 
 def q_no_receive(mu_c: Sequence[float], k: int, k2: int, lam: float, dt: float) -> float:
     """Probability that one relay receives nothing during sub-slots k..k2
     (inclusive): exp(-lam * dt * sum(mu_c[k:k2+1]))."""
-    return math.exp(-lam * dt * _window_mass(mu_c, k, k2))
+    mu = np.asarray(mu_c, dtype=float)
+    if not (0 <= k <= k2 < mu.shape[0]):
+        raise ValueError(f"window [{k}, {k2}] outside policy of length {mu.shape[0]}")
+    # k..k2 is the TTL window of sub-slot k2 for a TTL of k2 - k
+    return math.exp(-lam * dt * _windows(_prefix_mass(mu), k2 - k, k2 + 1)[k2])
 
 
-def _p_receive(c: int, k: int, k2: int, pol: Policy, sc: Scenario) -> float:
-    """1 - q_no_receive for one class-c relay over sub-slots k..k2, taken
-    through expm1 so that a small mass keeps its relative precision."""
-    return -math.expm1(-sc.rates[c] * sc.eff_slot * _window_mass(pol.probs[c], k, k2))
+def _p_receive(c: int, k: int, ttl: int, pol: Policy, sc: Scenario) -> float:
+    """Probability that one class-c relay received a copy in the TTL window
+    of sub-slot k, taken through expm1 so that a small mass keeps its
+    relative precision."""
+    if not (0 <= k < sc.subslots):
+        raise ValueError("slot index outside horizon")
+    w = _windows(_prefix_mass(pol.probs[c]), ttl, sc.subslots)[k]
+    return -math.expm1(-sc.rates[c] * sc.eff_slot * w)
 
 
 def expected_received(c: int, k: int, pol: Policy, sc: Scenario) -> float:
     """Expected number of class-c relays that got a copy by sub-slot k."""
-    if not (0 <= k < sc.subslots):
-        raise ValueError("slot index outside horizon")
-    return sc.classes[c].population * _p_receive(c, 0, k, pol, sc)
+    # a TTL of the whole horizon keeps every copy: the window is 0..k
+    return sc.classes[c].population * _p_receive(c, k, sc.subslots, pol, sc)
 
 
 def expected_holding(c: int, k: int, pol: Policy, sc: Scenario) -> float:
@@ -361,10 +376,8 @@ def expected_holding(c: int, k: int, pol: Policy, sc: Scenario) -> float:
     Only receptions within the trailing TTL window max(0, k - ttl)..k count;
     older copies have been discarded.
     """
-    if not (0 <= k < sc.subslots):
-        raise ValueError("slot index outside horizon")
-    lo = max(0, k - sc.classes[c].ttl_slots)
-    return sc.classes[c].population * _p_receive(c, lo, k, pol, sc)
+    cls = sc.classes[c]
+    return cls.population * _p_receive(c, k, cls.ttl_slots, pol, sc)
 
 
 def holding_laplace(s: float, c: int, h: int, pol: Policy, sc: Scenario) -> float:
@@ -376,29 +389,33 @@ def holding_laplace(s: float, c: int, h: int, pol: Policy, sc: Scenario) -> floa
     """
     if not (s > 0.0):
         raise ValueError("s must be > 0")
-    lo = max(0, h - sc.classes[c].ttl_slots)
-    p = _p_receive(c, lo, h, pol, sc)
-    return (1.0 - p * -math.expm1(-s)) ** sc.classes[c].population
+    cls = sc.classes[c]
+    p = _p_receive(c, h, cls.ttl_slots, pol, sc)
+    return (1.0 - p * -math.expm1(-s)) ** cls.population
 
 
 # ---------------------------------------------------------------------------
 # Objective and budget functionals
 # ---------------------------------------------------------------------------
 
-def _class_log_miss_policy(c: int, k: int, pol: Policy, sc: Scenario) -> float:
-    """log of the probability that class c never delivers within sub-slots
-    0..k-1, under the per-slot product approximation."""
-    cls = sc.classes[c]
-    lam = sc.rates[c]
-    dt = sc.eff_slot
-    mu = pol.probs[c]
-    csum = np.concatenate(([0.0], np.cumsum(mu)))
-    ks = np.arange(k)
-    lo = np.maximum(0, ks - cls.ttl_slots)
-    w = csum[ks + 1] - csum[lo]
-    p = -np.expm1(-lam * dt * w)
-    g = -math.expm1(-lam * dt)
-    return cls.population * float(np.log1p(-p * g).sum())
+def _log_miss_terms(x: float, w) -> np.ndarray:
+    """Per-relay log of no delivery in a sub-slot whose TTL window holds
+    policy mass w: log1p(-(1 - e^{x w}) g), g = 1 - e^x, x = -lam dt."""
+    p = -np.expm1(x * w)
+    g = -math.expm1(x)
+    return np.log1p(-p * g)
+
+
+def _threshold_sums(h: np.ndarray, ttl: int, n: int, terms) -> np.ndarray:
+    """For each threshold in h, the sum over sub-slots k < n of terms(w[k]),
+    w the TTL windows at cum(m) = min(m, h); about _CHUNK_CELLS cells at a
+    time, each threshold's terms one C-ordered row in k order."""
+    out = np.empty(h.shape[0])
+    rows = max(1, _CHUNK_CELLS // n)
+    for start in range(0, h.shape[0], rows):
+        col = h[start:start + rows, None]
+        out[start:start + rows] = terms(_windows(lambda m: np.minimum(m, col), ttl, n)).sum(axis=1)
+    return out
 
 
 def delivery_probability(pol: Policy, k: int, sc: Scenario) -> float:
@@ -412,7 +429,10 @@ def delivery_probability(pol: Policy, k: int, sc: Scenario) -> float:
         raise ValueError("horizon k must lie in [1, subslots]")
     if pol.probs.shape != (len(sc.classes), sc.subslots):
         raise ValueError("policy shape does not match scenario")
-    total = sum(_class_log_miss_policy(c, k, pol, sc) for c in range(len(sc.classes)))
+    total = 0.0
+    for c, cls in enumerate(sc.classes):
+        w = _windows(_prefix_mass(pol.probs[c]), cls.ttl_slots, k)
+        total += cls.population * float(_log_miss_terms(-sc.rates[c] * sc.eff_slot, w).sum())
     return -math.expm1(total)
 
 
@@ -430,6 +450,29 @@ def beacon_activity(pol: Policy, sc: Scenario) -> Iterator[tuple[Technology, np.
         yield tech, 1.0 - np.prod(1.0 - pol.probs[list(members), :], axis=0)
 
 
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _tx_terms(weight: float, scale: float, n: int) -> np.ndarray:
+    """weight * -expm1(scale * v) at the integer thresholds v < n, each
+    through math.expm1 as the scalar path takes it (read-only)."""
+    terms = np.array([weight * -math.expm1(scale * v) for v in range(n)])
+    terms.flags.writeable = False
+    return terms
+
+
+def _tx_energy(masses, sc: Scenario):
+    """Transmission energy tx_cost * population * (1 - e^{-lam dt mass}) of
+    the (class, mass) pairs ``masses``, summed in their order.  An array mass
+    holds integer thresholds and reads its terms from ``_tx_terms``, so each
+    entry carries the bits of the scalar path."""
+    total = 0.0
+    classes, rates, dt = sc.classes, sc.rates, sc.eff_slot
+    for c, h in masses:
+        weight, scale = classes[c].tx_cost * classes[c].population, -rates[c] * dt
+        total = total + (_tx_terms(weight, scale, sc.subslots)[h] if isinstance(h, np.ndarray)
+                         else weight * -math.expm1(scale * h))
+    return total
+
+
 def energy_spent(pol: Policy, sc: Scenario) -> float:
     """Expected energy drawn by a policy over the whole horizon.
 
@@ -440,11 +483,7 @@ def energy_spent(pol: Policy, sc: Scenario) -> float:
     """
     if pol.probs.shape != (len(sc.classes), sc.subslots):
         raise ValueError("policy shape does not match scenario")
-    dt = sc.eff_slot
-    total = 0.0
-    for c, cls in enumerate(sc.classes):
-        mass = float(pol.probs[c].sum())
-        total += cls.tx_cost * cls.population * -math.expm1(-sc.rates[c] * dt * mass)
+    total = _tx_energy(enumerate(float(row.sum()) for row in pol.probs), sc)
     for tech, active in beacon_activity(pol, sc):
         total += sc.beacon_rate(tech.ident) * float(active.sum())
     return total
@@ -460,10 +499,7 @@ def threshold_energy(thresholds: Sequence[float], sc: Scenario) -> float:
     hs = [float(h) for h in thresholds]
     if len(hs) != len(sc.classes):
         raise ValueError("threshold count does not match scenario classes")
-    dt = sc.eff_slot
-    total = 0.0
-    for c, cls in enumerate(sc.classes):
-        total += cls.tx_cost * cls.population * -math.expm1(-sc.rates[c] * dt * hs[c])
+    total = _tx_energy(enumerate(hs), sc)
     for tech in sc.technologies:
         members = sc.tech_members[tech.ident]
         if not members or tech.beacon_cost == 0.0:
@@ -492,45 +528,22 @@ def class_log_miss(c: int, thresholds: Iterable[float], sc: Scenario) -> np.ndar
     """
     cls = sc.classes[c]
     n = sc.subslots
-    lam = sc.rates[c]
-    dt = sc.eff_slot
+    x = -sc.rates[c] * sc.eff_slot
     h = np.atleast_1d(np.asarray(thresholds, dtype=float))
     if h.size and (h.min() < -1e-9 or h.max() > (n - 1) + 1e-9):
         raise ValueError("threshold outside policy grid")
     h = np.clip(h, 0.0, float(n - 1))
-    j = np.floor(h)
-    alpha = h - j
-    g = -math.expm1(-lam * dt)
-    k = np.arange(n)
-    a = np.maximum(0, k - cls.ttl_slots)
-    out = np.empty(h.shape[0])
-    rows = max(1, _CHUNK_CELLS // max(n, 1))
-    for start in range(0, h.shape[0], rows):
-        stop = min(start + rows, h.shape[0])
-        jj = j[start:stop, None]
-        w = np.clip(np.minimum(k + 1, jj) - a, 0.0, None)
-        w += alpha[start:stop, None] * ((a <= jj) & (jj <= k))
-        p = -np.expm1(-lam * dt * w)
-        out[start:stop] = cls.population * np.log1p(-p * g).sum(axis=1)
-    return out
+    return cls.population * _threshold_sums(h, cls.ttl_slots, n,
+                                            lambda w: _log_miss_terms(x, w))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _log_miss_sums(x: float, ttl: int, n: int) -> np.ndarray:
     """Per-relay class_log_miss over np.arange(n), x = -lam dt, TTL <= n - 1,
     with the same bits: at an integer threshold every window mass is an
-    integer in 0..ttl + 1, so each row gathers one term per mass, computed
-    with class_log_miss's operands, in its k order and pairwise sum."""
-    p = -np.expm1(x * np.arange(ttl + 2.0))
-    g = -math.expm1(x)
-    terms = np.log1p(-p * g)
-    k = np.arange(n)
-    a = np.maximum(0, k - ttl)
-    out = np.empty(n)
-    rows = max(1, _CHUNK_CELLS // n)
-    for start in range(0, n, rows):
-        j = np.arange(start, min(start + rows, n))[:, None]
-        out[start:start + rows] = terms[np.clip(np.minimum(k + 1, j) - a, 0, None)].sum(axis=1)
+    integer in 0..ttl + 1, so the rows gather one term per mass."""
+    terms = _log_miss_terms(x, np.arange(ttl + 2.0))
+    out = _threshold_sums(np.arange(n), ttl, n, terms.__getitem__)
     out.flags.writeable = False
     return out
 

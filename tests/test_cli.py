@@ -450,11 +450,41 @@ def test_simulate_malformed_policy_file_is_input_error(tmp_path, capsys, policy)
     assert "policy." in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("policy, where", [
+    ({"thresholds": ["1", True, "2.5"]}, "policy.thresholds[0]"),
+    ({"thresholds": [1.0, True, 2.5]}, "policy.thresholds[1]"),
+    ({"policy": [[0.0] * 5, [1.0, "0.5", 0.0, 0.0, 0.0], [0.0] * 5]}, "policy.policy[1][1]"),
+    ({"policy": [[0.0] * 5, [0.0] * 5, [True, 0.0, 0.0, 0.0, 0.0]]}, "policy.policy[2][0]"),
+], ids=["string-threshold", "bool-threshold", "string-cell", "bool-cell"])
+def test_simulate_non_numeric_policy_entry_is_input_error(tmp_path, capsys, policy, where):
+    base = scenario_doc()["classes"][0]
+    doc = scenario_doc(classes=[base, dict(base, speed_mps=3.0), dict(base, speed_mps=6.0)])
+    path = write_doc(tmp_path, doc)
+    pol_path = write_doc(tmp_path, policy, name="policy.json")
+    assert main(["simulate", "--scenario", path, "--policy-file", pol_path,
+                 "--trials", "100"]) == 1
+    assert where in capsys.readouterr().err
+
+
 def test_validate_enum_command(tmp_path, capsys):
     path = write_doc(tmp_path, two_class_doc())
     assert main(["validate-enum", "--scenario", path]) == 0
     out = capsys.readouterr().out
     assert "mismatches: 0" in out
+
+
+def test_validate_enum_with_a_costless_class(tmp_path, capsys):
+    # a class without transmission or beacon cost is pinned to full
+    # transmission: it is never the fractional class, and the brute force's
+    # profiles are compared on the costly classes only
+    base = scenario_doc()["classes"][0]
+    doc = scenario_doc(budget=0.1, classes=[base, dict(base, speed_mps=3.0),
+                                            dict(base, tx_cost=0.0)])
+    path = write_doc(tmp_path, doc)
+    assert main(["validate-enum", "--scenario", path]) == 0
+    out = capsys.readouterr().out
+    assert "mismatches: 0" in out
+    assert int(re.search(r"profiles checked: (\d+)", out).group(1)) > 0
 
 
 def test_validate_enum_out_and_json(tmp_path, capsys):

@@ -107,6 +107,18 @@ def test_expected_counts_keep_precision_at_small_mass():
     assert expected_holding(0, 4, pol, sc) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("k", [-1, 8], ids=["before", "after"])
+def test_subslot_index_outside_horizon_is_rejected(k):
+    sc = make_scenario([0.1], 1.0, slots=8, populations=[10], ttl=[2])
+    pol = Policy(np.ones((1, 8)))
+    with pytest.raises(ValueError):
+        expected_received(0, k, pol, sc)
+    with pytest.raises(ValueError):
+        expected_holding(0, k, pol, sc)
+    with pytest.raises(ValueError):
+        holding_laplace(0.5, 0, k, pol, sc)
+
+
 def test_holding_equals_received_with_long_ttl():
     rng = np.random.default_rng(0)
     sc = make_scenario([0.2], 1.0, slots=6, populations=[4], ttl=[6])

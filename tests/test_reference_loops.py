@@ -1,10 +1,17 @@
-"""Bit-exactness of the solver loops against verbatim copies of their
-earlier forms: the fixed 200-step ``saturating_threshold`` bisection, the
+"""Bit-exactness of the solver loops and model kernels against verbatim
+copies of their earlier forms.
+
+The loops are the fixed 200-step ``saturating_threshold`` bisection, the
 fixed 100-step shave in ``class_independent``, and the greedy award loop
-that looked every per-class value up again on each iteration.  Each pair is
+that looked every per-class value up again on each iteration; each pair is
 compared by repr over seeded instances with one to four classes, with and
 without beacons, with shared radios, and with budgets near zero and near
-the all-full cost."""
+the all-full cost.  The kernels are the log-miss evaluators (at a batch of
+thresholds, at every integer threshold, and under a general policy) and
+the three transmission-energy loops; they are compared bit for bit over
+seeded scenarios at resolutions 1-5 with TTLs below and at or above the
+last sub-slot, fractional and integer thresholds, and general policies.
+"""
 
 import math
 import sys
@@ -20,12 +27,16 @@ from twohop.cli import sample_table_scenario
 from twohop.greedy import GreedyReport, cardinality_cap, min_slots
 from twohop.gridsearch import _SNAP, saturating_threshold
 from twohop.model import (
+    _CHUNK_CELLS,
     BUDGET_RTOL,
+    Policy,
     Scenario,
     ThresholdPolicy,
+    beacon_activity,
     budget_tolerance,
     class_log_miss,
     class_log_miss_table,
+    delivery_probability,
     energy_spent,
     expand_threshold,
     is_costless,
@@ -341,3 +352,253 @@ def test_greedy_matches_per_iteration_loop_at_the_budget_boundary():
             seen.add(rep.iterations)
         flips += len(seen) > 1
     assert flips >= 20
+
+
+# ---------------------------------------------------------------------------
+# log-miss and transmission-energy kernels: reference copies
+# ---------------------------------------------------------------------------
+
+def class_log_miss_copy(c: int, thresholds, sc: Scenario) -> np.ndarray:
+    cls = sc.classes[c]
+    n = sc.subslots
+    lam = sc.rates[c]
+    dt = sc.eff_slot
+    h = np.atleast_1d(np.asarray(thresholds, dtype=float))
+    if h.size and (h.min() < -1e-9 or h.max() > (n - 1) + 1e-9):
+        raise ValueError("threshold outside policy grid")
+    h = np.clip(h, 0.0, float(n - 1))
+    j = np.floor(h)
+    alpha = h - j
+    g = -math.expm1(-lam * dt)
+    k = np.arange(n)
+    a = np.maximum(0, k - cls.ttl_slots)
+    out = np.empty(h.shape[0])
+    rows = max(1, _CHUNK_CELLS // max(n, 1))
+    for start in range(0, h.shape[0], rows):
+        stop = min(start + rows, h.shape[0])
+        jj = j[start:stop, None]
+        w = np.clip(np.minimum(k + 1, jj) - a, 0.0, None)
+        w += alpha[start:stop, None] * ((a <= jj) & (jj <= k))
+        p = -np.expm1(-lam * dt * w)
+        out[start:stop] = cls.population * np.log1p(-p * g).sum(axis=1)
+    return out
+
+
+def log_miss_sums_copy(x: float, ttl: int, n: int) -> np.ndarray:
+    p = -np.expm1(x * np.arange(ttl + 2.0))
+    g = -math.expm1(x)
+    terms = np.log1p(-p * g)
+    k = np.arange(n)
+    a = np.maximum(0, k - ttl)
+    out = np.empty(n)
+    rows = max(1, _CHUNK_CELLS // n)
+    for start in range(0, n, rows):
+        j = np.arange(start, min(start + rows, n))[:, None]
+        out[start:start + rows] = terms[np.clip(np.minimum(k + 1, j) - a, 0, None)].sum(axis=1)
+    out.flags.writeable = False
+    return out
+
+
+def class_log_miss_policy_copy(c: int, k: int, pol: Policy, sc: Scenario) -> float:
+    cls = sc.classes[c]
+    lam = sc.rates[c]
+    dt = sc.eff_slot
+    mu = pol.probs[c]
+    csum = np.concatenate(([0.0], np.cumsum(mu)))
+    ks = np.arange(k)
+    lo = np.maximum(0, ks - cls.ttl_slots)
+    w = csum[ks + 1] - csum[lo]
+    p = -np.expm1(-lam * dt * w)
+    g = -math.expm1(-lam * dt)
+    return cls.population * float(np.log1p(-p * g).sum())
+
+
+def delivery_probability_copy(pol: Policy, k: int, sc: Scenario) -> float:
+    total = sum(class_log_miss_policy_copy(c, k, pol, sc) for c in range(len(sc.classes)))
+    return -math.expm1(total)
+
+
+def energy_spent_copy(pol: Policy, sc: Scenario) -> float:
+    dt = sc.eff_slot
+    total = 0.0
+    for c, cls in enumerate(sc.classes):
+        mass = float(pol.probs[c].sum())
+        total += cls.tx_cost * cls.population * -math.expm1(-sc.rates[c] * dt * mass)
+    for tech, active in beacon_activity(pol, sc):
+        total += sc.beacon_rate(tech.ident) * float(active.sum())
+    return total
+
+
+def threshold_energy_copy(thresholds, sc: Scenario) -> float:
+    hs = [float(h) for h in thresholds]
+    dt = sc.eff_slot
+    total = 0.0
+    for c, cls in enumerate(sc.classes):
+        total += cls.tx_cost * cls.population * -math.expm1(-sc.rates[c] * dt * hs[c])
+    for tech in sc.technologies:
+        members = sc.tech_members[tech.ident]
+        if not members or tech.beacon_cost == 0.0:
+            continue
+        floors = [math.floor(hs[c]) for c in members]
+        m = max(floors)
+        tail = 1.0
+        for c, f in zip(members, floors):
+            if f == m:
+                tail *= 1.0 - (hs[c] - f)
+        total += sc.beacon_rate(tech.ident) * (m + 1.0 - tail)
+    return total
+
+
+def uniform_energy_copy(h: float, sc: Scenario) -> float:
+    total = 0.0
+    dt = sc.eff_slot
+    for c, cls in enumerate(sc.classes):
+        total += cls.tx_cost * cls.population * -math.expm1(-sc.rates[c] * dt * h)
+    for tech in sc.technologies:
+        if sc.tech_members[tech.ident]:
+            total += sc.beacon_rate(tech.ident) * h
+    return total
+
+
+# ---------------------------------------------------------------------------
+# log-miss and transmission-energy kernels: seeded inputs and checks
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _kernel_scenarios():
+    """Three classes per scenario at resolutions 1-5: one TTL below the last
+    sub-slot, one at it, one beyond it."""
+    rng = np.random.default_rng(12)
+    out = []
+    for i in range(40):
+        res = 1 + i % 5
+        slots = int(rng.integers(2, 9))
+        n = slots * res
+        base = make_scenario([float(rng.uniform(0.005, 0.6)) for _ in range(3)], 1.0,
+                             slots=slots, populations=[int(p) for p in rng.integers(1, 9, 3)],
+                             rho=[float(r) for r in rng.uniform(0.05, 1.0, 3)],
+                             beta=[float(b) for b in rng.uniform(0.0, 0.05, 3)],
+                             resolution=res, shared_tech=i % 3 == 0)
+        ttls = (int(rng.integers(1, n - 1)) if n > 2 else 1, n - 1, n + int(rng.integers(0, 4)))
+        out.append(replace(base, classes=tuple(
+            replace(cls, ttl_slots=t) for cls, t in zip(base.classes, ttls))))
+    # A4 draws: long grids, shared radios
+    for i in range(5):
+        out.append(sample_table_scenario(rng, resolution=1 + i, n_classes=2,
+                                         with_beacons=i % 2 == 0)[1])
+    return out
+
+
+KERNEL_SCENARIOS = _kernel_scenarios()
+
+
+def _threshold_batch(rng, n: int) -> np.ndarray:
+    """Every integer threshold, fractional ones, and fractions next to the
+    integers and the ends of the grid."""
+    frac = rng.uniform(0.0, n - 1, 40)
+    near = np.arange(n - 1) + np.array([1e-12, 0.5, 1.0 - 1e-12])[:, None]
+    return np.concatenate([np.arange(n, dtype=float), frac, near.ravel(),
+                           [0.0, 1e-300, float(n - 1)]])
+
+
+def _policies(rng, sc: Scenario):
+    """General policies: uniform cells, cells at exactly 0 or 1, and sparse
+    rows with tiny masses."""
+    shape = (len(sc.classes), sc.subslots)
+    yield Policy(rng.uniform(0.0, 1.0, shape))
+    yield Policy(rng.choice([0.0, 1.0, 0.25], shape))
+    sparse = np.where(rng.random(shape) < 0.3, rng.uniform(0.0, 1e-9, shape), 0.0)
+    yield Policy(sparse)
+
+
+def test_kernel_scenarios_cover_the_cases():
+    ttl_cases = set()
+    for sc in KERNEL_SCENARIOS:
+        for cls in sc.classes:
+            ttl_cases.add((sc.resolution, min(cls.ttl_slots, sc.subslots) - (sc.subslots - 1)))
+    for res in range(1, 6):
+        assert {(res, 0), (res, 1)} <= ttl_cases
+        assert any(r == res and d < 0 for r, d in ttl_cases)
+
+
+def test_class_log_miss_matches_copy():
+    rng = np.random.default_rng(121)
+    for sc in KERNEL_SCENARIOS:
+        h = _threshold_batch(rng, sc.subslots)
+        for c in range(len(sc.classes)):
+            assert _same_bits(class_log_miss(c, h, sc), class_log_miss_copy(c, h, sc))
+
+
+def test_log_miss_table_matches_copy():
+    for sc in KERNEL_SCENARIOS:
+        n = sc.subslots
+        for c, cls in enumerate(sc.classes):
+            sums = log_miss_sums_copy(-sc.rates[c] * sc.eff_slot, min(cls.ttl_slots, n - 1), n)
+            assert _same_bits(class_log_miss_table(c, sc), cls.population * sums)
+
+
+def test_log_miss_kernels_cross_chunk_boundaries(monkeypatch):
+    # small chunks split every batch and every table build into several
+    # blocks of rows; a row's sum must not depend on the block it sits in
+    rng = np.random.default_rng(122)
+    monkeypatch.setattr(model, "_CHUNK_CELLS", 50)
+    model._log_miss_sums.cache_clear()
+    try:
+        for sc in KERNEL_SCENARIOS[:40:4]:
+            n = sc.subslots
+            h = _threshold_batch(rng, n)
+            for c, cls in enumerate(sc.classes):
+                assert _same_bits(class_log_miss(c, h, sc), class_log_miss_copy(c, h, sc))
+                sums = log_miss_sums_copy(-sc.rates[c] * sc.eff_slot,
+                                          min(cls.ttl_slots, n - 1), n)
+                assert _same_bits(class_log_miss_table(c, sc), cls.population * sums)
+    finally:
+        model._log_miss_sums.cache_clear()
+
+
+def test_delivery_probability_matches_copy():
+    rng = np.random.default_rng(123)
+    for sc in KERNEL_SCENARIOS:
+        n = sc.subslots
+        for pol in _policies(rng, sc):
+            for k in sorted({1, n // 2 + 1, n}):
+                assert repr(delivery_probability(pol, k, sc)) == \
+                    repr(delivery_probability_copy(pol, k, sc))
+
+
+def test_delivery_of_expanded_thresholds_is_threshold_objective():
+    rng = np.random.default_rng(124)
+    checked = 0
+    for sc in KERNEL_SCENARIOS:
+        n1 = sc.max_threshold
+        draws = [rng.uniform(0.0, n1, len(sc.classes)) for _ in range(30)]
+        draws += [rng.integers(0, n1 + 1, len(sc.classes)).astype(float) for _ in range(10)]
+        for hs in draws:
+            tp = ThresholdPolicy(tuple(hs))
+            assert repr(delivery_probability(expand_threshold(tp, sc), sc.subslots, sc)) == \
+                repr(threshold_objective(tp.thresholds, sc))
+            checked += 1
+    assert checked >= 1800
+
+
+def test_transmission_energy_matches_copies():
+    rng = np.random.default_rng(125)
+    for sc in KERNEL_SCENARIOS + INSTANCES:
+        n1 = sc.max_threshold
+        for pol in _policies(rng, sc):
+            assert repr(energy_spent(pol, sc)) == repr(energy_spent_copy(pol, sc))
+        draws = [rng.uniform(0.0, n1, len(sc.classes)) for _ in range(4)]
+        # equal floors on a shared radio combine their fractional tails
+        j = float(rng.integers(0, n1 + 1))
+        draws.append(np.minimum(j + rng.uniform(0.0, 1.0, len(sc.classes)), n1))
+        draws.append(rng.integers(0, n1 + 1, len(sc.classes)).astype(float))
+        for hs in draws:
+            assert repr(threshold_energy(hs, sc)) == repr(threshold_energy_copy(hs, sc))
+            assert repr(energy_spent(expand_threshold(ThresholdPolicy(tuple(hs)), sc), sc)) == \
+                repr(energy_spent_copy(expand_threshold(ThresholdPolicy(tuple(hs)), sc), sc))
+        for h in [0.0, float(n1), *rng.uniform(0.0, n1, 4)]:
+            assert repr(_uniform_energy(h, sc)) == repr(uniform_energy_copy(h, sc))
