@@ -88,6 +88,12 @@ ALGORITHMS = ("grid", "greedy1", "greedy2", "combined", "arrival", "uniform")
 
 UB_CLASS_CAP = 3
 
+# Largest policy grid `solve` and `sweep` accept.  Each class's log-miss
+# table costs O(subslots^2) to build: about 1.2 s per class at this limit
+# on a 2-core Xeon VM, five times the largest grid the tests, the README
+# and the benchmark build (2,000 sub-slots).
+MAX_SUBSLOTS = 10_000
+
 
 class CliInputError(ValueError):
     """Bad command line or input document."""
@@ -390,6 +396,13 @@ def _algorithm_list(text: str) -> list[str]:
     return names
 
 
+def _check_subslots(ident: str, sc: Scenario) -> None:
+    if sc.subslots > MAX_SUBSLOTS:
+        raise CliInputError(
+            f"{ident}: {sc.subslots} sub-slots exceed MAX_SUBSLOTS = {MAX_SUBSLOTS};"
+            " lower the resolution or the deadline")
+
+
 def _solve_instance(ident: str, sc: Scenario, names: list[str], *,
                     timeout: float | None, ub_cap: int
                     ) -> list[tuple[dict, Exception | None]]:
@@ -476,6 +489,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_solve(args) -> int:
     sc = load_scenario(args.scenario, args.resolution)
+    _check_subslots(args.instance_id, sc)
     results = _solve_instance(args.instance_id, sc, _algorithm_list(args.algorithm),
                               timeout=args.timeout, ub_cap=args.ub_cap)
     for _, error in results:
@@ -503,6 +517,8 @@ def cmd_sweep(args) -> int:
     else:
         instances = [sample_scalability_scenario(rng, n_cls, resolution=resolution)
                      for n_cls in args.classes]
+    for ident, sc in instances:
+        _check_subslots(ident, sc)
 
     reports = []
     for ident, sc in instances:

@@ -108,13 +108,15 @@ class FeasibleRange:
 @dataclass
 class SolveReport:
     """Outcome of a grid search, with the rounded-up upper bound found in the
-    same enumeration pass."""
+    same enumeration pass.  ``pruned`` counts the candidates included in
+    ``enumerated`` that a prefix bound ruled out before their closure solve."""
 
     policy: ThresholdPolicy
     objective: float
     upper_bound: float
     ratio_bound: float
     enumerated: int = 0
+    pruned: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +357,136 @@ def _costly_classes(sc: Scenario) -> list[int]:
     return [c for c in range(len(sc.classes)) if not is_costless(c, sc)]
 
 
-def _leaf_batches(sc: Scenario, frac_c: int
+def _lower_hull(e: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices, by increasing energy, of the decreasing part of the lower
+    convex hull of the points (e, t): the points below every point of no
+    more energy, then repeated passes that drop every vertex lying on or
+    above the segment joining its neighbours."""
+    order = np.lexsort((t, e))
+    e, t = e[order], t[order]
+    front = t < np.minimum.accumulate(np.append(np.inf, t[:-1]))
+    e, t = e[front], t[front]
+    while e.size > 2:
+        drop = (t[1:-1] - t[:-2]) * (e[2:] - e[1:-1]) >= (t[2:] - t[1:-1]) * (e[1:-1] - e[:-2])
+        if not drop.any():
+            break
+        keep = np.concatenate(([True], ~drop, [True]))
+        e, t = e[keep], t[keep]
+    return e, t
+
+
+def _convolve(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of the infimal convolution of two hulls from
+    ``_lower_hull``: their segments merged by slope, each vertex the sum of
+    one vertex of each hull (one rounding per coordinate).  A vertex whose
+    energy rounds onto the next one's is dropped, which only lowers the
+    curve."""
+    (ea, ta), (eb, tb) = a, b
+    slopes = np.concatenate((np.diff(ta) / np.diff(ea), np.diff(tb) / np.diff(eb)))
+    from_a = np.arange(slopes.size) < ea.size - 1
+    ia = np.concatenate(([0], np.cumsum(from_a[np.argsort(slopes, kind="stable")])))
+    ib = np.arange(ia.size) - ia
+    e, t = ea[ia] + eb[ib], ta[ia] + tb[ib]
+    keep = np.append(e[:-1] < e[1:], True)
+    return e[keep], t[keep]
+
+
+def _hull_at(hull, e: np.ndarray) -> np.ndarray:
+    """The convolution at energies e: +inf below its first vertex (no
+    profile of the two classes spends less), flat past its last."""
+    he, ht = hull
+    return np.where(e < he[0], np.inf, np.interp(e, he, ht))
+
+
+class _HullBound:
+    """Lagrangian lower bounds for the candidates below each last-level
+    prefix of one fractional class, and the rule that rules a prefix out.
+
+    The candidates of a prefix differ only in the last level's class c and
+    the fractional class f.  Their remaining log-miss is at least
+    min T_c(h_c) + T_f(h_f) subject to E_c(h_c) + E_f(h_f) <= e, e the
+    budget left by the prefix, and weak duality bounds that from below by
+    the infimal convolution at e of the two classes' convex minorants: the
+    exact dual over every multiplier, with no multiplier grid.  ``hull``
+    holds that convolution for the log-miss, ``hull_up`` for the rounded-up
+    log-miss; ``grid_search`` describes the point sets, the energies charged
+    and the margins.  ``best`` is the search's running state, read live.
+    """
+
+    def __init__(self, sc: Scenario, frac_c: int, levels: list[int],
+                 tables: list[np.ndarray], pinned: float, slack: float, best: "_Best"):
+        c, self.prefix = levels[-1], levels[:-1]
+        self.n1, self.tables, self.pinned, self.slack, self.best = (
+            sc.max_threshold, tables, pinned, slack, best)
+        own, self.charges = {}, []
+        for tech in sc.technologies:
+            members = sc.tech_members[tech.ident]
+            if tech.beacon_cost == 0.0:
+                continue
+            fixed = [k for k in members if k in self.prefix]
+            if fixed:
+                self.charges.append((sc.beacon_rate(tech.ident), fixed))
+            elif len(members) == 1:
+                own[members[0]] = sc.beacon_rate(tech.ident)
+        h = np.arange(sc.subslots)
+        ec, ef = (_tx_energy([(k, h)], sc) + own.get(k, 0.0) * h for k in (c, frac_c))
+        tc, tf, d = tables[c], tables[frac_c], _log_miss_slopes(frac_c, sc)
+        self.hull = _convolve(_lower_hull(ec, tc), _lower_hull(
+            np.append(ef, ef[1:]), np.append(tf, tf[:-1] + d[:-1])))
+        self.hull_up = _convolve(_lower_hull(ec, np.append(tc[1:], tc[-1])),
+                                 _lower_hull(ef, np.append(tf[1:], tf[-1])))
+        cls = sc.classes[frac_c]
+        self.snap = _SNAP * (cls.tx_cost * cls.population * sc.rates[frac_c] * sc.eff_slot
+                             + own.get(frac_c, 0.0))
+        self.room = sc.budget + budget_tolerance(sc.budget) + slack
+        big = sum(abs(t[-1]) for t in tables)
+        rounding = (len(tables) + 64) * 2.0 ** -53
+        self.margin = _prune_margin(frac_c, sc, tables) + rounding * (big + np.abs(d).max())
+        self.margin_up = rounding * big
+        self.pruned = 0
+
+    def bounds(self, fixed: dict[int, np.ndarray], row_tx) -> tuple[np.ndarray, np.ndarray]:
+        """Lower bounds on the log-miss and on the rounded-up log-miss of
+        every candidate below each prefix row of ``fixed``, whose
+        transmission energy is ``row_tx``."""
+        known = known_up = self.pinned
+        for k in self.prefix:
+            known = known + self.tables[k][fixed[k]]
+            known_up = known_up + self.tables[k][np.minimum(fixed[k] + 1, self.n1)]
+        spent = row_tx
+        for rate, members in self.charges:
+            spent = spent + rate * functools.reduce(np.maximum, [fixed[k] for k in members])
+        g, g_up = self.at(self.room - spent)
+        return known + g, known_up + g_up
+
+    def at(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lower bounds on the log-miss and on the rounded-up log-miss that
+        the two remaining classes reach within energies e."""
+        return _hull_at(self.hull, e), _hull_at(self.hull_up, e + self.snap)
+
+    def rules_out(self, bound: np.ndarray, bound_up: np.ndarray) -> np.ndarray:
+        """Rows whose candidates can neither match the best log-miss nor
+        lower the rounded-up one, against the live incumbents."""
+        best = self.best
+        return ((bound - self.margin > min(best.incumbent, best.log_miss))
+                & (bound_up - self.margin_up > best.ub_log_miss))
+
+
+def _hull_bounds(sc: Scenario, tables: list[np.ndarray], pinned: float, full_energy: float,
+                 best: "_Best") -> dict[int, _HullBound]:
+    """One ``_HullBound`` per fractional class when every walk has two or
+    more levels (three or more costly classes), else none.  ``slack`` bounds
+    the rounding of every energy involved, at most
+    (q + 8) 2**-46 (budget + 2 E_full + 1) for q classes."""
+    costly = _costly_classes(sc)
+    if len(costly) < 3:
+        return {}
+    slack = 2.0 ** -46 * (len(sc.classes) + 8) * (sc.budget + 2.0 * full_energy + 1.0)
+    return {f: _HullBound(sc, f, [c for c in costly if c != f], tables, pinned, slack, best)
+            for f in costly}
+
+
+def _leaf_batches(sc: Scenario, frac_c: int, hull: _HullBound | None = None
                   ) -> Iterator[tuple[list[int], list[np.ndarray], np.ndarray]]:
     """The enumeration walker: yields (levels, vals, r) batches covering every
     candidate with fractional class ``frac_c``.
@@ -369,39 +500,82 @@ def _leaf_batches(sc: Scenario, frac_c: int
     is first yielded empty, so a consumer's deadline check runs once per
     chunk at every level; after the last level each chunk is closed by one
     fractional solve with one Newton segment per parent prefix, the
-    segmentation of the scalar walk, so every value keeps its bits.
+    segmentation of the scalar walk, so every value keeps its bits whatever
+    the order and grouping of the prefixes.
+
+    With a ``hull`` (``grid_search`` only), the last level's step bounds
+    every prefix row of its block, sorts the rows by bound and, before each
+    chunk, drops the rows that ``hull.rules_out`` against the live
+    incumbents, adding their hi - lo + 1 candidates to ``hull.pruned``
+    unclosed.  That count is what closing them would have yielded: a row is
+    dropped only when its two range ends still close with the remaining
+    budget moved by ``hull.slack`` towards each end's failure (the
+    overspent end at hi, the unexhaustible one at lo).  The remaining budget
+    and its excess over what full transmission of the fractional class
+    spends both fall with the leaf threshold in exact arithmetic, and
+    ``hull.slack`` exceeds four times their rounding, so every threshold
+    between the ends closes too.  The first chunk of such a block is its
+    best surviving row alone, so the incumbents it yields rule on the rest.
     """
     levels = [c for c in _costly_classes(sc) if c != frac_c]
     no_vals = [np.empty(0, int)] * len(levels)
+
+    def closure(fixed: dict[int, np.ndarray], v: np.ndarray, row_tx):
+        """Remaining budget and beacon coverage of the fractional class for
+        prefixes ``fixed`` with the last level at ``v``."""
+        c = levels[-1]
+        cls = sc.classes[c]
+        const = row_tx + cls.tx_cost * cls.population * -np.expm1(-sc.rates[c] * sc.eff_slot * v)
+        return _remaining(frac_c, _completion_masses(frac_c, {**fixed, c: v}, sc, "zero"), sc,
+                          const)
 
     def step(fixed: dict[int, np.ndarray]):
         c = levels[len(fixed)]
         lo, hi = _ranges(c, fixed, sc)
         rows = np.flatnonzero(lo <= hi)
         fixed = {k: v[rows] for k, v in fixed.items()}
-        lo = lo[rows]
-        count = hi[rows] - lo + 1
-        total = np.cumsum(count)
+        lo, hi = lo[rows], hi[rows]
+        count = hi - lo + 1
+        order = np.arange(rows.size)
         last = len(fixed) == len(levels) - 1
+        prune = False
         if last:
             # the closure's transmission energy with the leaf at mass 0
             # (adding exactly +0.0), once per parent prefix
             row_tx = np.broadcast_to(
                 _tx_energy(_completion_masses(frac_c, fixed, sc, "zero").items(), sc), rows.shape)
-            cls = sc.classes[c]
+            prune = hull is not None and rows.size > 0
+            if prune:
+                bound, bound_up = hull.bounds(fixed, row_tx)
+                order = np.argsort(bound, kind="stable")
+                both = {k: np.tile(v, 2) for k, v in fixed.items()}
+                rem, m2 = closure(both, np.concatenate((lo, hi)), np.tile(row_tx, 2))
+                nudge = np.repeat([hull.slack, -hull.slack], rows.size)
+                countable = np.isfinite(_solve_for(frac_c, rem + nudge, m2, sc)).reshape(2, -1)
+                countable = countable.all(axis=0)
+        total = np.cumsum(count[order])
         a = 0
-        while a < rows.size:
-            before = total[a] - count[a]
-            b = max(a + 1, int(np.searchsorted(total, before + _LEAF_CHUNK, "right")))
-            seg = np.repeat(np.arange(a, b), count[a:b])
-            starts = total[a:b] - count[a:b] - before
+        while a < order.size:
+            if prune:
+                rest = order[a:]
+                cut = countable[rest] & hull.rules_out(bound[rest], bound_up[rest])
+                if cut.any():
+                    hull.pruned += int(count[rest[cut]].sum())
+                    order = np.concatenate((order[:a], rest[~cut]))
+                    total = np.cumsum(count[order])
+                    if a == order.size:
+                        break
+            before = total[a] - count[order[a]]
+            b = a + 1 if prune and a == 0 else max(
+                a + 1, int(np.searchsorted(total, before + _LEAF_CHUNK, "right")))
+            sel = order[a:b]
+            local = np.repeat(np.arange(b - a), count[sel])
+            seg = sel[local]
+            starts = total[a:b] - count[sel] - before
             child = {k: v[seg] for k, v in fixed.items()}
-            child[c] = lo[seg] + np.arange(seg.size) - starts[seg - a]
+            child[c] = lo[seg] + np.arange(seg.size) - starts[local]
             if last:
-                const = row_tx[seg] + cls.tx_cost * cls.population * -np.expm1(
-                    -sc.rates[c] * sc.eff_slot * child[c])
-                masses = _completion_masses(frac_c, child, sc, "zero")
-                r = _solve_for(frac_c, *_remaining(frac_c, masses, sc, const), sc, starts=starts)
+                r = _solve_for(frac_c, *closure(child, child[c], row_tx[seg]), sc, starts=starts)
                 ok = np.isfinite(r)
                 yield levels, [child[k][ok] for k in levels], r[ok]
             else:
@@ -460,10 +634,12 @@ def brute_force_saturating(sc: Scenario, frac_c: int) -> set[tuple[tuple[int, in
 # ---------------------------------------------------------------------------
 
 class _Best:
-    """Running maximum in log-miss space with lexicographic tie-breaking."""
+    """Running state of a grid search in log-miss space: the best evaluated
+    candidate (ties break lexicographically), the smallest chord
+    (``incumbent``) and the smallest rounded-up log-miss."""
 
     def __init__(self):
-        self.log_miss = math.inf
+        self.log_miss = self.incumbent = self.ub_log_miss = math.inf
         self.thresholds: tuple[float, ...] | None = None
 
     def offer(self, log_miss: float, thresholds: tuple[float, ...]):
@@ -524,6 +700,49 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     the lexicographically smallest threshold vector.  The same pass yields
     the upper bound: every enumerated threshold rounded up to the next
     integer sub-slot, best objective regardless of the (violated) budget.
+
+    With three or more costly classes, whole last-level prefixes are ruled
+    out before their closure solve (branch and bound; ``_HullBound``).  A
+    prefix leaves e = budget + tolerance - E(prefix) to the last level's
+    class c and the fractional class f, and its candidates' log-miss is at
+    least known(prefix) + G(e), G the infimal convolution of two lower
+    convex hulls (decreasing parts only, read with ``np.interp``, +inf below
+    energy 0):
+
+    * class c: the points (E_c(h), T_c(h)) of its integer thresholds;
+    * class f: (E_f(j), T_f(j)) and the tangent end (E_f(j + 1),
+      T_f(j) + D(j)), D from ``_log_miss_slopes``.  On [j, j + 1] the
+      log-miss lies above the tangent and E_f, concave there, above its
+      chord, so the segment between them bounds every candidate j + a.
+
+    Energies are transmission energy plus beacons as far as they are
+    certain: a radio with one class adds rate * h to that class; a radio
+    with a prefix member costs at least rate * max(prefix members), charged
+    to E(prefix), and its other members nothing; a radio shared by c and f
+    alone is charged nothing.  The rounded-up bound takes the same hulls
+    over T_c(min(h + 1, n - 1)) and T_f(min(j + 1, n - 1)) at E_f(j); a
+    candidate whose tail lies within _SNAP of the next sub-slot rounds up
+    one sub-slot further, with at most _SNAP * max E_f' less energy, so
+    that hull is read at e + _SNAP * (tx_cost pop lam dt + own beacon rate).
+
+    A prefix is ruled out only when bound - margin > min(incumbent, best)
+    and bound_up - margin_up > the smallest rounded-up log-miss, both live;
+    its candidates then could neither be evaluated by the tangent test, nor
+    win, nor lower the upper bound, and they still count in ``enumerated``
+    (``SolveReport.pruned`` counts them too).  margin is ``_prune_margin``
+    plus (q + 64) u (S + max |D|) and margin_up is (q + 64) u S, u = 2**-53,
+    q the class count and S the summed |T_c(n - 1)|: the rounding of the
+    hull vertices (one addition each), of the tangent ends, of the vertex
+    test and of ``np.interp``, and of the partial sums on both sides.  The
+    energy rounding (at most 2**-46 (q + 8) (budget + 2 E_full + 1) across
+    the prefix energy, the hull energies and the closure's residual) is
+    added to e itself, which moves the bound by the local slope times it
+    and keeps +inf for prefixes that truly leave nothing.  Rows are
+    expanded in order of bound, the best one alone first, and every walk's
+    first batch (its best-bound prefix) is consumed before any walk goes
+    on, so the incumbents of all fractional classes rule from the start.
+    Each parent prefix keeps its own Newton segment, so the order moves no
+    bit.
     """
     t0 = time.perf_counter()
     n1 = sc.max_threshold
@@ -532,7 +751,8 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     rb = ratio_bound(sc.slots, sc.resolution, n_classes)
 
     full = tuple(float(n1) for _ in range(n_classes))
-    if within_budget(threshold_energy(full, sc), sc):
+    full_energy = threshold_energy(full, sc)
+    if within_budget(full_energy, sc):
         obj = threshold_objective(full, sc)
         return SolveReport(ThresholdPolicy(full), obj, upper_bound=obj,
                            ratio_bound=rb, enumerated=1)
@@ -540,52 +760,70 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     tables = [class_log_miss_table(c, sc) for c in range(n_classes)]
     # the classes outside the enumeration are the costless ones, pinned full
     pinned = sum(tables[c][n1] for c in range(n_classes) if is_costless(c, sc))
+    # T[j + 1]; j = n - 1 only with a = 0
+    tables_next = [np.append(t[1:], t[-1]) for t in tables]
     best = _Best()
-    incumbent = ub_log_miss = math.inf
     enumerated = 0
+    costly = _costly_classes(sc)
+    hulls = _hull_bounds(sc, tables, pinned, full_energy, best)
 
-    for frac_c in _costly_classes(sc):
-        table = tables[frac_c]
-        following = np.append(table[1:], table[-1])   # T[j + 1]; j = n - 1 only with a = 0
-        slopes = _log_miss_slopes(frac_c, sc)
-        margin = _prune_margin(frac_c, sc, tables)
-        for levels, vals, r in _leaf_batches(sc, frac_c):
+    def batches(frac_c: int):
+        """The walker's non-empty batches, under the deadline."""
+        for batch in _leaf_batches(sc, frac_c, hulls.get(frac_c)):
             if deadline is not None and time.perf_counter() > deadline:
                 raise SolveTimeout(f"grid search exceeded {timeout_s:g} s")
-            if r.size == 0:
-                continue
-            enumerated += r.size
-            known = known_up = np.full(r.shape, pinned)
-            for c, h in zip(levels, vals):
-                known = known + tables[c][h]
-                known_up = known_up + tables[c][np.minimum(h + 1, n1)]
-            up_r = np.minimum(np.floor(r + _SNAP).astype(int) + 1, n1)
-            ub_log_miss = min(ub_log_miss, (known_up + table[up_r]).min())
-            j = r.astype(int)
-            alpha = r - j
-            chord = known + ((1.0 - alpha) * table[j] + alpha * following[j])
-            incumbent = min(incumbent, chord.min())
-            tangent = known + (table[j] + alpha * slopes[j])
-            keep = np.flatnonzero(tangent - margin <= min(incumbent, best.log_miss))
-            if keep.size == 0:
-                continue
-            exact = known[keep] + class_log_miss(frac_c, r[keep], sc)
-            for idx in np.argsort(exact, kind="stable"):
-                val = float(exact[idx])
-                if val > best.log_miss:
-                    break
-                i = keep[idx]
-                fixed = {c: int(v[i]) for c, v in zip(levels, vals)}
-                best.offer(val, _full_profile(sc, frac_c, fixed, r[i]))
+            if batch[2].size:
+                yield batch
 
+    slopes = {f: _log_miss_slopes(f, sc) for f in costly}
+    margins = {f: _prune_margin(f, sc, tables) for f in costly}
+
+    def consume(frac_c: int, levels, vals, r):
+        nonlocal enumerated
+        enumerated += r.size
+        table, following = tables[frac_c], tables_next[frac_c]
+        known = known_up = np.full(r.shape, pinned)
+        for c, h in zip(levels, vals):
+            known = known + tables[c][h]
+            known_up = known_up + tables[c][np.minimum(h + 1, n1)]
+        up_r = np.minimum(np.floor(r + _SNAP).astype(int) + 1, n1)
+        best.ub_log_miss = min(best.ub_log_miss, (known_up + table[up_r]).min())
+        j = r.astype(int)
+        alpha = r - j
+        chord = known + ((1.0 - alpha) * table[j] + alpha * following[j])
+        best.incumbent = min(best.incumbent, chord.min())
+        tangent = known + (table[j] + alpha * slopes[frac_c][j])
+        keep = np.flatnonzero(tangent - margins[frac_c] <= min(best.incumbent, best.log_miss))
+        if keep.size == 0:
+            return
+        exact = known[keep] + class_log_miss(frac_c, r[keep], sc)
+        for idx in np.argsort(exact, kind="stable"):
+            val = float(exact[idx])
+            if val > best.log_miss:
+                break
+            i = keep[idx]
+            fixed = {c: int(v[i]) for c, v in zip(levels, vals)}
+            best.offer(val, _full_profile(sc, frac_c, fixed, r[i]))
+
+    walks = {f: batches(f) for f in costly}
+    for frac_c in hulls:   # every walk's best-bound prefix first
+        batch = next(walks[frac_c], None)
+        if batch is not None:
+            consume(frac_c, *batch)
+    for frac_c, walk in walks.items():
+        for batch in walk:
+            consume(frac_c, *batch)
+
+    pruned = sum(hull.pruned for hull in hulls.values())
     thresholds = best.thresholds
     if thresholds is None:
         # nothing saturates (e.g. zero budget with no enumerable candidate)
         thresholds = tuple(float(n1) if is_costless(c, sc) else 0.0 for c in range(n_classes))
     objective = threshold_objective(thresholds, sc)
+    ub_log_miss = best.ub_log_miss
     ub = objective if math.isinf(ub_log_miss) else max(-math.expm1(ub_log_miss), objective)
     return SolveReport(ThresholdPolicy(thresholds), objective, upper_bound=ub, ratio_bound=rb,
-                       enumerated=enumerated)
+                       enumerated=enumerated + pruned, pruned=pruned)
 
 
 def ratio_bound(k_slots: int, resolution: int, n_classes: float) -> float:

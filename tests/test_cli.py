@@ -260,6 +260,32 @@ def test_bad_numeric_flag_is_input_error(tmp_path, capsys, argv, flag):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+def test_solve_rejects_grid_beyond_subslot_limit(tmp_path, capsys, monkeypatch):
+    # six slots at resolution 2001 are 12,006 sub-slots: refused before any
+    # table is built; a grid at the limit itself is solved
+    path = write_doc(tmp_path, two_class_doc())
+    assert main(["solve", "--scenario", path, "--resolution", "2001"]) == 1
+    err = capsys.readouterr().err
+    assert "12006 sub-slots" in err and "MAX_SUBSLOTS = 10000" in err
+    monkeypatch.setattr(twohop.cli, "MAX_SUBSLOTS", 12)
+    assert main(["solve", "--scenario", path, "--resolution", "2"]) == 0
+    assert main(["solve", "--scenario", path, "--resolution", "3"]) == 1
+    assert "18 sub-slots exceed MAX_SUBSLOTS = 12" in capsys.readouterr().err
+
+
+def test_sweep_rejects_grid_beyond_subslot_limit(tmp_path, capsys, monkeypatch):
+    # scalability instances span 100 slots
+    args = ["sweep", "--mode", "scalability", "--classes", "2", "--algorithms", "greedy1",
+            "--out", str(tmp_path / "scal.csv")]
+    assert main(args + ["--resolution", "101"]) == 1
+    assert "10100 sub-slots exceed MAX_SUBSLOTS = 10000" in capsys.readouterr().err
+    assert not (tmp_path / "scal.csv").exists()
+    monkeypatch.setattr(twohop.cli, "MAX_SUBSLOTS", 300)
+    assert main(args + ["--resolution", "3"]) == 0
+    assert main(args + ["--resolution", "4"]) == 1
+    assert "400 sub-slots exceed MAX_SUBSLOTS = 300" in capsys.readouterr().err
+
+
 def test_bound_command(capsys):
     assert main(["bound", "--slots", "2", "--resolution", "10"]) == 0
     value = float(capsys.readouterr().out.strip())

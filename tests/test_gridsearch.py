@@ -29,16 +29,25 @@ from twohop.gridsearch import (
     _SNAP,
     FeasibleRange,
     SolveTimeout,
+    _Best,
+    _completion_masses,
+    _costly_classes,
+    _hull_bounds,
+    _leaf_batches,
     _prune_margin,
     _ranges,
     _solve_saturating_vec,
     brute_force_saturating,
 )
 from twohop.model import (
+    NodeClass,
+    Technology,
     _log_miss_slopes,
+    _tx_energy,
     budget_tolerance,
     class_log_miss,
     class_log_miss_table,
+    is_costless,
 )
 from conftest import (
     make_scenario,
@@ -447,6 +456,174 @@ def test_upper_bound_equals_full_policy_when_unconstrained():
     sc = make_scenario([0.1, 0.2], 100.0, slots=6)
     assert grid_search(sc).upper_bound == pytest.approx(
         threshold_objective([5.0, 5.0], sc), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# branch and bound: the Lagrangian hull bound on last-level prefixes
+# ---------------------------------------------------------------------------
+
+def _bound_instances():
+    """Random three- and four-class instances with beacons (own and shared
+    radios), a costless class, TTL 1, and budgets near zero, anywhere and
+    near the all-full cost; those the all-full profile fits are left out."""
+    rng = np.random.default_rng(34)
+    fracs = ((0.01, 0.02), (0.05, 0.95), (0.97, 0.99))
+    out = []
+    for i in range(60):
+        n_classes = 3 + i % 2
+        sc = random_small_scenario(rng, n_classes=n_classes, max_slots=12 if n_classes == 3 else 8,
+                                   beacon_scale=0.4 if i % 3 else 0.0, share_prob=0.5,
+                                   budget_frac=fracs[i % 3], min_slots_count=4)
+        classes, techs = list(sc.classes), list(sc.technologies)
+        if i % 4 == 1:
+            classes = [dataclasses.replace(cls, ttl_slots=1) for cls in classes]
+        if i % 6 < 2:
+            techs.append(Technology("free", 0.0))
+            classes[0] = dataclasses.replace(classes[0], tx_cost=0.0, technology="free")
+        sc = dataclasses.replace(sc, classes=tuple(classes), technologies=tuple(techs))
+        full = threshold_energy([sc.max_threshold] * n_classes, sc)
+        if full > sc.budget + budget_tolerance(sc.budget):
+            out.append(sc)
+    return out
+
+
+BOUND_INSTANCES = _bound_instances()
+
+
+def _hulls(sc):
+    tables = [class_log_miss_table(c, sc) for c in range(len(sc.classes))]
+    pinned = sum(tables[c][-1] for c in range(len(sc.classes)) if is_costless(c, sc))
+    full = threshold_energy([sc.max_threshold] * len(sc.classes), sc)
+    return tables, pinned, _hull_bounds(sc, tables, pinned, full, _Best())
+
+
+def test_bound_instances_cover_the_cases():
+    shared = [sc for sc in BOUND_INSTANCES if any(
+        len(m) > 1 and sc.tech_by_id[t].beacon_cost > 0.0 for t, m in sc.tech_members.items())]
+    assert len(shared) >= 5
+    assert any(any(is_costless(c, sc) for c in range(len(sc.classes))) for sc in BOUND_INSTANCES)
+    assert any(all(cls.ttl_slots == 1 for cls in sc.classes) for sc in BOUND_INSTANCES)
+    assert {len(sc.classes) for sc in BOUND_INSTANCES} == {3, 4}
+    assert len(BOUND_INSTANCES) >= 25
+
+
+def test_hull_bound_holds_below_every_prefix():
+    # every last-level prefix the walker expands: the bound minus its margin
+    # stays below the exact log-miss of each of its candidates, and below
+    # the tangent by no more than what the tangent test itself allows; the
+    # rounded-up bound stays below each rounded-up value
+    checked = tight = 0
+    for sc in BOUND_INSTANCES:
+        tables, pinned, hulls = _hulls(sc)
+        n1 = sc.max_threshold
+        for frac_c, hull in hulls.items():
+            slopes, table = _log_miss_slopes(frac_c, sc), tables[frac_c]
+            lows = {}
+            for levels, vals, r in _leaf_batches(sc, frac_c):
+                if r.size == 0:
+                    continue
+                known = known_up = np.full(r.shape, pinned)
+                for c, h in zip(levels, vals):
+                    known = known + tables[c][h]
+                    known_up = known_up + tables[c][np.minimum(h + 1, n1)]
+                j = r.astype(int)
+                tangent = known + (table[j] + (r - j) * slopes[j])
+                exact = known + class_log_miss(frac_c, r, sc)
+                up = known_up + table[np.minimum(np.floor(r + _SNAP).astype(int) + 1, n1)]
+                for i in range(r.size):
+                    key = tuple(int(v[i]) for v in vals[:-1])
+                    old = lows.get(key, (math.inf,) * 3)
+                    lows[key] = (min(old[0], tangent[i]), min(old[1], exact[i]), min(old[2], up[i]))
+            if not lows:
+                continue
+            prefix = [c for c in _costly_classes(sc) if c != frac_c][:-1]
+            fixed = {c: np.array([key[k] for key in lows]) for k, c in enumerate(prefix)}
+            row_tx = _tx_energy(_completion_masses(frac_c, fixed, sc, "zero").items(), sc)
+            bound, bound_up = hull.bounds(fixed, row_tx)
+            tangent, exact, up = (np.array([low[k] for low in lows.values()]) for k in range(3))
+            slack = hull.margin - _prune_margin(frac_c, sc, tables)
+            assert np.all(bound - hull.margin <= exact)
+            assert np.all(bound - slack <= tangent)
+            assert np.all(bound_up - hull.margin_up <= up)
+            checked += len(lows)
+            tight += int(np.sum(bound > exact - 0.1 * np.abs(exact)))
+    print(checked, tight)
+    assert checked >= 400 and tight >= checked // 2
+
+
+def test_hull_bound_holds_at_every_profile_energy():
+    # each profile of the last level's class c and the fractional class f,
+    # the other classes silent, at its own energy (no budget tolerance):
+    # integer and fractional tails for the log-miss, and tails within _SNAP
+    # below the next sub-slot (which round up one sub-slot further) for the
+    # rounded-up log-miss
+    checked = 0
+    for sc in BOUND_INSTANCES:
+        tables, _, hulls = _hulls(sc)
+        n1 = sc.max_threshold
+        for frac_c, hull in hulls.items():
+            c = [k for k in _costly_classes(sc) if k != frac_c][-1]
+            slopes = _log_miss_slopes(frac_c, sc)
+            for v in range(n1 + 1):
+                for j in range(n1 + 1):
+                    for alpha in (0.0, 0.3, 0.7, 1.0 - _SNAP / 2):
+                        r = j + alpha
+                        if r > n1:
+                            continue
+                        hs = [0.0] * len(sc.classes)
+                        hs[c], hs[frac_c] = float(v), r
+                        g, g_up = hull.at(np.array([threshold_energy(hs, sc)]))
+                        if alpha < 0.5:
+                            tangent = tables[c][v] + (tables[frac_c][j] + alpha * slopes[j])
+                            exact = tables[c][v] + class_log_miss(frac_c, [r], sc)[0]
+                            assert g[0] - hull.margin <= exact
+                            assert g[0] - (hull.margin - _prune_margin(frac_c, sc, tables)) \
+                                <= tangent
+                        up = (tables[c][min(v + 1, n1)]
+                              + tables[frac_c][min(math.floor(r + _SNAP) + 1, n1)])
+                        assert g_up[0] - hull.margin_up <= up
+                        checked += 1
+    assert checked >= 20_000
+
+
+def test_pruning_keeps_every_output(monkeypatch):
+    # the pruned walk against the exhaustive one: same profile, objective,
+    # upper bound and count, in chunks of a few rows too (which re-test the
+    # rows more often, so they may prune more); on these instances the
+    # bound rules out candidates
+    def outputs(rep):
+        return repr((rep.policy, rep.objective, rep.upper_bound, rep.enumerated))
+
+    pruned = 0
+    for sc in BOUND_INSTANCES:
+        rep = grid_search(sc)
+        with monkeypatch.context() as m:
+            m.setattr(twohop.gridsearch, "_hull_bounds", lambda *args: {})
+            whole = grid_search(sc)
+        assert whole.pruned == 0 and outputs(rep) == outputs(whole)
+        with monkeypatch.context() as m:
+            m.setattr(twohop.gridsearch, "_LEAF_CHUNK", 3)
+            assert outputs(grid_search(sc)) == outputs(rep)
+        pruned += rep.pruned
+    assert pruned > 0
+
+
+def test_pruned_counter():
+    # most of the anchor three-class table instance is ruled out unclosed;
+    # one and two classes leave a single walker level, so nothing is pruned
+    rng = np.random.default_rng(810)
+    draws = [sample_table_scenario(rng, resolution=5, with_beacons=i % 2 == 0)[1]
+             for i in range(20)]
+    rep = grid_search(draws[19])
+    assert len(draws[19].classes) == 3
+    assert rep.pruned >= 0.9 * rep.enumerated
+    small = [sc for sc in draws if len(sc.classes) < 3]
+    rng = np.random.default_rng(35)
+    small += [random_small_scenario(rng, n_classes=1 + i % 2, max_slots=12,
+                                    beacon_scale=0.05 * (i % 2), share_prob=0.5)
+              for i in range(20)]
+    assert len(small) >= 30
+    assert all(grid_search(sc).pruned == 0 for sc in small)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ last sub-slot, fractional and integer thresholds, and general policies.
 
 import math
 import sys
+import time
 from dataclasses import replace
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -25,13 +27,32 @@ from twohop import GreedyVariant, class_independent, greedy_construct, model
 from twohop.baselines import _uniform_energy, uniform_policy
 from twohop.cli import sample_table_scenario
 from twohop.greedy import GreedyReport, cardinality_cap, min_slots
-from twohop.gridsearch import _SNAP, saturating_threshold
+from twohop.gridsearch import (
+    _LEAF_CHUNK,
+    _SNAP,
+    SolveReport,
+    SolveTimeout,
+    _Best,
+    _completion_masses,
+    _costly_classes,
+    _full_profile,
+    _prune_margin,
+    _ranges,
+    _remaining,
+    _solve_for,
+    grid_search,
+    ratio_bound,
+    saturating_threshold,
+)
 from twohop.model import (
     _CHUNK_CELLS,
     BUDGET_RTOL,
     Policy,
     Scenario,
+    Technology,
     ThresholdPolicy,
+    _log_miss_slopes,
+    _tx_energy,
     beacon_activity,
     budget_tolerance,
     class_log_miss,
@@ -42,6 +63,7 @@ from twohop.model import (
     is_costless,
     threshold_energy,
     threshold_objective,
+    within_budget,
 )
 from conftest import make_scenario, random_small_scenario
 
@@ -602,3 +624,225 @@ def test_transmission_energy_matches_copies():
                 repr(energy_spent_copy(expand_threshold(ThresholdPolicy(tuple(hs)), sc), sc))
         for h in [0.0, float(n1), *rng.uniform(0.0, n1, 4)]:
             assert repr(_uniform_energy(h, sc)) == repr(uniform_energy_copy(h, sc))
+
+
+# ---------------------------------------------------------------------------
+# grid search: the exhaustive walker and search, verbatim
+# ---------------------------------------------------------------------------
+
+def leaf_batches_copy(sc: Scenario, frac_c: int
+                      ) -> Iterator[tuple[list[int], list[np.ndarray], np.ndarray]]:
+    """The enumeration walker: yields (levels, vals, r) batches covering every
+    candidate with fractional class ``frac_c``.
+
+    ``levels`` are the costly classes other than ``frac_c`` in ascending
+    order, and ``vals`` holds one integer array per level, aligned with the
+    fractional thresholds ``r`` (unsaturable entries dropped).  Each level is
+    one step over a block of prefixes: one ``_ranges`` call for the block,
+    then its expansion in chunks of whole prefixes, about ``_LEAF_CHUNK``
+    rows each.  Above the last level a chunk is the next level's block and
+    is first yielded empty, so a consumer's deadline check runs once per
+    chunk at every level; after the last level each chunk is closed by one
+    fractional solve with one Newton segment per parent prefix, the
+    segmentation of the scalar walk, so every value keeps its bits.
+    """
+    levels = [c for c in _costly_classes(sc) if c != frac_c]
+    no_vals = [np.empty(0, int)] * len(levels)
+
+    def step(fixed: dict[int, np.ndarray]):
+        c = levels[len(fixed)]
+        lo, hi = _ranges(c, fixed, sc)
+        rows = np.flatnonzero(lo <= hi)
+        fixed = {k: v[rows] for k, v in fixed.items()}
+        lo = lo[rows]
+        count = hi[rows] - lo + 1
+        total = np.cumsum(count)
+        last = len(fixed) == len(levels) - 1
+        if last:
+            # the closure's transmission energy with the leaf at mass 0
+            # (adding exactly +0.0), once per parent prefix
+            row_tx = np.broadcast_to(
+                _tx_energy(_completion_masses(frac_c, fixed, sc, "zero").items(), sc), rows.shape)
+            cls = sc.classes[c]
+        a = 0
+        while a < rows.size:
+            before = total[a] - count[a]
+            b = max(a + 1, int(np.searchsorted(total, before + _LEAF_CHUNK, "right")))
+            seg = np.repeat(np.arange(a, b), count[a:b])
+            starts = total[a:b] - count[a:b] - before
+            child = {k: v[seg] for k, v in fixed.items()}
+            child[c] = lo[seg] + np.arange(seg.size) - starts[seg - a]
+            if last:
+                const = row_tx[seg] + cls.tx_cost * cls.population * -np.expm1(
+                    -sc.rates[c] * sc.eff_slot * child[c])
+                masses = _completion_masses(frac_c, child, sc, "zero")
+                r = _solve_for(frac_c, *_remaining(frac_c, masses, sc, const), sc, starts=starts)
+                ok = np.isfinite(r)
+                yield levels, [child[k][ok] for k in levels], r[ok]
+            else:
+                yield levels, no_vals, np.empty(0)
+                yield from step(child)
+            a = b
+
+    if levels:
+        yield from step({})
+    else:
+        masses = _completion_masses(frac_c, {}, sc, "zero")
+        r = _solve_for(frac_c, *_remaining(frac_c, masses, sc, _tx_energy(masses.items(), sc)), sc)
+        yield levels, no_vals, r[np.isfinite(r)]
+
+
+def grid_search_copy(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
+    """Best budget-saturating threshold profile with at most one fractional
+    threshold (or the all-full profile when the budget allows it).
+
+    Enumerates every fractional-class choice; integer levels are walked in
+    ascending class order, each as one vector step over a block of prefixes.
+    The log-miss is convex in the fractional tail, so every candidate lies
+    between a tangent and a chord of the cached per-class log-miss table;
+    the smallest chord is an incumbent, and only candidates whose tangent
+    reaches it (within a rounding margin) are evaluated exactly, which
+    leaves the result identical to exhaustive evaluation.  Ties break toward
+    the lexicographically smallest threshold vector.  The same pass yields
+    the upper bound: every enumerated threshold rounded up to the next
+    integer sub-slot, best objective regardless of the (violated) budget.
+    """
+    t0 = time.perf_counter()
+    n1 = sc.max_threshold
+    n_classes = len(sc.classes)
+    deadline = None if timeout_s is None else t0 + timeout_s
+    rb = ratio_bound(sc.slots, sc.resolution, n_classes)
+
+    full = tuple(float(n1) for _ in range(n_classes))
+    if within_budget(threshold_energy(full, sc), sc):
+        obj = threshold_objective(full, sc)
+        return SolveReport(ThresholdPolicy(full), obj, upper_bound=obj,
+                           ratio_bound=rb, enumerated=1)
+
+    tables = [class_log_miss_table(c, sc) for c in range(n_classes)]
+    # the classes outside the enumeration are the costless ones, pinned full
+    pinned = sum(tables[c][n1] for c in range(n_classes) if is_costless(c, sc))
+    best = _Best()
+    incumbent = ub_log_miss = math.inf
+    enumerated = 0
+
+    for frac_c in _costly_classes(sc):
+        table = tables[frac_c]
+        following = np.append(table[1:], table[-1])   # T[j + 1]; j = n - 1 only with a = 0
+        slopes = _log_miss_slopes(frac_c, sc)
+        margin = _prune_margin(frac_c, sc, tables)
+        for levels, vals, r in leaf_batches_copy(sc, frac_c):
+            if deadline is not None and time.perf_counter() > deadline:
+                raise SolveTimeout(f"grid search exceeded {timeout_s:g} s")
+            if r.size == 0:
+                continue
+            enumerated += r.size
+            known = known_up = np.full(r.shape, pinned)
+            for c, h in zip(levels, vals):
+                known = known + tables[c][h]
+                known_up = known_up + tables[c][np.minimum(h + 1, n1)]
+            up_r = np.minimum(np.floor(r + _SNAP).astype(int) + 1, n1)
+            ub_log_miss = min(ub_log_miss, (known_up + table[up_r]).min())
+            j = r.astype(int)
+            alpha = r - j
+            chord = known + ((1.0 - alpha) * table[j] + alpha * following[j])
+            incumbent = min(incumbent, chord.min())
+            tangent = known + (table[j] + alpha * slopes[j])
+            keep = np.flatnonzero(tangent - margin <= min(incumbent, best.log_miss))
+            if keep.size == 0:
+                continue
+            exact = known[keep] + class_log_miss(frac_c, r[keep], sc)
+            for idx in np.argsort(exact, kind="stable"):
+                val = float(exact[idx])
+                if val > best.log_miss:
+                    break
+                i = keep[idx]
+                fixed = {c: int(v[i]) for c, v in zip(levels, vals)}
+                best.offer(val, _full_profile(sc, frac_c, fixed, r[i]))
+
+    thresholds = best.thresholds
+    if thresholds is None:
+        # nothing saturates (e.g. zero budget with no enumerable candidate)
+        thresholds = tuple(float(n1) if is_costless(c, sc) else 0.0 for c in range(n_classes))
+    objective = threshold_objective(thresholds, sc)
+    ub = objective if math.isinf(ub_log_miss) else max(-math.expm1(ub_log_miss), objective)
+    return SolveReport(ThresholdPolicy(thresholds), objective, upper_bound=ub, ratio_bound=rb,
+                       enumerated=enumerated)
+
+
+def _grid_instances():
+    """Three to five classes; beacons on own and shared radios or none; TTL
+    as drawn, 1 or the full horizon; a costless class; budgets at 1-2%,
+    5-95% and 97-99% of the all-full cost."""
+    rng = np.random.default_rng(11)
+    fracs = ((0.01, 0.02), (0.05, 0.95), (0.97, 0.99))
+    out = []
+    for i in range(132):
+        n_classes = 3 + i % 3
+        sc = random_small_scenario(rng, n_classes=n_classes, max_slots=(11, 7, 5)[i % 3],
+                                   beacon_scale=0.3 if (i // 3) % 2 else 0.0, share_prob=0.5,
+                                   budget_frac=fracs[(i // 6) % 3])
+        ttl = (i // 18) % 3
+        classes = [replace(cls, ttl_slots=(cls.ttl_slots, 1, sc.subslots)[ttl])
+                   for cls in sc.classes]
+        techs = list(sc.technologies)
+        if i % 5 == 0:
+            techs.append(Technology("free", 0.0))
+            classes[1] = replace(classes[1], tx_cost=0.0, technology="free")
+        out.append(replace(sc, classes=tuple(classes), technologies=tuple(techs)))
+    return out
+
+
+GRID_INSTANCES = _grid_instances()
+
+
+def _heavy_table_draws(count: int) -> list[Scenario]:
+    """The first three-class, 100-slot draws of the seed-810 A4 stream
+    (resolution 5, beacons on even draws): table-sweep's fixed heavy part."""
+    rng = np.random.default_rng(810)
+    out = []
+    for i in range(10_000):
+        sc = sample_table_scenario(rng, resolution=5, with_beacons=i % 2 == 0)[1]
+        if len(sc.classes) == 3 and sc.slots == 100:
+            out.append(sc)
+            if len(out) == count:
+                break
+    return out
+
+
+def _grid_outputs(rep) -> str:
+    return repr((rep.policy, rep.objective, rep.upper_bound, rep.ratio_bound, rep.enumerated))
+
+
+def test_grid_instances_cover_the_cases():
+    assert {len(sc.classes) for sc in GRID_INSTANCES} == {3, 4, 5}
+    beacons = [any(t.beacon_cost > 0.0 for t in sc.technologies) for sc in GRID_INSTANCES]
+    assert any(beacons) and not all(beacons)
+    assert sum(any(len(m) > 1 and sc.tech_by_id[t].beacon_cost > 0.0
+                   for t, m in sc.tech_members.items()) for sc in GRID_INSTANCES) >= 20
+    assert sum(any(is_costless(c, sc) for c in range(len(sc.classes)))
+               for sc in GRID_INSTANCES) >= 20
+    assert sum(all(cls.ttl_slots == 1 for cls in sc.classes) for sc in GRID_INSTANCES) >= 20
+    assert sum(all(cls.ttl_slots == sc.subslots for cls in sc.classes)
+               for sc in GRID_INSTANCES) >= 20
+    fracs = [sc.budget / _full_cost(sc) for sc in GRID_INSTANCES]
+    assert sum(f <= 0.02 for f in fracs) >= 30 and sum(f >= 0.97 for f in fracs) >= 30
+
+
+def test_grid_search_matches_exhaustive_copy(monkeypatch):
+    for i, sc in enumerate(GRID_INSTANCES):
+        rep = grid_search(sc)
+        assert _grid_outputs(rep) == _grid_outputs(grid_search_copy(sc))
+        if i % 4 == 0:
+            # chunks of a few rows: the first row of every block alone, then
+            # a few whole prefixes at a time, in both walkers
+            with monkeypatch.context() as m:
+                m.setattr(twohop.gridsearch, "_LEAF_CHUNK", 3)
+                m.setattr(sys.modules[__name__], "_LEAF_CHUNK", 3)
+                assert _grid_outputs(grid_search(sc)) == _grid_outputs(rep)
+                assert _grid_outputs(grid_search_copy(sc)) == _grid_outputs(rep)
+
+
+def test_grid_search_matches_exhaustive_copy_on_heavy_table_draws():
+    for sc in _heavy_table_draws(20):
+        assert _grid_outputs(grid_search(sc)) == _grid_outputs(grid_search_copy(sc))
