@@ -507,15 +507,16 @@ def _leaf_batches(sc: Scenario, frac_c: int, hull: _HullBound | None = None
     every prefix row of its block, sorts the rows by bound and, before each
     chunk, drops the rows that ``hull.rules_out`` against the live
     incumbents, adding their hi - lo + 1 candidates to ``hull.pruned``
-    unclosed.  That count is what closing them would have yielded: a row is
-    dropped only when its two range ends still close with the remaining
-    budget moved by ``hull.slack`` towards each end's failure (the
-    overspent end at hi, the unexhaustible one at lo).  The remaining budget
-    and its excess over what full transmission of the fractional class
-    spends both fall with the leaf threshold in exact arithmetic, and
-    ``hull.slack`` exceeds four times their rounding, so every threshold
-    between the ends closes too.  The first chunk of such a block is its
-    best surviving row alone, so the incumbents it yields rule on the rest.
+    unclosed.  A range can keep a leaf within _SNAP of its end whose
+    closure overspends, so that count is checked: a row is dropped only
+    when its two range ends still close with the remaining budget moved by
+    ``hull.slack`` towards each end's failure (the overspent end at hi, the
+    unexhaustible one at lo).  The remaining budget and its excess over
+    what full transmission of the fractional class spends both fall with
+    the leaf threshold in exact arithmetic, and ``hull.slack`` exceeds four
+    times their rounding, so every threshold between the ends closes too.
+    The first chunk of such a block is its best surviving row alone, so the
+    incumbents it yields rule on the rest.
     """
     levels = [c for c in _costly_classes(sc) if c != frac_c]
     no_vals = [np.empty(0, int)] * len(levels)

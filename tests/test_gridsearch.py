@@ -40,7 +40,6 @@ from twohop.gridsearch import (
     brute_force_saturating,
 )
 from twohop.model import (
-    NodeClass,
     Technology,
     _log_miss_slopes,
     _tx_energy,
@@ -547,7 +546,6 @@ def test_hull_bound_holds_below_every_prefix():
             assert np.all(bound_up - hull.margin_up <= up)
             checked += len(lows)
             tight += int(np.sum(bound > exact - 0.1 * np.abs(exact)))
-    print(checked, tight)
     assert checked >= 400 and tight >= checked // 2
 
 
@@ -606,6 +604,36 @@ def test_pruning_keeps_every_output(monkeypatch):
             assert outputs(grid_search(sc)) == outputs(rep)
         pruned += rep.pruned
     assert pruned > 0
+
+
+def test_pruned_rows_count_only_closable_leaves(monkeypatch):
+    # budgets that put the silent-completion end of a last-level range
+    # within _SNAP of the next integer: the range keeps that leaf, whose
+    # closure overspends, so the range count of such a row exceeds its
+    # candidates; a pruned row must still add only what closing it adds
+    rng = np.random.default_rng(36)
+    short = 0
+    for _ in range(40):
+        slots = int(rng.integers(6, 14))
+        sc = make_scenario([float(rng.uniform(0.01, 0.1)), float(rng.uniform(0.2, 0.6)),
+                            float(rng.uniform(0.05, 0.5))], 1.0, slots=slots,
+                           rho=[float(rng.uniform(0.5, 3.0)), float(rng.uniform(2.0, 8.0)),
+                                float(rng.uniform(0.5, 3.0))],
+                           populations=[1, 1, int(rng.integers(1, 4))])
+        p0, k = int(rng.integers(1, slots - 1)), int(rng.integers(1, 3))
+        tx = [_tx_energy([(c, h)], sc) for c, h in ((0, p0), (1, k - 5e-10))]
+        sc = dataclasses.replace(sc, budget=tx[0] + tx[1])
+        rows = np.arange(sc.subslots)
+        lo, hi = _ranges(1, {0: rows}, sc)
+        closed = sum(r.size for _, _, r in _leaf_batches(sc, 2))
+        short += int(np.sum(np.maximum(hi - lo + 1, 0))) > closed
+        rep = grid_search(sc)
+        with monkeypatch.context() as m:
+            m.setattr(twohop.gridsearch, "_hull_bounds", lambda *args: {})
+            whole = grid_search(sc)
+        assert repr((rep.policy, rep.objective, rep.upper_bound, rep.enumerated)) == \
+            repr((whole.policy, whole.objective, whole.upper_bound, whole.enumerated))
+    assert short >= 10
 
 
 def test_pruned_counter():
