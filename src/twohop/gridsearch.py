@@ -539,21 +539,20 @@ def _leaf_batches(sc: Scenario, frac_c: int, hull: _HullBound | None = None
         count = hi - lo + 1
         order = np.arange(rows.size)
         last = len(fixed) == len(levels) - 1
-        prune = False
+        prune = last and hull is not None and rows.size > 0
         if last:
             # the closure's transmission energy with the leaf at mass 0
             # (adding exactly +0.0), once per parent prefix
             row_tx = np.broadcast_to(
                 _tx_energy(_completion_masses(frac_c, fixed, sc, "zero").items(), sc), rows.shape)
-            prune = hull is not None and rows.size > 0
-            if prune:
-                bound, bound_up = hull.bounds(fixed, row_tx)
-                order = np.argsort(bound, kind="stable")
-                both = {k: np.tile(v, 2) for k, v in fixed.items()}
-                rem, m2 = closure(both, np.concatenate((lo, hi)), np.tile(row_tx, 2))
-                nudge = np.repeat([hull.slack, -hull.slack], rows.size)
-                countable = np.isfinite(_solve_for(frac_c, rem + nudge, m2, sc)).reshape(2, -1)
-                countable = countable.all(axis=0)
+        if prune:
+            bound, bound_up = hull.bounds(fixed, row_tx)
+            order = np.argsort(bound, kind="stable")
+            both = {k: np.tile(v, 2) for k, v in fixed.items()}
+            rem, m2 = closure(both, np.concatenate((lo, hi)), np.tile(row_tx, 2))
+            nudge = np.repeat([hull.slack, -hull.slack], rows.size)
+            countable = np.isfinite(_solve_for(frac_c, rem + nudge, m2, sc)).reshape(2, -1)
+            countable = countable.all(axis=0)
         total = np.cumsum(count[order])
         a = 0
         while a < order.size:
