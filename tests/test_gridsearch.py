@@ -584,28 +584,6 @@ def test_hull_bound_holds_at_every_profile_energy():
     assert checked >= 20_000
 
 
-def test_pruning_keeps_every_output(monkeypatch):
-    # the pruned walk against the exhaustive one: same profile, objective,
-    # upper bound and count, in chunks of a few rows too (which re-test the
-    # rows more often, so they may prune more); on these instances the
-    # bound rules out candidates
-    def outputs(rep):
-        return repr((rep.policy, rep.objective, rep.upper_bound, rep.enumerated))
-
-    pruned = 0
-    for sc in BOUND_INSTANCES:
-        rep = grid_search(sc)
-        with monkeypatch.context() as m:
-            m.setattr(twohop.gridsearch, "_hull_bounds", lambda *args: {})
-            whole = grid_search(sc)
-        assert whole.pruned == 0 and outputs(rep) == outputs(whole)
-        with monkeypatch.context() as m:
-            m.setattr(twohop.gridsearch, "_LEAF_CHUNK", 3)
-            assert outputs(grid_search(sc)) == outputs(rep)
-        pruned += rep.pruned
-    assert pruned > 0
-
-
 def test_pruned_rows_count_only_closable_leaves(monkeypatch):
     # budgets that put the silent-completion end of a last-level range
     # within _SNAP of the next integer: the range keeps that leaf, whose
