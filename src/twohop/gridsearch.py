@@ -676,11 +676,14 @@ def _prune_margin(c: int, sc: Scenario, tables: list[np.ndarray]) -> float:
     evaluation) at most 2e below the evaluation it bounds, and the other
     roundings of partial sums stay below 16 u S, S the summed |T_c[n-1]|.
     Pruning only beyond 4e + d + 16 u S keeps every candidate whose
-    evaluation could match the best one, ties included.
+    evaluation could match the best one, ties included.  Past x = 709 the
+    bound is infinite.
     """
     u = 2.0 ** -53
     cls = sc.classes[c]
     x = sc.rates[c] * sc.eff_slot
+    if x > 709.0:   # e^x overflows: no finite bound, so nothing is pruned
+        return math.inf
     e = (48 + math.log2(sc.subslots) + 11 * math.expm1(x) / x) * u * abs(tables[c][-1])
     d = (32 * min(cls.ttl_slots, sc.subslots) + 96) * math.exp(x) * u * cls.population * x
     return 4 * e + d + 16 * u * sum(abs(t[-1]) for t in tables)

@@ -15,8 +15,10 @@ on the seed and the inputs, never on scheduling.  Per relay, a batch draws a
 source and a sink variate for every trial, whichever rows are then evaluated:
 without holding counts only the accepted contacts of undelivered trials
 (delivery is a monotone OR; transmissions count acceptances alone), with them
-every accepted contact, whose holding moments are exact integer sums over
-sorted start and end events.  Either way the outputs keep their bits.
+every accepted contact.  A guide table places each contact of a threshold
+policy in its sub-slot with the bits of a binary search; other policies keep
+the search.  The holding moments are exact integer sums read off each
+trial's ranked starts.  Either way the outputs keep their bits.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ __all__ = ["SimConfig", "SimOutcome", "ValidationRecord", "holding_expectation",
            "simulate", "validate"]
 
 _BATCH = 8192
-_CHUNK = 1 << 18   # contacts per holding-moment pass, beacon draws per block
+_CHUNK = 1 << 18   # trials x relays per holding-moment pass, beacon draws per block
 _Z95 = 1.959963984540054
 
 
@@ -136,24 +138,76 @@ def holding_expectation(pol: Policy, sc: Scenario) -> np.ndarray:
     return out
 
 
-def _holding_moments(starts: np.ndarray, ttl: int, n: int) -> np.ndarray:
+def _guide(hc: np.ndarray) -> tuple:
+    """Guide table (Chen & Asau 1974) for placing a variate e in [0, hc[-1])
+    at its sub-slot, the last k with hc[k] <= e.
+
+    The bucket int(e * scale) is monotone in e, so a boundary in a lower
+    bucket than e's is below e and one in a higher bucket is above it: e's
+    sub-slot lies in [lo, hi] of its bucket (capped below the first boundary
+    equal to hc[-1]).  With about 2 n buckets a bucket holds at most one
+    boundary where the hazard rises at full rate, as on threshold rows, and
+    one comparison with hc picks between lo and hi.  A zero-mass run puts
+    several boundaries in one bucket; such rows keep the binary search.
+    Returns (scale, probe), probe the top of each bucket's range, or None.
+    """
+    n = hc.size - 1
+    scale = 2 * n / float(hc[-1])
+    if not math.isfinite(scale):   # subnormal hc[-1]: one bucket
+        scale = 0.0
+    keys = (hc * scale).astype(np.intp)
+    below = np.searchsorted(keys, np.arange(keys[-1] + 2))   # boundaries below each bucket
+    lo = np.maximum(below[:-1] - 1, 0)
+    hi = np.minimum(below[1:], np.searchsorted(hc, hc[-1])) - 1
+    return scale, hi if (hi - lo).max() <= 1 else None
+
+
+def _place(hc: np.ndarray, guide: tuple, e: np.ndarray) -> np.ndarray:
+    """Sub-slots of the variates e in [0, hc[-1]), equal to
+    clip(searchsorted(hc, e, "right") - 1, 0, n - 1)."""
+    scale, probe = guide
+    if probe is None:
+        return np.clip(np.searchsorted(hc, e, side="right") - 1, 0, hc.size - 2)
+    probe = probe[(e * scale).astype(np.intp)]
+    return probe - (hc[probe] > e)
+
+
+def _holding_moments(first: np.ndarray, ttl: int, n: int) -> np.ndarray:
     """Per-sub-slot sums over trials of y and y*y (rows 0 and 1), y[t, k]
-    counting the relays holding at sub-slot k of trial t, from the keys
-    t*(n+1) + k of whole trials' accepted contacts, each held through
-    min(k + ttl, n - 1).  A trial's +1/-1 events balance, so one running sum
-    gives y between consecutive events; y*y there enters a difference array.
+    counting the relays holding at sub-slot k of trial t, from a (trials,
+    relays) matrix of each relay's start sub-slot (n for no contact), which
+    is sorted here row by row; a copy is held through min(k + ttl, n - 1).
+
+    Just before its s-th start a trial holds s - expired copies, expired
+    counting the earlier copies whose end is at or before that start, so
+    y*y jumps there by 2(s - expired) + 1.  Just before the end of its j-th
+    copy it holds started - j, started counting its starts before that end,
+    so y*y falls there by 2(started - j) - 1 if the end is inside the
+    horizon.  The rank s gives the jumps at the starts.  A row's entries lie
+    in [0, n], so row t shifted by t*(n + 1) leaves the whole matrix sorted,
+    and one search of it counts expired and started, only for starts late
+    enough to follow an end and for copies that end inside the horizon: with
+    TTL >= n - 1 there is nothing to count.
     """
     m = n + 1
-    pos = starts % m
-    ends = starts + np.minimum(min(ttl, n), n - 1 - pos) + 1
-    y_sum = np.cumsum(np.bincount(pos, minlength=m) - np.bincount(ends % m, minlength=m))
-    # sorted keys give two sorted runs, which the stable sort merges
-    events = np.sort(np.concatenate((2 * starts + 1, 2 * ends)), kind="stable")
-    y = np.cumsum(2 * (events & 1) - 1)[:-1]
-    at = (events >> 1) % m
-    w = (y * y).astype(float)
-    y_sq = np.cumsum(np.bincount(at[:-1], w, m) - np.bincount(at[1:], w, m))
-    return np.stack((y_sum, y_sq))[:, :n]
+    life = min(ttl, n) + 1   # sub-slots from a start to the copy's end
+    trials, relays = first.shape
+    first.sort(axis=1)
+    start = first.ravel()
+    ending = np.flatnonzero(start < n - life)               # copies that end inside the horizon
+    late = np.flatnonzero((start >= life) & (start < n))   # starts an end may precede
+    keys = start
+    if ending.size or late.size:
+        keys = (first + np.arange(0, trials * m, m)[:, None]).ravel()
+    # a cell's row holds (index found) - (index of the row's first cell) entries <= v
+    held = np.searchsorted(keys, keys[ending] + (life - 1), "right") - ending   # started - j
+    expired = np.searchsorted(keys, keys[late] - life, "right") - (late - late % relays)
+    end = start[ending] + life
+    y_sum = np.bincount(start, minlength=m) - np.bincount(end, minlength=m)
+    y_sq = (np.bincount(start, np.tile(np.arange(1.0, 2 * relays, 2), trials), m)
+            - np.bincount(start[late], 2.0 * expired, m)
+            - np.bincount(end, 2.0 * held - 1.0, m))
+    return np.cumsum(np.stack((y_sum, y_sq)), axis=1)[:, :n]
 
 
 def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
@@ -189,13 +243,12 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
     # per class: cumulative acceptance hazard over sub-slot boundaries
     hazards = [np.concatenate(([0.0], np.cumsum(sc.rates[c] * dt * pol.probs[c])))
                for c in range(n_classes)]
+    guides = [_guide(hc) if hc[-1] > 0.0 else None for hc in hazards]   # None: no contact accepted
 
     delivered_total, energy_sum, energy_sq = 0, 0.0, 0.0
     tx_sum, tx_sq = np.zeros((2, n_classes))
     hold = np.zeros((n_classes, 2, n))   # per class: sums of y and y*y
 
-    # holding keys t*(n+1) + k; doubled, they must still fit
-    key_type = np.int32 if _BATCH * (n + 1) < 2**30 else np.int64
     for batch_index, done in enumerate(range(0, cfg.trials, _BATCH)):
         size = min(_BATCH, cfg.trials - done)
         rng = np.random.Generator(np.random.Philox(key=[
@@ -203,12 +256,14 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
         delivered = np.zeros(size, dtype=bool)
         tx_batch = np.zeros((n_classes, size))
         for c, cls in enumerate(sc.classes):
-            lam, hc = sc.rates[c], hazards[c]
-            starts = []
-            for _node in range(cls.population):
+            lam, hc, guide = sc.rates[c], hazards[c], guides[c]
+            # per trial and relay: the start sub-slot of its copy, n for none
+            first = (np.full((size, cls.population), n, dtype=np.int32)
+                     if cfg.record_holding and guide is not None else None)
+            for node in range(cls.population):
                 e1 = rng.standard_exponential(size)
                 g = rng.standard_exponential(size)
-                if hc[-1] <= 0.0 or lam <= 0.0:
+                if guide is None:
                     continue
                 accepted = e1 < hc[-1]
                 tx_batch[c] += accepted
@@ -216,20 +271,17 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
                                       else accepted & ~delivered)
                 if rows.size == 0:
                     continue
-                idx = np.clip(np.searchsorted(hc, e1[rows], side="right") - 1, 0, n - 1)
-                u = idx * dt + (e1[rows] - hc[idx]) / (lam * pol.probs[c][idx])
+                e = e1[rows]
+                idx = _place(hc, guide, e)
+                u = idx * dt + (e - hc[idx]) / (lam * pol.probs[c][idx])
                 hold_end = np.minimum((idx + cls.ttl_slots + 1) * dt, horizon)
                 delivered[rows[g[rows] < lam * np.maximum(hold_end - u, 0.0)]] = True
-                if cfg.record_holding:
-                    starts.append((rows * (n + 1) + idx).astype(key_type))
-            if starts:   # in passes of whole trials, to bound the event arrays
-                keys = np.concatenate(starts)
-                starts.clear()
-                keys.sort(kind="stable")
-                edges = np.append(np.arange(0, size, max(1, size * _CHUNK // keys.size)), size)
-                cuts = np.searchsorted(keys, (edges * (n + 1)).astype(key_type))
-                for lo, hi in zip(cuts[:-1], cuts[1:]):
-                    hold[c] += _holding_moments(keys[lo:hi], cls.ttl_slots, n)
+                if first is not None:
+                    first[rows, node] = idx
+            if first is not None:   # in passes of whole trials, to bound the temporaries
+                step = max(1, _CHUNK // cls.population)
+                for lo in range(0, size, step):
+                    hold[c] += _holding_moments(first[lo:lo + step], cls.ttl_slots, n)
 
         energy_batch = np.zeros(size)
         for c, cls in enumerate(sc.classes):

@@ -578,7 +578,13 @@ def _log_miss_slopes(c: int, sc: Scenario) -> np.ndarray:
     x = sc.rates[c] * sc.eff_slot
     g = -math.expm1(-x)
     decay = np.exp(-x * np.arange(ttl + 1))
-    phi = -g * x * decay / (math.exp(-x) + g * decay)
+    lead = math.exp(-x)
+    if lead > 0.0:
+        phi = -g * x * decay / (lead + g * decay)
+    else:   # past x = 745 e^-x underflows and g is 1: phi is -x, -x/2, then 0
+        phi = np.zeros(ttl + 1)
+        phi[0] = -x
+        phi[1:2] = -x / 2
     csum = np.concatenate(([0.0], np.cumsum(phi)))
     j = np.arange(n)
     last = np.minimum(ttl, n - 1 - j)                   # k - j runs over 0..last

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import twohop.cli
-from twohop import contact_rate, grid_search, ratio_bound
+from twohop import (contact_rate, enumerate_saturating, grid_search, ratio_bound,
+                    threshold_objective)
 from twohop.cli import (
     CSV_FIELDS,
     main,
@@ -20,6 +21,7 @@ from twohop.cli import (
     sample_scalability_scenario,
     sample_table_scenario,
 )
+from twohop.model import _log_miss_slopes
 from conftest import make_scenario
 
 
@@ -219,6 +221,30 @@ def test_solve_all_algorithms(tmp_path):
     grid_obj = float(rows[0]["objective"])
     for r in rows[1:]:
         assert float(r["objective"]) <= grid_obj + 1e-9
+
+
+def test_solve_grid_with_a_very_fast_class(tmp_path):
+    # lam dt = 837 for the first class: e^x overflows the prune margin's
+    # rounding bound and e^-x underflows in the slope table
+    doc = two_class_doc()
+    doc["classes"][0]["speed_mps"] = 40_000.0
+    sc = parse_scenario(doc)
+    assert sc.rates[0] * sc.eff_slot > 745.0
+    assert np.all(np.isfinite(_log_miss_slopes(0, sc)))
+    out = tmp_path / "rows.csv"
+    assert main(["solve", "--scenario", write_doc(tmp_path, doc), "--out", str(out),
+                 "--algorithm", "grid,greedy1"]) == 0
+    grid_row, greedy_row = csv.DictReader(out.open())
+    assert float(grid_row["objective"]) >= float(greedy_row["objective"])
+    rep = grid_search(sc)
+    best, count = 0.0, 0
+    for frac_c in range(2):
+        for assigned, r in enumerate_saturating(sc, frac_c):
+            hs = [r if c == frac_c else float(assigned.get(c, 0)) for c in range(2)]
+            best = max(best, threshold_objective(hs, sc))
+            count += 1
+    assert rep.enumerated == count
+    assert rep.objective == float(grid_row["objective"]) == pytest.approx(best, abs=1e-12)
 
 
 def test_solve_greedy2_rejected_with_beacons(tmp_path, capsys):

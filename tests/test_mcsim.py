@@ -252,25 +252,80 @@ def test_passes_keep_bits(monkeypatch):
 
 def test_holding_moments_match_dense_recount():
     rng = np.random.default_rng(8)
-    for n, ttl, trials, relays in [(1, 0, 5, 3), (6, 2, 40, 7), (9, 20, 25, 12), (12, 0, 30, 5)]:
-        rows, ks = [], []
-        for _ in range(relays):
-            r = np.flatnonzero(rng.random(trials) < 0.7)
-            rows.append(r)
-            ks.append(rng.integers(0, n, r.size))
-        # one relay per array: equal starts in trial 0, a start one past the
-        # first relay's end in trial 1, a hold clipped at n - 1 in trial 2
-        rows += [np.array([0, 1]), np.array([0]), np.array([1]), np.array([2])]
-        ks += [np.array([0, 0]), np.array([0]), np.array([min(n - 1, ttl + 1)]),
-               np.array([n - 1])]
-        y = np.zeros((trials, n), dtype=np.int64)
-        for r, k in zip(rows, ks):
-            for t, s in zip(r, k):
-                y[t, s:min(s + ttl, n - 1) + 1] += 1
-        starts = np.concatenate([r * (n + 1) + k for r, k in zip(rows, ks)])
-        y_sum, y_sq = mcsim._holding_moments(starts, ttl, n)
-        assert np.array_equal(y_sum, y.sum(axis=0))
-        assert np.array_equal(y_sq, (y * y).sum(axis=0))
+    cases = [(1, 0, 5, 3), (6, 2, 40, 7), (9, 20, 25, 12), (12, 0, 30, 5),
+             (10, 9, 30, 6), (10, 50, 30, 6), (7, 3, 20, 200)]
+    for n, ttl, trials, relays in cases:
+        first = np.where(rng.random((trials, relays)) < 0.7,
+                         rng.integers(0, n, (trials, relays)), n)
+        # four more relays: equal starts in trial 0, a start one past the
+        # first relay's end in trial 1, a hold clipped at n - 1 in trial 2;
+        # trial 3 has no contact and every relay of trial 4 starts in one
+        # sub-slot
+        extra = np.full((trials, 4), n)
+        extra[[0, 1], 0] = 0
+        extra[0, 1] = 0
+        extra[1, 2] = min(n - 1, ttl + 1)
+        extra[2, 3] = n - 1
+        first = np.concatenate((first, extra), axis=1)
+        first[3] = n
+        first[4] = n // 2
+        _check_holding_moments(first, ttl, n)
+    # starts later than the TTL, yet no copy ends inside the horizon
+    _check_holding_moments(np.array([[7, 8, 10], [9, 10, 10], [7, 9, 9]]), 2, 10)
+
+
+def _check_holding_moments(first, ttl, n):
+    y = np.zeros((first.shape[0], n), dtype=np.int64)
+    for t, k in zip(*np.nonzero(first < n)):
+        s = first[t, k]
+        y[t, s:min(s + ttl, n - 1) + 1] += 1
+    y_sum, y_sq = mcsim._holding_moments(first.astype(np.int32), ttl, n)
+    assert np.array_equal(y_sum, y.sum(axis=0))
+    assert np.array_equal(y_sq, (y * y).sum(axis=0))
+
+
+def _hazard_rows():
+    """Cumulative acceptance hazards as simulate builds them, each with
+    whether the guide table places its variates (None: either way)."""
+    def hazard(sc, pol, c=0):
+        return np.concatenate(([0.0], np.cumsum(sc.rates[c] * sc.eff_slot * pol.probs[c])))
+    rows = {}
+    sc = make_scenario([0.3, 0.15], 1.0, slots=40, populations=[3, 2], resolution=3)
+    for h in (1.5, 7.25, 60.999, 100.5, 119.0):
+        rows[f"threshold-{h}"] = (hazard(sc, expand_threshold(ThresholdPolicy((h, h)), sc)), True)
+    a4, a4_pol = _golden_cases()["holding-a4-250-slots"][:2]
+    for c in range(3):
+        rows[f"threshold-a4-{c}"] = (hazard(a4, a4_pol, c), True)
+    fine, fine_pol = _golden_cases()["holding-131072-subslots-5"][:2]
+    rows["threshold-131072"] = (hazard(fine, fine_pol), True)
+    rng = np.random.default_rng(3)
+    for i in range(4):
+        mu = rng.random(sc.subslots)
+        mu[rng.random(sc.subslots) < 0.8] = 0.0         # long zero-mass runs
+        mu[:5 * i] = 0.0
+        rows[f"general-{i}"] = (hazard(sc, Policy(np.stack((mu, mu)))), None)
+    mu = np.ones(sc.subslots)
+    mu[10:90] = mu[100:] = 0.0
+    rows["general-long-runs"] = (hazard(sc, Policy(np.stack((mu, mu)))), False)
+    mu[:] = 1e-320   # a subnormal total: one bucket
+    rows["general-subnormal"] = (hazard(sc, Policy(np.stack((mu, mu)))), False)
+    one = make_scenario([0.3], 1.0, slots=1)
+    rows["one-subslot"] = (hazard(one, Policy(np.full((1, 1), 0.4))), True)
+    return rows
+
+
+def test_guide_placement_equals_searchsorted():
+    for name, (hc, guided) in _hazard_rows().items():
+        n = hc.size - 1
+        guide = mcsim._guide(hc)
+        scale = guide[0]
+        edges = np.arange(1, int(hc[-1] * scale) + 2) / scale if scale else []
+        q = np.concatenate([hc, edges, [0.0, np.nextafter(hc[-1], 0.0)]])
+        q = np.concatenate([q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf)])
+        q = q[(q >= 0.0) & (q < hc[-1])]   # the variates simulate places
+        want = np.clip(np.searchsorted(hc, q, "right") - 1, 0, n - 1)
+        assert np.array_equal(mcsim._place(hc, guide, q), want), name
+        assert guided is None or (guide[1] is not None) == guided, name
 
 
 def test_simconfig_normalises_numpy_seed():
