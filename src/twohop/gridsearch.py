@@ -28,7 +28,9 @@ import numpy as np
 from .model import (
     Scenario,
     ThresholdPolicy,
+    _energy_probe,
     _log_miss_slopes,
+    _log_miss_terms,
     _tx_energy,
     budget_tolerance,
     class_log_miss,
@@ -109,7 +111,8 @@ class FeasibleRange:
 class SolveReport:
     """Outcome of a grid search, with the rounded-up upper bound found in the
     same enumeration pass.  ``pruned`` counts the candidates included in
-    ``enumerated`` that a prefix bound ruled out before their closure solve."""
+    ``enumerated`` that a prefix bound ruled out before their closure solve,
+    ``evaluated`` the candidates sent to ``class_log_miss``."""
 
     policy: ThresholdPolicy
     objective: float
@@ -117,6 +120,7 @@ class SolveReport:
     ratio_bound: float
     enumerated: int = 0
     pruned: int = 0
+    evaluated: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +175,17 @@ def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: fl
         rr = r[idx]
         mm = m2c[idx]
         live = np.arange(idx.size)
+        one = seg[0] == seg[-1]     # a single segment converges as a whole
         for _ in range(64):
             hl, ml = h[live], mm[live]
             f = rho_n * -np.expm1(-g * hl) + beacon * (hl - ml) - rr[live]
             fp = rho_n * g * np.exp(-g * hl) + beacon
             step = f / fp
             h[live] = np.clip(hl - step, ml, hi)
+            if one:
+                if np.abs(f).max() < tol:
+                    break
+                continue
             heads = np.flatnonzero(np.diff(seg[live], prepend=-1))
             done = np.maximum.reduceat(np.abs(f), heads) < tol
             live = live[np.repeat(~done, np.diff(heads, append=live.size))]
@@ -296,17 +305,13 @@ def saturating_threshold(c: int, thresholds, sc: Scenario) -> float:
     Clamps instead of raising: returns 0 when nothing is affordable and
     subslots - 1 when even full transmission stays under budget.  Solved by
     ``_bisect_budget`` on the exact threshold energy, so it is valid for any
-    mix of fractional thresholds and shared technologies.
+    mix of fractional thresholds and shared technologies; the energy comes
+    from ``model._energy_probe``, which computes the other classes' terms
+    once.
     """
-    hs = [float(h) for h in thresholds]
     hi = float(sc.max_threshold)
     tol = budget_tolerance(sc.budget)
-
-    def energy_at(h: float) -> float:
-        probe = list(hs)
-        probe[c] = h
-        return threshold_energy(probe, sc)
-
+    energy_at = _energy_probe(c, thresholds, sc)
     if energy_at(0.0) > sc.budget + tol:
         return 0.0
     if energy_at(hi) <= sc.budget + tol:
@@ -413,36 +418,19 @@ class _HullBound:
     and the margins.  ``best`` is the search's running state, read live.
     """
 
-    def __init__(self, sc: Scenario, frac_c: int, levels: list[int],
-                 tables: list[np.ndarray], pinned: float, slack: float, best: "_Best"):
-        c, self.prefix = levels[-1], levels[:-1]
+    def __init__(self, sc: Scenario, prefix: list[int], hull, hull_up, snap: float,
+                 margins: tuple[float, float], tables: list[np.ndarray], pinned: float,
+                 slack: float, best: "_Best"):
+        self.prefix, self.hull, self.hull_up, self.snap = prefix, hull, hull_up, snap
+        self.margin, self.margin_up = margins
         self.n1, self.tables, self.pinned, self.slack, self.best = (
             sc.max_threshold, tables, pinned, slack, best)
-        own, self.charges = {}, []
+        self.charges = []
         for tech in sc.technologies:
-            members = sc.tech_members[tech.ident]
-            if tech.beacon_cost == 0.0:
-                continue
-            fixed = [k for k in members if k in self.prefix]
-            if fixed:
+            fixed = [k for k in sc.tech_members[tech.ident] if k in prefix]
+            if tech.beacon_cost != 0.0 and fixed:
                 self.charges.append((sc.beacon_rate(tech.ident), fixed))
-            elif len(members) == 1:
-                own[members[0]] = sc.beacon_rate(tech.ident)
-        h = np.arange(sc.subslots)
-        ec, ef = (_tx_energy([(k, h)], sc) + own.get(k, 0.0) * h for k in (c, frac_c))
-        tc, tf, d = tables[c], tables[frac_c], _log_miss_slopes(frac_c, sc)
-        self.hull = _convolve(_lower_hull(ec, tc), _lower_hull(
-            np.append(ef, ef[1:]), np.append(tf, tf[:-1] + d[:-1])))
-        self.hull_up = _convolve(_lower_hull(ec, np.append(tc[1:], tc[-1])),
-                                 _lower_hull(ef, np.append(tf[1:], tf[-1])))
-        cls = sc.classes[frac_c]
-        self.snap = _SNAP * (cls.tx_cost * cls.population * sc.rates[frac_c] * sc.eff_slot
-                             + own.get(frac_c, 0.0))
         self.room = sc.budget + budget_tolerance(sc.budget) + slack
-        big = sum(abs(t[-1]) for t in tables)
-        rounding = (len(tables) + 64) * 2.0 ** -53
-        self.margin = _prune_margin(frac_c, sc, tables) + rounding * (big + np.abs(d).max())
-        self.margin_up = rounding * big
         self.pruned = 0
 
     def bounds(self, fixed: dict[int, np.ndarray], row_tx) -> tuple[np.ndarray, np.ndarray]:
@@ -477,13 +465,47 @@ def _hull_bounds(sc: Scenario, tables: list[np.ndarray], pinned: float, full_ene
     """One ``_HullBound`` per fractional class when every walk has two or
     more levels (three or more costly classes), else none.  ``slack`` bounds
     the rounding of every energy involved, at most
-    (q + 8) 2**-46 (budget + 2 E_full + 1) for q classes."""
+    (q + 8) 2**-46 (budget + 2 E_full + 1) for q classes.
+
+    The last level's class and the fractional class are never in the
+    prefix, so a class's energies, and each of its hulls (integer points as
+    the last level, tangent ends as the fractional class, rounded-up table
+    in either role), are the same in every walk and are built once."""
     costly = _costly_classes(sc)
     if len(costly) < 3:
         return {}
     slack = 2.0 ** -46 * (len(sc.classes) + 8) * (sc.budget + 2.0 * full_energy + 1.0)
-    return {f: _HullBound(sc, f, [c for c in costly if c != f], tables, pinned, slack, best)
-            for f in costly}
+    # a class alone on a beaconing radio pays rate * h for its own coverage
+    own = {}
+    for tech in sc.technologies:
+        members = sc.tech_members[tech.ident]
+        if tech.beacon_cost != 0.0 and len(members) == 1:
+            own[members[0]] = sc.beacon_rate(tech.ident)
+    h = np.arange(sc.subslots)
+    energy = {k: _tx_energy([(k, h)], sc) + own.get(k, 0.0) * h for k in costly}
+    slopes = {k: _log_miss_slopes(k, sc) for k in costly}
+
+    @functools.cache
+    def lower_hull(k: int, kind: str):
+        e, t, d = energy[k], tables[k], slopes[k]
+        if kind == "tangent":
+            return _lower_hull(np.append(e, e[1:]), np.append(t, t[:-1] + d[:-1]))
+        return _lower_hull(e, t if kind == "integer" else np.append(t[1:], t[-1]))
+
+    big = sum(abs(t[-1]) for t in tables)
+    rounding = (len(tables) + 64) * 2.0 ** -53
+    out = {}
+    for f in costly:
+        levels = [c for c in costly if c != f]
+        c, cls = levels[-1], sc.classes[f]
+        snap = _SNAP * (cls.tx_cost * cls.population * sc.rates[f] * sc.eff_slot
+                        + own.get(f, 0.0))
+        margin = _prune_margin(f, sc, tables) + rounding * (big + np.abs(slopes[f]).max())
+        out[f] = _HullBound(sc, levels[:-1],
+                            _convolve(lower_hull(c, "integer"), lower_hull(f, "tangent")),
+                            _convolve(lower_hull(c, "up"), lower_hull(f, "up")),
+                            snap, (margin, rounding * big), tables, pinned, slack, best)
+    return out
 
 
 def _leaf_batches(sc: Scenario, frac_c: int, hull: _HullBound | None = None
@@ -689,6 +711,38 @@ def _prune_margin(c: int, sc: Scenario, tables: list[np.ndarray]) -> float:
     return 4 * e + d + 16 * u * sum(abs(t[-1]) for t in tables)
 
 
+def _tail_bracket(c: int, sc: Scenario, tables: list[np.ndarray]):
+    """For a class whose TTL keeps every copy to the end (ttl >= n - 1):
+    (value, mb), value(r, j) = pop (P[j] + (n - j) t(r)) the closed form
+    of class_log_miss(c, r) at r = j + a, and mb a bound on how far a
+    known sum plus it may lie from that known sum plus the evaluation;
+    u = 2**-53 below.
+
+    Every window then holds min(k + 1, r): sub-slots k < j hold the masses
+    1..j, the other n - j hold r.  t is ``_log_miss_terms``, the same ufuncs
+    on the same operands as the evaluation, and P[j] its sequential cumsum
+    over 1..j.  The terms share one sign, so the cumsum errs by at most
+    (j - 1) u times their summed magnitude, the product and the sum by 2u
+    more, and the evaluation's pairwise sum by (32 + log2 n) u; each side
+    adds u for the population factor.  That summed magnitude times pop is
+    at most |T[n - 1]| (the log-miss falls with the threshold), and adding
+    the same known sum rounds each side once more, by at most u S, S the
+    summed |T_c[n - 1]|.  So mb = (n + log2 n + 40) u |T[n - 1]| + 4 u S
+    covers it, with the rest left for second-order terms.
+    """
+    cls, n = sc.classes[c], sc.subslots
+    x = -sc.rates[c] * sc.eff_slot
+    prefix = np.concatenate(([0.0], np.cumsum(_log_miss_terms(x, np.arange(1.0, n)))))
+    u = 2.0 ** -53
+    mb = ((n + math.log2(n) + 40) * u * abs(tables[c][-1])
+          + 4 * u * sum(abs(t[-1]) for t in tables))
+
+    def value(r: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return cls.population * (prefix[j] + (n - j) * _log_miss_terms(x, r))
+
+    return value, mb
+
+
 def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     """Best budget-saturating threshold profile with at most one fractional
     threshold (or the all-full profile when the budget allows it).
@@ -703,6 +757,14 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     the lexicographically smallest threshold vector.  The same pass yields
     the upper bound: every enumerated threshold rounded up to the next
     integer sub-slot, best objective regardless of the (violated) budget.
+
+    When the fractional class keeps every copy to the end (TTL >= n - 1),
+    a second bracket narrows the tangent's survivors: ``_tail_bracket``'s
+    closed form v lies within mb of the evaluation, so v + mb joins the
+    incumbent and only candidates with v - mb - margin <= min(incumbent,
+    best) are evaluated, margin the tangent test's ``_prune_margin``, which
+    covers a chord incumbent sitting below the evaluation it bounds.
+    ``SolveReport.evaluated`` counts the candidates evaluated exactly.
 
     With three or more costly classes, whole last-level prefixes are ruled
     out before their closure solve (branch and bound; ``_HullBound``).  A
@@ -766,7 +828,7 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     # T[j + 1]; j = n - 1 only with a = 0
     tables_next = [np.append(t[1:], t[-1]) for t in tables]
     best = _Best()
-    enumerated = 0
+    enumerated = evaluated = 0
     costly = _costly_classes(sc)
     hulls = _hull_bounds(sc, tables, pinned, full_energy, best)
 
@@ -780,9 +842,11 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
 
     slopes = {f: _log_miss_slopes(f, sc) for f in costly}
     margins = {f: _prune_margin(f, sc, tables) for f in costly}
+    brackets = {f: _tail_bracket(f, sc, tables) for f in costly
+                if sc.classes[f].ttl_slots >= n1}
 
     def consume(frac_c: int, levels, vals, r):
-        nonlocal enumerated
+        nonlocal enumerated, evaluated
         enumerated += r.size
         table, following = tables[frac_c], tables_next[frac_c]
         known = known_up = np.full(r.shape, pinned)
@@ -797,8 +861,16 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
         best.incumbent = min(best.incumbent, chord.min())
         tangent = known + (table[j] + alpha * slopes[frac_c][j])
         keep = np.flatnonzero(tangent - margins[frac_c] <= min(best.incumbent, best.log_miss))
+        if keep.size and frac_c in brackets:
+            # v within mb of the evaluation; the incumbent may still be a
+            # chord, up to the tangent test's allowance below its evaluation
+            value, mb = brackets[frac_c]
+            v = known[keep] + value(r[keep], j[keep])
+            best.incumbent = min(best.incumbent, (v + mb).min())
+            keep = keep[v - (mb + margins[frac_c]) <= min(best.incumbent, best.log_miss)]
         if keep.size == 0:
             return
+        evaluated += keep.size
         exact = known[keep] + class_log_miss(frac_c, r[keep], sc)
         for idx in np.argsort(exact, kind="stable"):
             val = float(exact[idx])
@@ -826,7 +898,7 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     ub_log_miss = best.ub_log_miss
     ub = objective if math.isinf(ub_log_miss) else max(-math.expm1(ub_log_miss), objective)
     return SolveReport(ThresholdPolicy(thresholds), objective, upper_bound=ub, ratio_bound=rb,
-                       enumerated=enumerated + pruned, pruned=pruned)
+                       enumerated=enumerated + pruned, pruned=pruned, evaluated=evaluated)
 
 
 def ratio_bound(k_slots: int, resolution: int, n_classes: float) -> float:

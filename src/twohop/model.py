@@ -400,10 +400,20 @@ def holding_laplace(s: float, c: int, h: int, pol: Policy, sc: Scenario) -> floa
 
 def _log_miss_terms(x: float, w) -> np.ndarray:
     """Per-relay log of no delivery in a sub-slot whose TTL window holds
-    policy mass w: log1p(-(1 - e^{x w}) g), g = 1 - e^x, x = -lam dt."""
-    p = -np.expm1(x * w)
+    policy mass w: log1p(-(1 - e^{x w}) g), g = 1 - e^x, x = -lam dt.
+
+    Past lam dt of about 37, p g rounds to 1 and log1p gives -inf where the
+    value is finite; those entries alone take the same quantity as
+    log(e^{x w} + e^x p) = logaddexp(x w, x + log p)."""
+    xw = x * w
+    p = -np.expm1(xw)
     g = -math.expm1(x)
-    return np.log1p(-p * g)
+    with np.errstate(divide="ignore"):
+        out = np.log1p(-p * g)
+    lost = np.isneginf(out)
+    if lost.any():
+        out[lost] = np.logaddexp(xw[lost], x + np.log(p[lost]))
+    return out
 
 
 def _threshold_sums(h: np.ndarray, ttl: int, n: int, terms) -> np.ndarray:
@@ -499,19 +509,50 @@ def threshold_energy(thresholds: Sequence[float], sc: Scenario) -> float:
     hs = [float(h) for h in thresholds]
     if len(hs) != len(sc.classes):
         raise ValueError("threshold count does not match scenario classes")
-    total = _tx_energy(enumerate(hs), sc)
+    return _energy_probe(0, hs, sc)(hs[0])
+
+
+def _beacon_span(hs: list[float], members: tuple[int, ...]) -> float:
+    """Sub-slots a technology beacons through: max(floor(h)) plus the
+    chance that some member's fractional tail on that last sub-slot sends."""
+    floors = [math.floor(hs[c]) for c in members]
+    m = max(floors)
+    tail = 1.0
+    for c, f in zip(members, floors):
+        if f == m:
+            tail *= 1.0 - (hs[c] - f)
+    return m + 1.0 - tail
+
+
+def _energy_probe(c: int, thresholds: Sequence[float], sc: Scenario):
+    """threshold_energy as a function of class c's threshold, the others
+    fixed at ``thresholds``.  The terms without class c (the other classes'
+    transmission energies and the beacons of every other technology) are
+    computed once; each call adds every term in threshold_energy's order,
+    so it returns the same bits."""
+    hs = [float(h) for h in thresholds]
+    cls = sc.classes[c]
+    weight, scale = cls.tx_cost * cls.population, -sc.rates[c] * sc.eff_slot
+    head = _tx_energy(((k, hs[k]) for k in range(c)), sc)
+    later = [_tx_energy([(k, hs[k])], sc) for k in range(c + 1, len(hs))]
+    beacons = []    # (rate, members) on c's technology, the energy elsewhere
     for tech in sc.technologies:
         members = sc.tech_members[tech.ident]
         if not members or tech.beacon_cost == 0.0:
             continue
-        floors = [math.floor(hs[c]) for c in members]
-        m = max(floors)
-        tail = 1.0
-        for c, f in zip(members, floors):
-            if f == m:
-                tail *= 1.0 - (hs[c] - f)
-        total += sc.beacon_rate(tech.ident) * (m + 1.0 - tail)
-    return total
+        rate = sc.beacon_rate(tech.ident)
+        beacons.append((rate, members) if c in members else rate * _beacon_span(hs, members))
+
+    def energy_at(h: float) -> float:
+        total = head + weight * -math.expm1(scale * h)
+        for term in later:
+            total = total + term
+        hs[c] = h
+        for term in beacons:
+            total += term if isinstance(term, float) else term[0] * _beacon_span(hs, term[1])
+        return total
+
+    return energy_at
 
 
 # ---------------------------------------------------------------------------

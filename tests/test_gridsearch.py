@@ -37,6 +37,7 @@ from twohop.gridsearch import (
     _prune_margin,
     _ranges,
     _solve_saturating_vec,
+    _tail_bracket,
     brute_force_saturating,
 )
 from twohop.model import (
@@ -614,15 +615,47 @@ def test_pruned_rows_count_only_closable_leaves(monkeypatch):
     assert short >= 10
 
 
+def test_tail_bracket_lies_within_its_margin():
+    # full-TTL classes with n 1-1250 sub-slots, populations 1-60 and
+    # lam dt 1e-4-40; tails j + a at j = 0, n - 1 and a random j, with
+    # a = 0, 1e-12, U(0, 1) and 1 - 1e-12; a second class's table entries
+    # are the known sum added on both sides
+    rng = np.random.default_rng(37)
+    checked = moved = 0
+    for i in range(240):
+        n = (1, 2, 1250)[i] if i < 3 else int(np.exp(rng.uniform(0.0, math.log(1250.0))))
+        lam = (1e-4, 40.0)[i % 2] if i < 8 else float(np.exp(rng.uniform(math.log(1e-4),
+                                                                           math.log(40.0))))
+        sc = make_scenario([lam, float(rng.uniform(0.01, 0.4))], 1.0, slots=n,
+                           populations=[int(rng.integers(1, 61)) for _ in range(2)])
+        tables = [class_log_miss_table(c, sc) for c in range(2)]
+        value, mb = _tail_bracket(0, sc, tables)
+        heads = np.array(sorted({0, n - 1, int(rng.integers(0, n))}), dtype=float)
+        r = (heads[:, None] + [0.0, 1e-12, float(rng.uniform()), 1.0 - 1e-12]).ravel()
+        r = r[r <= n - 1]
+        known = tables[1][rng.integers(0, n, r.size)]
+        gap = np.abs((known + value(r, r.astype(int)))
+                     - (known + class_log_miss(0, r, sc)))
+        assert np.all(gap <= mb)
+        checked += r.size
+        moved += int(np.any(gap > 0.0))
+    assert checked >= 1000 and moved >= 100
+
+
 def test_pruned_counter():
     # most of the anchor three-class table instance is ruled out unclosed;
-    # one and two classes leave a single walker level, so nothing is pruned
+    # one and two classes leave a single walker level, so nothing is pruned.
+    # The tail bracket sends under 1% of the candidates of the anchor and of
+    # i29 (whose flat optimum kept 131,790 tangents) to class_log_miss
     rng = np.random.default_rng(810)
     draws = [sample_table_scenario(rng, resolution=5, with_beacons=i % 2 == 0)[1]
-             for i in range(20)]
+             for i in range(30)]
     rep = grid_search(draws[19])
     assert len(draws[19].classes) == 3
     assert rep.pruned >= 0.9 * rep.enumerated
+    assert 0 < rep.evaluated < 0.01 * rep.enumerated
+    flat = grid_search(draws[29])
+    assert 0 < flat.evaluated < 0.01 * flat.enumerated
     small = [sc for sc in draws if len(sc.classes) < 3]
     rng = np.random.default_rng(35)
     small += [random_small_scenario(rng, n_classes=1 + i % 2, max_slots=12,

@@ -2,6 +2,7 @@
 threshold expansion, and the structural invariants they must satisfy."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -387,6 +388,30 @@ def test_log_miss_table_cache_is_keyed_by_class_parameters():
     for sc in other_class:
         class_log_miss_table(0, sc)
     assert _log_miss_sums.cache_info().misses - after.misses == 2
+
+
+def test_log_miss_stays_finite_for_a_very_fast_class():
+    # the two-class CLI scenario at 1,900 m/s, lam dt = 39.75: 1 - e^-x and
+    # a window's 1 - e^{-x w} round to 1, where log1p(-p g) read -inf with a
+    # divide warning; each term must match log(e^{-x w} + e^-x (1 - e^{-x w}))
+    sc = Scenario(classes=(NodeClass(1, 2, 1900.0, 15.0, 1.0, "z"),
+                           NodeClass(1, 2, 3.0, 15.0, 1.0, "z")),
+                  technologies=(Technology("z", 0.0),), deadline=600.0, slot_len=100.0,
+                  arena_radius=500.0, budget=0.3)
+    x = sc.rates[0] * sc.eff_slot
+    assert x > 39.0
+    hs = [0.0, 0.5, 1.0, 2.25, 3.0, 4.75, 5.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = class_log_miss_table(0, sc)
+        got = class_log_miss(0, hs, sc)
+    assert np.all(np.isfinite(table)) and np.all(np.diff(table) <= 0.0)
+    assert np.all(np.diff(got) <= 0.0)
+    for h, value in zip(hs, got):
+        windows = [min(k + 1, h) - min(max(0, k - 2), h) for k in range(sc.subslots)]
+        want = math.fsum(math.log(math.exp(-x * w) - math.exp(-x) * math.expm1(-x * w))
+                         for w in windows)
+        assert value == pytest.approx(want, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

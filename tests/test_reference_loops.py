@@ -51,6 +51,7 @@ from twohop.model import (
     Scenario,
     Technology,
     ThresholdPolicy,
+    _energy_probe,
     _log_miss_slopes,
     _tx_energy,
     beacon_activity,
@@ -300,11 +301,16 @@ def test_saturating_threshold_stops_early(monkeypatch):
     # (the 200-step loop makes 202 whenever it bisects)
     calls = []
 
-    def counted(thresholds, sc):
-        calls.append(1)
-        return threshold_energy(thresholds, sc)
+    def counted(c, thresholds, sc):
+        probe = _energy_probe(c, thresholds, sc)
 
-    monkeypatch.setattr(twohop.gridsearch, "threshold_energy", counted)
+        def energy_at(h):
+            calls.append(1)
+            return probe(h)
+
+        return energy_at
+
+    monkeypatch.setattr(twohop.gridsearch, "_energy_probe", counted)
     rng = np.random.default_rng(82)
     counts = []
     for i in range(60):
@@ -620,6 +626,13 @@ def test_transmission_energy_matches_copies():
         draws.append(rng.integers(0, n1 + 1, len(sc.classes)).astype(float))
         for hs in draws:
             assert repr(threshold_energy(hs, sc)) == repr(threshold_energy_copy(hs, sc))
+            # one probe per class, called at several thresholds in turn
+            for c in range(len(sc.classes)):
+                probe = _energy_probe(c, hs, sc)
+                for h in (0.0, float(draws[0][c]), float(n1)):
+                    moved = hs.copy()
+                    moved[c] = h
+                    assert repr(probe(h)) == repr(threshold_energy_copy(moved, sc))
             assert repr(energy_spent(expand_threshold(ThresholdPolicy(tuple(hs)), sc), sc)) == \
                 repr(energy_spent_copy(expand_threshold(ThresholdPolicy(tuple(hs)), sc), sc))
         for h in [0.0, float(n1), *rng.uniform(0.0, n1, 4)]:
@@ -796,14 +809,16 @@ def _grid_instances():
 GRID_INSTANCES = _grid_instances()
 
 
-def _heavy_table_draws(count: int) -> list[Scenario]:
-    """The first three-class, 100-slot draws of the seed-810 A4 stream
-    (resolution 5, beacons on even draws): table-sweep's fixed heavy part."""
+def _table_draws(count: int, n_classes: int, slots: int) -> list[Scenario]:
+    """The first draws with this class count and deadline of the seed-810 A4
+    stream (resolution 5, beacons on even draws, full TTL).  Three classes
+    at 100 slots are table-sweep's fixed heavy part; two classes at 250
+    slots are where the tail bracket replaces most exact evaluations."""
     rng = np.random.default_rng(810)
     out = []
     for i in range(10_000):
         sc = sample_table_scenario(rng, resolution=5, with_beacons=i % 2 == 0)[1]
-        if len(sc.classes) == 3 and sc.slots == 100:
+        if len(sc.classes) == n_classes and sc.slots == slots:
             out.append(sc)
             if len(out) == count:
                 break
@@ -844,5 +859,5 @@ def test_grid_search_matches_exhaustive_copy(monkeypatch):
 
 
 def test_grid_search_matches_exhaustive_copy_on_heavy_table_draws():
-    for sc in _heavy_table_draws(20):
+    for sc in _table_draws(20, 3, 100) + _table_draws(16, 2, 250):
         assert _grid_outputs(grid_search(sc)) == _grid_outputs(grid_search_copy(sc))
