@@ -144,67 +144,49 @@ def greedy_construct(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN,
     limit = sc.budget + tol
     per_cost = variant is GreedyVariant.GAIN_PER_COST
 
-    # per costly class: [class, technology, beacon rate, transmission
-    # marginal of its next award, log-miss table, tx_cost * population,
-    # lam dt, -expm1(-lam dt), e^{-lam dt k}, e^{-lam dt (k + 1)}]; the
-    # marginal and the two exponentials move up one award at a time, each
-    # the expression a loop recomputing them would give, so an award costs
-    # one math.exp
+    # per costly class: (class, tx_cost * population, lam dt, beacon rate,
+    # technology, log-miss table)
     terms = []
     for c in costly:
         cls = sc.classes[c]
-        g = sc.rates[c] * dt
-        weight = cls.tx_cost * cls.population
-        now, nxt = math.exp(-g * k[c]), math.exp(-g * (k[c] + 1))
-        terms.append([c, cls.technology, sc.beacon_rate(cls.technology), weight * (now - nxt),
-                      tables[c], weight, g, -math.expm1(-g), now, nxt])
+        terms.append((c, cls.tx_cost * cls.population, sc.rates[c] * dt,
+                      sc.beacon_rate(cls.technology), cls.technology, tables[c]))
 
     # per-technology integer beacon coverage
     cover = {t.ident: max((k[c] for c in sc.tech_members[t.ident]), default=0)
              for t in sc.technologies}
 
-    def score(term) -> float:
-        c, _, _, _, table, weight, _, shrink, now, _ = term
-        kc = k[c]
-        gain = -math.expm1(log_miss - table[kc] + table[kc + 1]) - f_cur
-        if per_cost:
-            marg = weight * now * shrink
-            return gain / marg if marg > 0.0 else math.inf
-        return gain
-
     iterations = 0
     while True:
-        # the first affordable class wins unless a later one scores higher,
-        # so scores are computed only once a second one is affordable
         best = None
-        best_score = None
+        best_score = 0.0
         best_energy = 0.0
+        f_cur = -math.expm1(log_miss)
         for term in terms:
-            c, tech, rate, marg = term[0], term[1], term[2], term[3]
+            c, weight, g, rate, tech, table = term
             kc = k[c]
             if kc >= n1:
                 continue
-            # rate * max(0, kc + 1 - cover), without the call
-            spread = kc + 1 - cover[tech]
-            e_new = energy + marg + (rate * spread if spread > 0 else 0.0)
+            tx_marg = weight * (math.exp(-g * kc) - math.exp(-g * (kc + 1)))
+            beacon_marg = rate * max(0, kc + 1 - cover[tech])
+            e_new = energy + tx_marg + beacon_marg
             if e_new > limit:
                 continue
-            if best is None:
-                best, best_energy = term, e_new
-                continue
-            if best_score is None:
-                f_cur = -math.expm1(log_miss)
-                best_score = score(best)
-            val = score(term)
-            if val > best_score:
-                best, best_score, best_energy = term, val, e_new
+            gain = -math.expm1(log_miss - table[kc] + table[kc + 1]) - f_cur
+            if per_cost:
+                marg = weight * math.exp(-g * kc) * -math.expm1(-g)
+                score = gain / marg if marg > 0.0 else math.inf
+            else:
+                score = gain
+            if best is None or score > best_score:
+                best = term
+                best_score = score
+                best_energy = e_new
         if best is None:
             break
-        c, tech, _, _, table, weight, g, _, _, nxt = best
+        c, _, _, _, tech, table = best
         log_miss += table[k[c] + 1] - table[k[c]]
         k[c] += 1
-        best[8], best[9] = nxt, math.exp(-g * (k[c] + 1))
-        best[3] = weight * (best[8] - best[9])
         energy = best_energy
         cover[tech] = max(cover[tech], k[c])
         iterations += 1

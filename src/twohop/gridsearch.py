@@ -175,17 +175,12 @@ def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: fl
         rr = r[idx]
         mm = m2c[idx]
         live = np.arange(idx.size)
-        one = seg[0] == seg[-1]     # a single segment converges as a whole
         for _ in range(64):
             hl, ml = h[live], mm[live]
             f = rho_n * -np.expm1(-g * hl) + beacon * (hl - ml) - rr[live]
             fp = rho_n * g * np.exp(-g * hl) + beacon
             step = f / fp
             h[live] = np.clip(hl - step, ml, hi)
-            if one:
-                if np.abs(f).max() < tol:
-                    break
-                continue
             heads = np.flatnonzero(np.diff(seg[live], prepend=-1))
             done = np.maximum.reduceat(np.abs(f), heads) < tol
             live = live[np.repeat(~done, np.diff(heads, append=live.size))]

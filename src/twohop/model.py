@@ -402,17 +402,18 @@ def _log_miss_terms(x: float, w) -> np.ndarray:
     """Per-relay log of no delivery in a sub-slot whose TTL window holds
     policy mass w: log1p(-(1 - e^{x w}) g), g = 1 - e^x, x = -lam dt.
 
-    Past lam dt of about 37, p g rounds to 1 and log1p gives -inf where the
-    value is finite; those entries alone take the same quantity as
-    log(e^{x w} + e^x p) = logaddexp(x w, x + log p)."""
+    Past lam dt of about 37, g and p g round to 1 and log1p gives -inf
+    where the value is finite; those entries alone take the same quantity
+    as log(e^{x w} + e^x p) = logaddexp(x w, x + log p)."""
     xw = x * w
     p = -np.expm1(xw)
     g = -math.expm1(x)
+    if g < 1.0:     # p <= 1, so p g <= g < 1 and every entry is finite
+        return np.log1p(-p * g)
     with np.errstate(divide="ignore"):
         out = np.log1p(-p * g)
     lost = np.isneginf(out)
-    if lost.any():
-        out[lost] = np.logaddexp(xw[lost], x + np.log(p[lost]))
+    out[lost] = np.logaddexp(xw[lost], x + np.log(p[lost]))
     return out
 
 
@@ -509,7 +510,13 @@ def threshold_energy(thresholds: Sequence[float], sc: Scenario) -> float:
     hs = [float(h) for h in thresholds]
     if len(hs) != len(sc.classes):
         raise ValueError("threshold count does not match scenario classes")
-    return _energy_probe(0, hs, sc)(hs[0])
+    total = _tx_energy(enumerate(hs), sc)
+    for tech in sc.technologies:
+        members = sc.tech_members[tech.ident]
+        if not members or tech.beacon_cost == 0.0:
+            continue
+        total += sc.beacon_rate(tech.ident) * _beacon_span(hs, members)
+    return total
 
 
 def _beacon_span(hs: list[float], members: tuple[int, ...]) -> float:
