@@ -42,9 +42,8 @@ def _uniform_energy(h: float, sc: Scenario) -> float:
     to all classes in a slot or stays silent: the fractional tail multiplies
     each technology's beacon share linearly."""
     total = _tx_energy(enumerate([h] * len(sc.classes)), sc)
-    for tech in sc.technologies:
-        if sc.tech_members[tech.ident]:
-            total += sc.beacon_rate(tech.ident) * h
+    for rate, _ in sc.beacons:
+        total += rate * h
     return total
 
 
@@ -75,8 +74,7 @@ def class_independent(sc: Scenario) -> float:
             deriv = sum(cls.tx_cost * cls.population * sc.rates[c] * dt
                         * math.exp(-sc.rates[c] * dt * h)
                         for c, cls in enumerate(sc.classes))
-            deriv += sum(sc.beacon_rate(t.ident) for t in sc.technologies
-                         if sc.tech_members[t.ident])
+            deriv += sum(rate for rate, _ in sc.beacons)
             if res > 0.0:
                 hi = h
             else:

@@ -351,12 +351,11 @@ def _timed(fn, *args, **kwargs):
 
 
 def run_algorithm(name: str, sc: Scenario, *, timeout_s: float | None = None) -> AlgoResult:
-    beacons_present = any(t.beacon_cost > 0.0 for t in sc.technologies)
     if name == "grid":
         return _grid_result(grid_search(sc, timeout_s=timeout_s))
     if name in ("greedy1", "greedy2"):
         variant = GreedyVariant.GAIN if name == "greedy1" else GreedyVariant.GAIN_PER_COST
-        if variant is GreedyVariant.GAIN_PER_COST and beacons_present:
+        if variant is GreedyVariant.GAIN_PER_COST and sc.beacons:
             raise CliRequestError("greedy2 requires a scenario without beacon costs")
         rep = greedy_construct(sc, variant)
         return AlgoResult(rep.policy, rep.objective, rep.iterations, {
@@ -366,7 +365,7 @@ def run_algorithm(name: str, sc: Scenario, *, timeout_s: float | None = None) ->
             "fractional_topup": rep.fractional_topup,
         })
     if name == "combined":
-        if beacons_present:
+        if sc.beacons:
             raise CliRequestError("combined greedy requires a scenario without beacon costs")
         rep = combined_best(sc)
         return AlgoResult(rep.policy, rep.objective, rep.iterations, {
@@ -575,6 +574,7 @@ def _policy_from_source(args, sc: Scenario) -> tuple[str, Policy]:
             except (TypeError, ValueError) as exc:
                 raise CliInputError(f"policy.policy: {exc}") from exc
         raise CliInputError("policy file needs a 'thresholds' or 'policy' key")
+    _check_subslots(args.instance_id, sc)
     res = run_algorithm(args.algorithm, sc)
     return args.algorithm, expand_threshold(res.policy, sc)
 

@@ -84,7 +84,7 @@ class GreedyReport:
 def _solo_capacity(c: int, sc: Scenario) -> float:
     """Saturating threshold of class c with everyone else silent."""
     try:
-        return boundary_threshold(c, PartialAssignment(c), sc, unassigned="zero")
+        return boundary_threshold(c, PartialAssignment(c), sc)
     except BudgetUnboundedError:
         return math.inf
     except BudgetExceededError:
@@ -132,9 +132,8 @@ def greedy_construct(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN,
     n1 = sc.max_threshold
     dt = sc.eff_slot
     tol = budget_tolerance(sc.budget)
-    if variant is GreedyVariant.GAIN_PER_COST:
-        if any(t.beacon_cost > 0.0 for t in sc.technologies):
-            raise ValueError("gain_per_cost requires all beacon costs to be zero")
+    if variant is GreedyVariant.GAIN_PER_COST and sc.beacons:
+        raise ValueError("gain_per_cost requires a scenario without beacon costs")
 
     tables = [class_log_miss_table(c, sc).tolist() for c in range(n_classes)]
     k = [n1 if is_costless(c, sc) else 0 for c in range(n_classes)]
@@ -235,8 +234,8 @@ def combined_best(sc: Scenario, *, fractional_topup: bool = True) -> GreedyRepor
     """Better of the two greedy variants; only valid without beaconing costs,
     where the pair carries the COMBINED_GUARANTEE factor of the best integer
     profile within budget."""
-    if any(t.beacon_cost > 0.0 for t in sc.technologies):
-        raise ValueError("combined greedy requires all beacon costs to be zero")
+    if sc.beacons:
+        raise ValueError("combined greedy requires a scenario without beacon costs")
     first = greedy_construct(sc, GreedyVariant.GAIN, fractional_topup=fractional_topup)
     second = greedy_construct(sc, GreedyVariant.GAIN_PER_COST,
                               fractional_topup=fractional_topup)

@@ -211,12 +211,10 @@ def _solve_for(c: int, rem, m2, sc: Scenario, starts=(0,)) -> np.ndarray:
                                  starts)
 
 
-def _completion_masses(c2: int, assigned: Mapping, sc: Scenario, unassigned: str) -> dict:
+def _completion_masses(c2: int, assigned: Mapping, sc: Scenario, fill: float) -> dict:
     """Threshold mass of every class other than c2 in the completion context,
-    in class order; an assigned entry may be an array of values."""
-    if unassigned not in ("zero", "full"):
-        raise ValueError("unassigned must be 'zero' or 'full'")
-    fill = float(sc.max_threshold) if unassigned == "full" else 0.0
+    in class order: ``fill`` for a costly class not yet assigned; an
+    assigned entry may be an array of values."""
     masses = {}
     for c in range(len(sc.classes)):
         if c == c2:
@@ -234,24 +232,22 @@ def _remaining(c2: int, masses: dict, sc: Scenario, const):
     """Budget left for class c2 once ``const`` and the beacon energy of the
     other classes (at ``masses``, arrays allowed) are paid, and the beacon
     coverage m2 already paid on c2's own technology."""
-    own = sc.classes[c2].technology
-    m2 = 0.0
-    for tech in sc.technologies:
-        members = [masses[c] for c in sc.tech_members[tech.ident] if c != c2]
-        if not members or tech.beacon_cost == 0.0:
+    own = m2 = 0.0
+    for rate, members in sc.beacons:
+        others = [masses[c] for c in members if c != c2]
+        if not others:
             continue
-        cover = functools.reduce(np.maximum, members)
-        if tech.ident == own:
-            m2 = cover
+        cover = functools.reduce(np.maximum, others)
+        if c2 in members:
+            own, m2 = rate, cover
         else:
-            const = const + sc.beacon_rate(tech.ident) * cover
-    return sc.budget - const - sc.beacon_rate(own) * m2, m2
+            const = const + rate * cover
+    return sc.budget - const - own * m2, m2
 
 
-def boundary_threshold(c2: int, partial: PartialAssignment, sc: Scenario,
-                       unassigned: str = "zero") -> float:
+def boundary_threshold(c2: int, partial: PartialAssignment, sc: Scenario) -> float:
     """Threshold for class c2 that spends the budget exactly, given the fixed
-    classes and the stated completion for the not-yet-assigned ones.
+    classes, with the costly classes not yet assigned silent.
 
     The transmission part inverts in closed form; when the solved threshold
     sticks out beyond the beacon coverage already paid on c2's technology,
@@ -261,7 +257,7 @@ def boundary_threshold(c2: int, partial: PartialAssignment, sc: Scenario,
     Raises BudgetExceededError when the fixed classes alone overspend, and
     BudgetUnboundedError when even h = subslots - 1 cannot exhaust the budget.
     """
-    masses = _completion_masses(c2, partial.assigned, sc, unassigned)
+    masses = _completion_masses(c2, partial.assigned, sc, 0.0)
     rem, m2 = _remaining(c2, masses, sc, _tx_energy(masses.items(), sc))
     sol = _solve_for(c2, rem, m2, sc)[0]
     if math.isnan(sol):
@@ -329,7 +325,7 @@ def _ranges(c: int, fixed: Mapping, sc: Scenario) -> tuple[np.ndarray, np.ndarra
     """
     n_rows = max(map(np.size, fixed.values()), default=1)
     parts = [_remaining(c, m, sc, _tx_energy(m.items(), sc))
-             for m in (_completion_masses(c, fixed, sc, fill) for fill in ("zero", "full"))]
+             for m in (_completion_masses(c, fixed, sc, fill) for fill in (0.0, float(sc.max_threshold)))]
     rem, m2 = (np.concatenate([np.broadcast_to(p[k], n_rows) for p in parts]) for k in (0, 1))
     ends = _solve_for(c, rem, m2, sc, starts=np.arange(2 * n_rows))
     hi = np.minimum(sc.max_threshold, np.floor(ends[:n_rows] + _SNAP))
@@ -420,11 +416,8 @@ class _HullBound:
         self.margin, self.margin_up = margins
         self.n1, self.tables, self.pinned, self.slack, self.best = (
             sc.max_threshold, tables, pinned, slack, best)
-        self.charges = []
-        for tech in sc.technologies:
-            fixed = [k for k in sc.tech_members[tech.ident] if k in prefix]
-            if tech.beacon_cost != 0.0 and fixed:
-                self.charges.append((sc.beacon_rate(tech.ident), fixed))
+        self.charges = [(rate, fixed) for rate, members in sc.beacons
+                        if (fixed := [k for k in members if k in prefix])]
         self.room = sc.budget + budget_tolerance(sc.budget) + slack
         self.pruned = 0
 
@@ -471,11 +464,7 @@ def _hull_bounds(sc: Scenario, tables: list[np.ndarray], pinned: float, full_ene
         return {}
     slack = 2.0 ** -46 * (len(sc.classes) + 8) * (sc.budget + 2.0 * full_energy + 1.0)
     # a class alone on a beaconing radio pays rate * h for its own coverage
-    own = {}
-    for tech in sc.technologies:
-        members = sc.tech_members[tech.ident]
-        if tech.beacon_cost != 0.0 and len(members) == 1:
-            own[members[0]] = sc.beacon_rate(tech.ident)
+    own = {members[0]: rate for rate, members in sc.beacons if len(members) == 1}
     h = np.arange(sc.subslots)
     energy = {k: _tx_energy([(k, h)], sc) + own.get(k, 0.0) * h for k in costly}
     slopes = {k: _log_miss_slopes(k, sc) for k in costly}
@@ -544,7 +533,7 @@ def _leaf_batches(sc: Scenario, frac_c: int, hull: _HullBound | None = None
         c = levels[-1]
         cls = sc.classes[c]
         const = row_tx + cls.tx_cost * cls.population * -np.expm1(-sc.rates[c] * sc.eff_slot * v)
-        return _remaining(frac_c, _completion_masses(frac_c, {**fixed, c: v}, sc, "zero"), sc,
+        return _remaining(frac_c, _completion_masses(frac_c, {**fixed, c: v}, sc, 0.0), sc,
                           const)
 
     def step(fixed: dict[int, np.ndarray]):
@@ -561,7 +550,7 @@ def _leaf_batches(sc: Scenario, frac_c: int, hull: _HullBound | None = None
             # the closure's transmission energy with the leaf at mass 0
             # (adding exactly +0.0), once per parent prefix
             row_tx = np.broadcast_to(
-                _tx_energy(_completion_masses(frac_c, fixed, sc, "zero").items(), sc), rows.shape)
+                _tx_energy(_completion_masses(frac_c, fixed, sc, 0.0).items(), sc), rows.shape)
         if prune:
             bound, bound_up = hull.bounds(fixed, row_tx)
             order = np.argsort(bound, kind="stable")
@@ -603,7 +592,7 @@ def _leaf_batches(sc: Scenario, frac_c: int, hull: _HullBound | None = None
     if levels:
         yield from step({})
     else:
-        masses = _completion_masses(frac_c, {}, sc, "zero")
+        masses = _completion_masses(frac_c, {}, sc, 0.0)
         r = _solve_for(frac_c, *_remaining(frac_c, masses, sc, _tx_energy(masses.items(), sc)), sc)
         yield levels, no_vals, r[np.isfinite(r)]
 

@@ -32,8 +32,7 @@ import numpy as np
 from .model import (
     Policy,
     Scenario,
-    _prefix_mass,
-    _windows,
+    _row_windows,
     beacon_activity,
     delivery_probability,
     energy_spent,
@@ -132,9 +131,10 @@ def holding_expectation(pol: Policy, sc: Scenario) -> np.ndarray:
     out = np.empty((len(sc.classes), n))
     for c, cls in enumerate(sc.classes):
         x = sc.rates[c] * sc.eff_slot
-        cum = _prefix_mass(pol.probs[c])
-        q_before = np.exp(-x * cum(np.maximum(0, np.arange(n) - cls.ttl_slots)))
-        out[c] = cls.population * q_before * -np.expm1(-x * _windows(cum, cls.ttl_slots, n))
+        cum = np.concatenate(([0.0], np.cumsum(pol.probs[c])))
+        q_before = np.exp(-x * cum[np.maximum(0, np.arange(n) - cls.ttl_slots)])
+        w = _row_windows(pol.probs[c], cls.ttl_slots, n)
+        out[c] = cls.population * q_before * -np.expm1(-x * w)
     return out
 
 
@@ -234,8 +234,7 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
     horizon = n * dt
 
     # (energy per active sub-slot, activity probability) per beaconing technology
-    beacons = [(sc.beacon_rate(tech.ident), active)
-               for tech, active in beacon_activity(pol, sc)]
+    beacons = list(beacon_activity(pol, sc))
     sampled_beacons = cfg.beacon_accounting == "sampled" and bool(beacons)
     beacon_const = 0.0 if sampled_beacons else sum(
         rate * float(active.sum()) for rate, active in beacons)

@@ -217,6 +217,15 @@ class Scenario:
         """Beacon energy per active sub-slot for one technology."""
         return self.tech_by_id[tech_id].beacon_cost / self.resolution
 
+    @cached_property
+    def beacons(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
+        """(beacon energy per active sub-slot, member classes) of every
+        technology that charges beacons, one with a nonzero cost and at
+        least one class, in scenario order."""
+        return tuple((self.beacon_rate(t.ident), self.tech_members[t.ident])
+                     for t in self.technologies
+                     if t.beacon_cost != 0.0 and self.tech_members[t.ident])
+
 
 def is_costless(c: int, sc: Scenario) -> bool:
     """True when transmissions of class c consume no energy at all.
@@ -330,18 +339,33 @@ def contact_rate(cls: NodeClass, sc: Scenario) -> float:
 
 
 def _windows(cum, ttl: int, n: int) -> np.ndarray:
-    """Policy mass in the TTL window of every sub-slot k < n,
-    w[k] = cum(k + 1) - cum(max(0, k - ttl)), where cum(m) is the mass of
-    the first m sub-slots: ``_prefix_mass`` of a policy row, or min(m, h)
-    for a threshold h.  A column of thresholds gives one C-ordered row of
-    windows per threshold, so a row sum keeps numpy's pairwise order."""
+    """Threshold mass in the TTL window of every sub-slot k < n,
+    w[k] = cum(k + 1) - cum(max(0, k - ttl)) with cum(m) = min(m, h), which
+    is exact.  A column of thresholds gives one C-ordered row of windows per
+    threshold, so a row sum keeps numpy's pairwise order."""
     k = np.arange(n)
     return cum(k + 1) - cum(np.maximum(0, k - ttl))
 
 
-def _prefix_mass(mu: np.ndarray):
-    """cum(m) of a policy row: the sum of its first m entries."""
-    return np.concatenate(([0.0], np.cumsum(mu))).__getitem__
+def _row_windows(mu: np.ndarray, ttl: int, n: int) -> np.ndarray:
+    """Policy mass in the TTL window of every sub-slot k < n of a policy row,
+    w[k] = sum(mu[max(0, k - ttl):k + 1]).
+
+    A window that starts at sub-slot 0 is a prefix sum.  Every later window
+    spans ttl + 1 sub-slots, so with the row cut into blocks of ttl + 1 it
+    is the suffix of one block plus a prefix of the next, each summed within
+    its block: a small window keeps its relative precision after a large
+    prefix, where a difference of prefix sums would not."""
+    mu = np.asarray(mu[:n], dtype=float)
+    w = np.cumsum(mu)
+    b = ttl + 1
+    if n > b:
+        blocks = np.concatenate((mu, np.zeros(-n % b))).reshape(-1, b)
+        head = np.cumsum(blocks, axis=1).ravel()
+        tail = np.cumsum(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+        s = np.arange(1, n - ttl)   # window starts; a start on a block edge spans that block
+        w[b:] = tail[s] + np.where(s % b != 0, head[s + ttl], 0.0)
+    return w
 
 
 def q_no_receive(mu_c: Sequence[float], k: int, k2: int, lam: float, dt: float) -> float:
@@ -351,7 +375,7 @@ def q_no_receive(mu_c: Sequence[float], k: int, k2: int, lam: float, dt: float) 
     if not (0 <= k <= k2 < mu.shape[0]):
         raise ValueError(f"window [{k}, {k2}] outside policy of length {mu.shape[0]}")
     # k..k2 is the TTL window of sub-slot k2 for a TTL of k2 - k
-    return math.exp(-lam * dt * _windows(_prefix_mass(mu), k2 - k, k2 + 1)[k2])
+    return math.exp(-lam * dt * _row_windows(mu, k2 - k, k2 + 1)[k2])
 
 
 def _p_receive(c: int, k: int, ttl: int, pol: Policy, sc: Scenario) -> float:
@@ -360,7 +384,7 @@ def _p_receive(c: int, k: int, ttl: int, pol: Policy, sc: Scenario) -> float:
     relative precision."""
     if not (0 <= k < sc.subslots):
         raise ValueError("slot index outside horizon")
-    w = _windows(_prefix_mass(pol.probs[c]), ttl, sc.subslots)[k]
+    w = _row_windows(pol.probs[c], ttl, sc.subslots)[k]
     return -math.expm1(-sc.rates[c] * sc.eff_slot * w)
 
 
@@ -442,23 +466,19 @@ def delivery_probability(pol: Policy, k: int, sc: Scenario) -> float:
         raise ValueError("policy shape does not match scenario")
     total = 0.0
     for c, cls in enumerate(sc.classes):
-        w = _windows(_prefix_mass(pol.probs[c]), cls.ttl_slots, k)
+        w = _row_windows(pol.probs[c], cls.ttl_slots, k)
         total += cls.population * float(_log_miss_terms(-sc.rates[c] * sc.eff_slot, w).sum())
     return -math.expm1(total)
 
 
-def beacon_activity(pol: Policy, sc: Scenario) -> Iterator[tuple[Technology, np.ndarray]]:
+def beacon_activity(pol: Policy, sc: Scenario) -> Iterator[tuple[float, np.ndarray]]:
     """Per-sub-slot probability that each beaconing technology is active.
 
-    Yields (technology, 1 - prod(1 - mu)) over the classes on that
-    technology, in scenario order, for every technology with member classes
-    and a nonzero beacon cost.
+    Yields (beacon rate, 1 - prod(1 - mu)) over the member classes of each
+    of ``sc.beacons``, in scenario order.
     """
-    for tech in sc.technologies:
-        members = sc.tech_members[tech.ident]
-        if not members or tech.beacon_cost == 0.0:
-            continue
-        yield tech, 1.0 - np.prod(1.0 - pol.probs[list(members), :], axis=0)
+    for rate, members in sc.beacons:
+        yield rate, 1.0 - np.prod(1.0 - pol.probs[list(members), :], axis=0)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -495,8 +515,8 @@ def energy_spent(pol: Policy, sc: Scenario) -> float:
     if pol.probs.shape != (len(sc.classes), sc.subslots):
         raise ValueError("policy shape does not match scenario")
     total = _tx_energy(enumerate(float(row.sum()) for row in pol.probs), sc)
-    for tech, active in beacon_activity(pol, sc):
-        total += sc.beacon_rate(tech.ident) * float(active.sum())
+    for rate, active in beacon_activity(pol, sc):
+        total += rate * float(active.sum())
     return total
 
 
@@ -511,11 +531,8 @@ def threshold_energy(thresholds: Sequence[float], sc: Scenario) -> float:
     if len(hs) != len(sc.classes):
         raise ValueError("threshold count does not match scenario classes")
     total = _tx_energy(enumerate(hs), sc)
-    for tech in sc.technologies:
-        members = sc.tech_members[tech.ident]
-        if not members or tech.beacon_cost == 0.0:
-            continue
-        total += sc.beacon_rate(tech.ident) * _beacon_span(hs, members)
+    for rate, members in sc.beacons:
+        total += rate * _beacon_span(hs, members)
     return total
 
 
@@ -542,13 +559,9 @@ def _energy_probe(c: int, thresholds: Sequence[float], sc: Scenario):
     weight, scale = cls.tx_cost * cls.population, -sc.rates[c] * sc.eff_slot
     head = _tx_energy(((k, hs[k]) for k in range(c)), sc)
     later = [_tx_energy([(k, hs[k])], sc) for k in range(c + 1, len(hs))]
-    beacons = []    # (rate, members) on c's technology, the energy elsewhere
-    for tech in sc.technologies:
-        members = sc.tech_members[tech.ident]
-        if not members or tech.beacon_cost == 0.0:
-            continue
-        rate = sc.beacon_rate(tech.ident)
-        beacons.append((rate, members) if c in members else rate * _beacon_span(hs, members))
+    # (rate, members) on c's technology, the energy elsewhere
+    beacons = [(rate, members) if c in members else rate * _beacon_span(hs, members)
+               for rate, members in sc.beacons]
 
     def energy_at(h: float) -> float:
         total = head + weight * -math.expm1(scale * h)

@@ -312,6 +312,21 @@ def test_sweep_rejects_grid_beyond_subslot_limit(tmp_path, capsys, monkeypatch):
     assert "400 sub-slots exceed MAX_SUBSLOTS = 300" in capsys.readouterr().err
 
 
+def test_simulate_rejects_solving_beyond_subslot_limit(tmp_path, capsys, monkeypatch):
+    # the limit guards the tables a solve builds; a policy file builds none
+    path = write_doc(tmp_path, two_class_doc())
+    args = ["simulate", "--scenario", path, "--trials", "10"]
+    assert main(args + ["--resolution", "2001"]) == 1
+    assert "12006 sub-slots exceed MAX_SUBSLOTS = 10000" in capsys.readouterr().err
+    monkeypatch.setattr(twohop.cli, "MAX_SUBSLOTS", 12)
+    assert main(args + ["--resolution", "2", "--algorithm", "greedy1"]) == 0
+    assert main(args + ["--resolution", "3", "--algorithm", "greedy1"]) == 1
+    assert "18 sub-slots exceed MAX_SUBSLOTS = 12" in capsys.readouterr().err
+    pol_path = tmp_path / "policy.json"
+    pol_path.write_text(json.dumps({"thresholds": [1.5, 2.0]}))
+    assert main(args + ["--resolution", "3", "--policy-file", str(pol_path)]) == 0
+
+
 def test_bound_command(capsys):
     assert main(["bound", "--slots", "2", "--resolution", "10"]) == 0
     value = float(capsys.readouterr().out.strip())

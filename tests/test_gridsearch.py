@@ -36,6 +36,8 @@ from twohop.gridsearch import (
     _leaf_batches,
     _prune_margin,
     _ranges,
+    _remaining,
+    _solve_for,
     _solve_saturating_vec,
     _tail_bracket,
     brute_force_saturating,
@@ -291,21 +293,31 @@ def test_leaf_chunks_keep_candidates_and_bits(monkeypatch):
             == (rep.policy, rep.objective, rep.upper_bound, rep.enumerated)
 
 
+def _full_completion_boundary(c, partial, sc):
+    """The boundary solve of class c with the costly classes not yet assigned
+    at full transmission: NaN when they overspend, inf when c cannot
+    exhaust the rest."""
+    masses = _completion_masses(c, partial.assigned, sc, float(sc.max_threshold))
+    return float(_solve_for(c, *_remaining(c, masses, sc, _tx_energy(masses.items(), sc)),
+                            sc)[0])
+
+
 def _scalar_range(c, partial, sc):
     """The range rule on two scalar boundary solves, and which branch set it."""
     n1 = sc.max_threshold
     try:
-        hi, kind = min(n1, math.floor(boundary_threshold(c, partial, sc, "zero") + _SNAP)), "solved"
+        hi, kind = min(n1, math.floor(boundary_threshold(c, partial, sc) + _SNAP)), "solved"
     except BudgetExceededError:
         return (0, -1), "overspent"
     except BudgetUnboundedError:
         hi, kind = n1, "hi-unbounded"
-    try:
-        lo = max(0, math.ceil(boundary_threshold(c, partial, sc, "full") - _SNAP))
-    except BudgetExceededError:
+    lo = _full_completion_boundary(c, partial, sc)
+    if math.isnan(lo):
         lo, kind = 0, "lo-overspent"
-    except BudgetUnboundedError:
+    elif math.isinf(lo):
         return (0, -1), "unsaturable"
+    else:
+        lo = max(0, math.ceil(lo - _SNAP))
     return (lo, hi), kind if lo <= hi else "empty"
 
 
@@ -538,7 +550,7 @@ def test_hull_bound_holds_below_every_prefix():
                 continue
             prefix = [c for c in _costly_classes(sc) if c != frac_c][:-1]
             fixed = {c: np.array([key[k] for key in lows]) for k, c in enumerate(prefix)}
-            row_tx = _tx_energy(_completion_masses(frac_c, fixed, sc, "zero").items(), sc)
+            row_tx = _tx_energy(_completion_masses(frac_c, fixed, sc, 0.0).items(), sc)
             bound, bound_up = hull.bounds(fixed, row_tx)
             tangent, exact, up = (np.array([low[k] for low in lows.values()]) for k in range(3))
             slack = hull.margin - _prune_margin(frac_c, sc, tables)

@@ -29,6 +29,7 @@ from twohop import (
     threshold_objective,
 )
 from twohop.model import _log_miss_sums, class_log_miss, class_log_miss_table
+from twohop.mcsim import holding_expectation
 from conftest import make_scenario, random_small_scenario, two_class_reference
 
 
@@ -106,6 +107,20 @@ def test_expected_counts_keep_precision_at_small_mass():
     exact = 10 * -math.expm1(-sc.rates[0] * sc.eff_slot * 1e-10)
     assert expected_received(0, 4, pol, sc) == pytest.approx(exact, rel=1e-12, abs=0.0)
     assert expected_holding(0, 4, pol, sc) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_small_window_after_a_large_prefix_keeps_precision():
+    # a difference of prefix sums would carry the rounding of the first 50
+    # sub-slots' mass into the 3e-10 window of sub-slot 55 (1.8e-5 relative)
+    sc = make_scenario([0.1], 1.0, slots=60, populations=[1], ttl=[2])
+    row = np.where(np.arange(60) < 50, 1.0, 1e-10)
+    pol = Policy(row[None, :])
+    x = sc.rates[0] * sc.eff_slot
+    exact = -math.expm1(-x * math.fsum(row[53:56]))
+    assert expected_holding(0, 55, pol, sc) == pytest.approx(exact, rel=1e-12, abs=0.0)
+    q_before = math.exp(-x * math.fsum(row[:53]))
+    assert holding_expectation(pol, sc)[0, 55] == pytest.approx(q_before * exact, rel=1e-12,
+                                                                abs=0.0)
 
 
 @pytest.mark.parametrize("k", [-1, 8], ids=["before", "after"])

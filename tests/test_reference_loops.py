@@ -54,7 +54,6 @@ from twohop.model import (
     _energy_probe,
     _log_miss_slopes,
     _tx_energy,
-    beacon_activity,
     budget_tolerance,
     class_log_miss,
     class_log_miss_table,
@@ -452,7 +451,11 @@ def energy_spent_copy(pol: Policy, sc: Scenario) -> float:
     for c, cls in enumerate(sc.classes):
         mass = float(pol.probs[c].sum())
         total += cls.tx_cost * cls.population * -math.expm1(-sc.rates[c] * dt * mass)
-    for tech, active in beacon_activity(pol, sc):
+    for tech in sc.technologies:
+        members = sc.tech_members[tech.ident]
+        if not members or tech.beacon_cost == 0.0:
+            continue
+        active = 1.0 - np.prod(1.0 - pol.probs[list(members), :], axis=0)
         total += sc.beacon_rate(tech.ident) * float(active.sum())
     return total
 
@@ -588,14 +591,34 @@ def test_log_miss_kernels_cross_chunk_boundaries(monkeypatch):
         model._log_miss_sums.cache_clear()
 
 
+def delivery_probability_fsum(pol: Policy, k: int, sc: Scenario) -> float:
+    """delivery_probability with every TTL window summed exactly."""
+    total = 0.0
+    for c, cls in enumerate(sc.classes):
+        mu = pol.probs[c]
+        w = np.array([math.fsum(mu[max(0, j - cls.ttl_slots):j + 1]) for j in range(k)])
+        total += cls.population * float(model._log_miss_terms(-sc.rates[c] * sc.eff_slot, w).sum())
+    return -math.expm1(total)
+
+
 def test_delivery_probability_matches_copy():
+    # the copy takes every window as a difference of prefix sums: the same
+    # bits on threshold rows, whose windows are exact, and on rows whose
+    # windows all start at sub-slot 0; other rows sum each window from its
+    # own entries and are held to the exactly summed windows instead
     rng = np.random.default_rng(123)
     for sc in KERNEL_SCENARIOS:
         n = sc.subslots
+        long_ttl = np.array([[cls.ttl_slots >= n - 1] for cls in sc.classes])
+        thresholds = [expand_threshold(ThresholdPolicy(tuple(hs)), sc)
+                      for hs in rng.uniform(0.0, n - 1, (3, len(sc.classes)))]
         for pol in _policies(rng, sc):
             for k in sorted({1, n // 2 + 1, n}):
-                assert repr(delivery_probability(pol, k, sc)) == \
-                    repr(delivery_probability_copy(pol, k, sc))
+                assert delivery_probability(pol, k, sc) == pytest.approx(
+                    delivery_probability_fsum(pol, k, sc), rel=1e-12, abs=0.0)
+                for bitwise in (Policy(np.where(long_ttl, pol.probs, 0.0)), *thresholds):
+                    assert repr(delivery_probability(bitwise, k, sc)) == \
+                        repr(delivery_probability_copy(bitwise, k, sc))
 
 
 def test_delivery_of_expanded_thresholds_is_threshold_objective():
@@ -636,7 +659,8 @@ def test_transmission_energy_matches_copies():
             assert repr(energy_spent(expand_threshold(ThresholdPolicy(tuple(hs)), sc), sc)) == \
                 repr(energy_spent_copy(expand_threshold(ThresholdPolicy(tuple(hs)), sc), sc))
         for h in [0.0, float(n1), *rng.uniform(0.0, n1, 4)]:
-            assert repr(_uniform_energy(h, sc)) == repr(uniform_energy_copy(h, sc))
+            # same bits, though a numpy h no longer makes a beacon-free value numpy
+            assert _same_bits(_uniform_energy(h, sc), uniform_energy_copy(h, sc))
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +699,7 @@ def leaf_batches_copy(sc: Scenario, frac_c: int
             # the closure's transmission energy with the leaf at mass 0
             # (adding exactly +0.0), once per parent prefix
             row_tx = np.broadcast_to(
-                _tx_energy(_completion_masses(frac_c, fixed, sc, "zero").items(), sc), rows.shape)
+                _tx_energy(_completion_masses(frac_c, fixed, sc, 0.0).items(), sc), rows.shape)
             cls = sc.classes[c]
         a = 0
         while a < rows.size:
@@ -688,7 +712,7 @@ def leaf_batches_copy(sc: Scenario, frac_c: int
             if last:
                 const = row_tx[seg] + cls.tx_cost * cls.population * -np.expm1(
                     -sc.rates[c] * sc.eff_slot * child[c])
-                masses = _completion_masses(frac_c, child, sc, "zero")
+                masses = _completion_masses(frac_c, child, sc, 0.0)
                 r = _solve_for(frac_c, *_remaining(frac_c, masses, sc, const), sc, starts=starts)
                 ok = np.isfinite(r)
                 yield levels, [child[k][ok] for k in levels], r[ok]
@@ -700,7 +724,7 @@ def leaf_batches_copy(sc: Scenario, frac_c: int
     if levels:
         yield from step({})
     else:
-        masses = _completion_masses(frac_c, {}, sc, "zero")
+        masses = _completion_masses(frac_c, {}, sc, 0.0)
         r = _solve_for(frac_c, *_remaining(frac_c, masses, sc, _tx_energy(masses.items(), sc)), sc)
         yield levels, no_vals, r[np.isfinite(r)]
 
