@@ -60,8 +60,12 @@ __all__ = [
 # tolerance.
 BUDGET_RTOL = 1e-9
 
-# Row chunk used when materialising threshold-by-slot matrices.
-_CHUNK_CELLS = 4_000_000
+# Cells per block of threshold rows in _threshold_sums: 2^16 float64 cells
+# are 512 KiB, so a block's windows and terms stay in a core's L2 cache
+# (2 MiB on a current Xeon) and no solve holds more than a few MiB of them.
+# A block holds whole rows, each summed alone in k order, so the size cannot
+# move a bit.
+_CHUNK_CELLS = 2 ** 16
 
 # Per-class tables (log-miss sums, tx terms) kept in memory; each holds subslots floats.
 _TABLE_CACHE_SIZE = 256
@@ -344,6 +348,8 @@ def _windows(cum, ttl: int, n: int) -> np.ndarray:
     is exact.  A column of thresholds gives one C-ordered row of windows per
     threshold, so a row sum keeps numpy's pairwise order."""
     k = np.arange(n)
+    if ttl >= n - 1:    # every window starts at sub-slot 0, and cum(0) = 0
+        return cum(k + 1)
     return cum(k + 1) - cum(np.maximum(0, k - ttl))
 
 
@@ -591,7 +597,8 @@ def class_log_miss(c: int, thresholds: Iterable[float], sc: Scenario) -> np.ndar
     n = sc.subslots
     x = -sc.rates[c] * sc.eff_slot
     h = np.atleast_1d(np.asarray(thresholds, dtype=float))
-    if h.size and (h.min() < -1e-9 or h.max() > (n - 1) + 1e-9):
+    # written so that NaN fails the check
+    if h.size and not (h.min() >= -1e-9 and h.max() <= (n - 1) + 1e-9):
         raise ValueError("threshold outside policy grid")
     h = np.clip(h, 0.0, float(n - 1))
     return cls.population * _threshold_sums(h, cls.ttl_slots, n,

@@ -2,6 +2,7 @@
 threshold expansion, and the structural invariants they must satisfy."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -427,6 +428,44 @@ def test_log_miss_stays_finite_for_a_very_fast_class():
         want = math.fsum(math.log(math.exp(-x * w) - math.exp(-x) * math.expm1(-x * w))
                          for w in windows)
         assert value == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 19.5])
+def test_class_log_miss_rejects_thresholds_off_the_grid(bad):
+    sc = two_class_reference()
+    with pytest.raises(ValueError, match="outside policy grid"):
+        class_log_miss(0, [bad], sc)
+    with pytest.raises(ValueError, match="outside policy grid"):
+        class_log_miss(1, [1.0, bad, 2.0], sc)
+    with pytest.raises(ValueError, match="outside policy grid"):
+        threshold_objective([bad, 1.0], sc)
+
+
+def test_log_miss_kernels_hold_few_temporaries():
+    # n = 2,000 with one TTL-limited and one full-TTL class: a cold table and
+    # a 4,000-threshold batch each work through blocks of whole rows, never
+    # the whole threshold-by-sub-slot matrix (61 and 153 MiB)
+    sc = make_scenario([0.021, 0.02], 0.7, slots=20, populations=[1, 2], ttl=[5, 20],
+                       resolution=100)
+    n = sc.subslots
+    assert n == 2000 and sc.classes[0].ttl_slots < n - 1 <= sc.classes[1].ttl_slots
+    batch = np.linspace(0.0, n - 1.0, 4000)     # fractional tails in between
+    _log_miss_sums.cache_clear()
+    table_peak = batch_peak = 0
+    tracemalloc.start()
+    try:
+        for c in range(2):
+            tracemalloc.reset_peak()
+            class_log_miss_table(c, sc)
+            table_peak = max(table_peak, tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            class_log_miss(c, batch, sc)
+            batch_peak = max(batch_peak, tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+        _log_miss_sums.cache_clear()
+    assert table_peak <= 4 * 2 ** 20
+    assert batch_peak <= 8 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -574,21 +574,35 @@ def test_log_miss_table_matches_copy():
 
 def test_log_miss_kernels_cross_chunk_boundaries(monkeypatch):
     # small chunks split every batch and every table build into several
-    # blocks of rows; a row's sum must not depend on the block it sits in
+    # blocks of rows (one row each when cells < n, a ragged last block
+    # otherwise); a row's sum must not depend on the block it sits in, and
+    # a class whose TTL reaches the last sub-slot, whose windows skip the
+    # lower end, must keep the bits of the two-ended windows
     rng = np.random.default_rng(122)
-    monkeypatch.setattr(model, "_CHUNK_CELLS", 50)
-    model._log_miss_sums.cache_clear()
-    try:
-        for sc in KERNEL_SCENARIOS[:40:4]:
-            n = sc.subslots
-            h = _threshold_batch(rng, n)
-            for c, cls in enumerate(sc.classes):
-                assert _same_bits(class_log_miss(c, h, sc), class_log_miss_copy(c, h, sc))
-                sums = log_miss_sums_copy(-sc.rates[c] * sc.eff_slot,
-                                          min(cls.ttl_slots, n - 1), n)
-                assert _same_bits(class_log_miss_table(c, sc), cls.population * sums)
-    finally:
+    for cells in (1, 50, 301):
+        monkeypatch.setattr(model, "_CHUNK_CELLS", cells)
         model._log_miss_sums.cache_clear()
+        seen = set()
+        try:
+            for sc in KERNEL_SCENARIOS[:40:4] + KERNEL_SCENARIOS[40:]:
+                n = sc.subslots
+                h = _threshold_batch(rng, n)
+                rows = max(1, cells // n)
+                for c, cls in enumerate(sc.classes):
+                    seen.add((rows == 1, h.size % rows != 0 or n % rows != 0,
+                              cls.ttl_slots >= n - 1))
+                    assert _same_bits(class_log_miss(c, h, sc), class_log_miss_copy(c, h, sc))
+                    sums = log_miss_sums_copy(-sc.rates[c] * sc.eff_slot,
+                                              min(cls.ttl_slots, n - 1), n)
+                    assert _same_bits(class_log_miss_table(c, sc), cls.population * sums)
+        finally:
+            model._log_miss_sums.cache_clear()
+        one_row, ragged, full_ttl = (set(flags) for flags in zip(*seen))
+        assert full_ttl == {True, False}
+        if cells == 1:
+            assert one_row == {True}
+        else:
+            assert ragged == {True, False}
 
 
 def delivery_probability_fsum(pol: Policy, k: int, sc: Scenario) -> float:
