@@ -16,17 +16,13 @@ from .model import (
     expand_threshold,
     expected_holding,
     expected_received,
-    extract_threshold,
     holding_laplace,
-    q_no_receive,
     threshold_energy,
     threshold_objective,
 )
 from .gridsearch import (
     BudgetExceededError,
     BudgetUnboundedError,
-    FeasibleRange,
-    PartialAssignment,
     SolveReport,
     SolveTimeout,
     boundary_threshold,

@@ -237,8 +237,7 @@ def load_scenario(path: str, resolution_override: int | None = None) -> Scenario
 
 
 def preset_class(mobility: str, technology: str, population: int,
-                 ttl_slots: int, resolution: int,
-                 tx_cost: float = DEFAULT_TX_COST) -> NodeClass:
+                 ttl_slots: int, resolution: int) -> NodeClass:
     """Node class built from a mobility and technology preset pair."""
     if mobility not in MOBILITY_PRESETS:
         raise CliInputError(f"unknown mobility preset {mobility!r}")
@@ -249,7 +248,7 @@ def preset_class(mobility: str, technology: str, population: int,
         ttl_slots=ttl_slots * resolution,
         speed=MOBILITY_PRESETS[mobility],
         range_m=TECH_RANGE_M[technology],
-        tx_cost=tx_cost,
+        tx_cost=DEFAULT_TX_COST,
         technology=technology,
     )
 
@@ -269,15 +268,13 @@ def _budgeted(rng: np.random.Generator, budget_frac: tuple[float, float],
 
 def sample_table_scenario(rng: np.random.Generator, *, resolution: int = 5,
                           n_classes: int | None = None,
-                          with_beacons: bool = True,
-                          budget_frac: tuple[float, float] = (0.35, 0.8)
-                          ) -> tuple[str, Scenario]:
+                          with_beacons: bool = True) -> tuple[str, Scenario]:
     """One random instance over the tabulated experiment grid.
 
     Deadlines are slot counts; every class draws a distinct
     (mobility, technology) pair so contact rates never coincide.  The budget
-    is a uniform fraction of the all-full transmission cost, which keeps the
-    constraint binding without starving the instance.
+    is a uniform fraction in [0.35, 0.8] of the all-full transmission cost,
+    which keeps the constraint binding without starving the instance.
     """
     k_slots = int(rng.choice(TABLE_DEADLINE_SLOTS))
     arena = float(rng.choice(TABLE_ARENA_RADII))
@@ -293,7 +290,7 @@ def sample_table_scenario(rng: np.random.Generator, *, resolution: int = 5,
         preset_class(combos[p][0], combos[p][1], pop, k_slots, resolution)
         for p in picks)
 
-    frac, sc = _budgeted(rng, budget_frac, Scenario(
+    frac, sc = _budgeted(rng, (0.35, 0.8), Scenario(
         classes=classes, technologies=technologies,
         deadline=k_slots * DEFAULT_SLOT_LEN, slot_len=DEFAULT_SLOT_LEN,
         arena_radius=arena, budget=1.0, resolution=resolution))
@@ -301,28 +298,28 @@ def sample_table_scenario(rng: np.random.Generator, *, resolution: int = 5,
 
 
 def sample_scalability_scenario(rng: np.random.Generator, n_classes: int, *,
-                                resolution: int = 3, k_slots: int = 100,
-                                population: int = 10, arena: float = 500.0,
-                                budget_frac: tuple[float, float] = (0.3, 0.7)
-                                ) -> tuple[str, Scenario]:
-    """Random mobility and per-class technologies for scalability timing runs."""
+                                resolution: int = 3) -> tuple[str, Scenario]:
+    """Random mobility and per-class technologies for scalability timing runs:
+    100 slots, ten relays per class, a 500 m arena and a budget drawn as a
+    uniform fraction in [0.3, 0.7] of the all-full transmission cost."""
+    k_slots = 100
     classes = []
     technologies = []
     for c in range(n_classes):
         tech_id = f"radio{c}"
         technologies.append(Technology(tech_id, float(rng.uniform(3e-7, 8e-7))))
         classes.append(NodeClass(
-            population=population,
+            population=10,
             ttl_slots=k_slots * resolution,
             speed=float(rng.uniform(1.0, 15.0)),
             range_m=float(rng.uniform(15.0, 50.0)),
             tx_cost=float(rng.uniform(0.05, 0.25)),
             technology=tech_id,
         ))
-    frac, sc = _budgeted(rng, budget_frac, Scenario(
+    frac, sc = _budgeted(rng, (0.3, 0.7), Scenario(
         classes=tuple(classes), technologies=tuple(technologies),
         deadline=k_slots * DEFAULT_SLOT_LEN, slot_len=DEFAULT_SLOT_LEN,
-        arena_radius=arena, budget=1.0, resolution=resolution))
+        arena_radius=500.0, budget=1.0, resolution=resolution))
     return f"scal_C{n_classes}_b{frac:.2f}", sc
 
 
@@ -350,9 +347,9 @@ def _timed(fn, *args, **kwargs):
     return out, time.perf_counter() - t0
 
 
-def run_algorithm(name: str, sc: Scenario, *, timeout_s: float | None = None) -> AlgoResult:
+def run_algorithm(name: str, sc: Scenario) -> AlgoResult:
     if name == "grid":
-        return _grid_result(grid_search(sc, timeout_s=timeout_s))
+        return _grid_result(grid_search(sc))
     if name in ("greedy1", "greedy2"):
         variant = GreedyVariant.GAIN if name == "greedy1" else GreedyVariant.GAIN_PER_COST
         if variant is GreedyVariant.GAIN_PER_COST and sc.beacons:
@@ -428,7 +425,7 @@ def _solve_instance(ident: str, sc: Scenario, names: list[str], *,
         report = {"instance_id": ident, "algorithm": name}
         try:
             if name != "grid":
-                res, wall = _timed(run_algorithm, name, sc, timeout_s=timeout)
+                res, wall = _timed(run_algorithm, name, sc)
             elif isinstance(grid, SolveTimeout):
                 raise grid
             else:

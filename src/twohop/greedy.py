@@ -29,7 +29,6 @@ from .gridsearch import (
     _SNAP,
     BudgetExceededError,
     BudgetUnboundedError,
-    PartialAssignment,
     boundary_threshold,
     saturating_threshold,
 )
@@ -84,7 +83,7 @@ class GreedyReport:
 def _solo_capacity(c: int, sc: Scenario) -> float:
     """Saturating threshold of class c with everyone else silent."""
     try:
-        return boundary_threshold(c, PartialAssignment(c), sc)
+        return boundary_threshold(c, {}, sc)
     except BudgetUnboundedError:
         return math.inf
     except BudgetExceededError:
@@ -108,7 +107,7 @@ def min_slots(c: int, sc: Scenario) -> int:
     transmits in full; 0 when the others alone exhaust the budget."""
     others = {c2: sc.max_threshold for c2 in range(len(sc.classes)) if c2 != c}
     try:
-        r = boundary_threshold(c, PartialAssignment(c, others), sc)
+        r = boundary_threshold(c, others, sc)
     except BudgetExceededError:
         return 0
     except BudgetUnboundedError:

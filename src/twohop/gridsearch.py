@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -44,8 +44,6 @@ from .model import (
 __all__ = [
     "BudgetExceededError",
     "BudgetUnboundedError",
-    "FeasibleRange",
-    "PartialAssignment",
     "SolveReport",
     "SolveTimeout",
     "boundary_threshold",
@@ -77,34 +75,6 @@ class BudgetUnboundedError(RuntimeError):
 
 class SolveTimeout(RuntimeError):
     """Enumeration hit the caller-provided wall-clock limit."""
-
-
-@dataclass(frozen=True)
-class PartialAssignment:
-    """Integer thresholds fixed so far while one class stays fractional.
-
-    ``assigned`` maps class index -> integer threshold; classes are filled in
-    ascending index order over the classes other than ``fractional_class``.
-    """
-
-    fractional_class: int
-    assigned: Mapping[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.fractional_class in self.assigned:
-            raise ValueError("fractional class cannot carry a fixed threshold")
-
-
-@dataclass(frozen=True)
-class FeasibleRange:
-    """Closed integer interval of thresholds admitting a saturating completion."""
-
-    lo: int
-    hi: int
-
-    @property
-    def empty(self) -> bool:
-        return self.hi < self.lo
 
 
 @dataclass
@@ -245,9 +215,10 @@ def _remaining(c2: int, masses: dict, sc: Scenario, const):
     return sc.budget - const - own * m2, m2
 
 
-def boundary_threshold(c2: int, partial: PartialAssignment, sc: Scenario) -> float:
-    """Threshold for class c2 that spends the budget exactly, given the fixed
-    classes, with the costly classes not yet assigned silent.
+def boundary_threshold(c2: int, assigned: Mapping, sc: Scenario) -> float:
+    """Threshold for class c2 that spends the budget exactly, given the
+    classes fixed in ``assigned`` (class -> threshold), with the costly
+    classes not in it silent.
 
     The transmission part inverts in closed form; when the solved threshold
     sticks out beyond the beacon coverage already paid on c2's technology,
@@ -257,7 +228,7 @@ def boundary_threshold(c2: int, partial: PartialAssignment, sc: Scenario) -> flo
     Raises BudgetExceededError when the fixed classes alone overspend, and
     BudgetUnboundedError when even h = subslots - 1 cannot exhaust the budget.
     """
-    masses = _completion_masses(c2, partial.assigned, sc, 0.0)
+    masses = _completion_masses(c2, assigned, sc, 0.0)
     rem, m2 = _remaining(c2, masses, sc, _tx_energy(masses.items(), sc))
     sol = _solve_for(c2, rem, m2, sc)[0]
     if math.isnan(sol):
@@ -334,15 +305,12 @@ def _ranges(c: int, fixed: Mapping, sc: Scenario) -> tuple[np.ndarray, np.ndarra
     return np.where(void, 0, lo).astype(int), np.where(void, -1, hi).astype(int)
 
 
-def feasible_range(c2: int, partial: PartialAssignment, sc: Scenario) -> FeasibleRange:
-    """Integer thresholds for c2 that admit a budget-saturating completion.
-
-    The lower end comes from the completion with all later classes (and the
-    fractional one) at full transmission, the upper end from the all-zero
-    completion.  An empty range prunes the enumeration branch.
-    """
-    lo, hi = _ranges(c2, partial.assigned, sc)
-    return FeasibleRange(int(lo[0]), int(hi[0]))
+def feasible_range(c2: int, assigned: Mapping, sc: Scenario) -> tuple[int, int]:
+    """The one-row call of ``_ranges``: the closed range (lo, hi) of integer
+    thresholds for c2 that admit a budget-saturating completion of
+    ``assigned``, empty (lo > hi) when none does."""
+    lo, hi = _ranges(c2, assigned, sc)
+    return int(lo[0]), int(hi[0])
 
 
 # ---------------------------------------------------------------------------

@@ -43,24 +43,17 @@ __all__ = ["SimConfig", "SimOutcome", "ValidationRecord", "holding_expectation",
            "simulate", "validate"]
 
 _BATCH = 8192
-_CHUNK = 1 << 18   # trials x relays per holding-moment pass, beacon draws per block
+_CHUNK = 1 << 18   # trials x relays per holding-moment pass
 _Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation controls.
-
-    ``beacon_accounting`` is "expected" (the probability-weighted beacon
-    energy is added deterministically, matching the analytic budget
-    expression) or "sampled" (a beacon event is drawn per technology and
-    sub-slot; exploratory only).
-    """
+    """Simulation controls."""
 
     trials: int
     seed: int
     record_holding: bool = False
-    beacon_accounting: str = "expected"
 
     def __post_init__(self):
         if isinstance(self.trials, bool):
@@ -70,8 +63,6 @@ class SimConfig:
         object.__setattr__(self, "seed", operator.index(self.seed))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.beacon_accounting not in ("expected", "sampled"):
-            raise ValueError("beacon_accounting must be 'expected' or 'sampled'")
 
 
 @dataclass
@@ -220,7 +211,8 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
     (reception + ttl) and discarded for good; the packet is delivered when
     any relay's first sink contact after reception falls inside its holding
     window and before the horizon.  Energy sums one tx_cost per successful
-    forward plus the beacon share per cfg.beacon_accounting.
+    forward plus the expected beacon energy, the analytic budget's
+    probability-weighted term, added to every trial.
 
     A contact is placed only if its trial is undelivered, or for every
     accepted contact when cfg.record_holding is set; either way the draws
@@ -233,11 +225,7 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
     dt = sc.eff_slot
     horizon = n * dt
 
-    # (energy per active sub-slot, activity probability) per beaconing technology
-    beacons = list(beacon_activity(pol, sc))
-    sampled_beacons = cfg.beacon_accounting == "sampled" and bool(beacons)
-    beacon_const = 0.0 if sampled_beacons else sum(
-        rate * float(active.sum()) for rate, active in beacons)
+    beacon_const = sum(rate * float(active.sum()) for rate, active in beacon_activity(pol, sc))
 
     # per class: cumulative acceptance hazard over sub-slot boundaries
     hazards = [np.concatenate(([0.0], np.cumsum(sc.rates[c] * dt * pol.probs[c])))
@@ -285,14 +273,7 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
         energy_batch = np.zeros(size)
         for c, cls in enumerate(sc.classes):
             energy_batch += cls.tx_cost * tx_batch[c]
-        if sampled_beacons:
-            block = max(1, _CHUNK // n)   # trials per draw; the stream is the same
-            for rate, active in beacons:
-                for lo in range(0, size, block):
-                    draws = rng.random((min(block, size - lo), n)) < active
-                    energy_batch[lo:lo + block] += rate * draws.sum(axis=1)
-        else:
-            energy_batch += beacon_const
+        energy_batch += beacon_const
 
         delivered_total += int(delivered.sum())
         energy_sum += float(energy_batch.sum())
@@ -322,14 +303,13 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
     return outcome
 
 
-def validate(sc: Scenario, pol: Policy, cfg: SimConfig, *,
-             delivery_tol: float = 0.02, ci_mult: float = 3.0) -> ValidationRecord:
+def validate(sc: Scenario, pol: Policy, cfg: SimConfig) -> ValidationRecord:
     """Compare analytic predictions with a simulation run.
 
     The energy and holding expectations are exact under the model, so their
-    gaps are judged against ci_mult times the Monte Carlo half-width.  The
-    delivery law is an approximation; its gap is reported and flagged only
-    beyond max(delivery_tol, ci_mult * half-width).
+    gaps are judged against three Monte Carlo half-widths.  The delivery law
+    is an approximation; its gap is reported and flagged only beyond
+    max(0.02, three half-widths).
     """
     outcome = simulate(sc, pol, cfg)
     analytic_f = delivery_probability(pol, sc.subslots, sc)
@@ -340,9 +320,9 @@ def validate(sc: Scenario, pol: Policy, cfg: SimConfig, *,
 
     delivery_gap = abs(outcome.delivery_freq - analytic_f)
     energy_gap = abs(outcome.mean_energy - analytic_e)
-    flagged = delivery_gap > max(delivery_tol, ci_mult * outcome.ci95_halfwidth)
+    flagged = delivery_gap > max(0.02, 3.0 * outcome.ci95_halfwidth)
     if math.isfinite(outcome.mean_energy_ci):
-        flagged = flagged or energy_gap > ci_mult * max(outcome.mean_energy_ci, 1e-15)
+        flagged = flagged or energy_gap > 3.0 * max(outcome.mean_energy_ci, 1e-15)
 
     record = ValidationRecord(
         analytic_delivery=analytic_f,

@@ -46,10 +46,8 @@ __all__ = [
     "expand_threshold",
     "expected_holding",
     "expected_received",
-    "extract_threshold",
     "holding_laplace",
     "is_costless",
-    "q_no_receive",
     "threshold_energy",
     "threshold_objective",
     "within_budget",
@@ -267,14 +265,6 @@ class Policy:
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
-    @property
-    def n_classes(self) -> int:
-        return self.probs.shape[0]
-
-    def mass(self, c: int) -> float:
-        """Total transmission mass of class c (sum of its probabilities)."""
-        return float(self.probs[c].sum())
-
     @staticmethod
     def zeros(sc: Scenario) -> "Policy":
         return Policy(np.zeros((len(sc.classes), sc.subslots)))
@@ -294,10 +284,6 @@ class ThresholdPolicy:
             if not (h >= 0.0) or not math.isfinite(h):
                 raise ValueError("thresholds must be finite and >= 0")
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.thresholds)
-
 
 def expand_threshold(tp: ThresholdPolicy, sc: Scenario) -> Policy:
     """Materialise a threshold policy on the scenario's sub-slot grid.
@@ -305,9 +291,9 @@ def expand_threshold(tp: ThresholdPolicy, sc: Scenario) -> Policy:
     Raises ValueError when a threshold falls outside [0, subslots - 1].
     """
     n = sc.subslots
-    if tp.n_classes != len(sc.classes):
+    if len(tp.thresholds) != len(sc.classes):
         raise ValueError("threshold count does not match scenario classes")
-    rows = np.zeros((tp.n_classes, n))
+    rows = np.zeros((len(sc.classes), n))
     for c, h in enumerate(tp.thresholds):
         if h < -1e-12 or h > (n - 1) + 1e-12:
             raise ValueError(f"threshold {h} for class {c} outside [0, {n - 1}]")
@@ -317,19 +303,6 @@ def expand_threshold(tp: ThresholdPolicy, sc: Scenario) -> Policy:
         if j < n:
             rows[c, j] = h - j
     return Policy(rows)
-
-
-def extract_threshold(pol: Policy, sc: Scenario, atol: float = 1e-9) -> ThresholdPolicy:
-    """Inverse of expand_threshold; rejects vectors that are not threshold shaped."""
-    hs = []
-    for c in range(pol.n_classes):
-        h = pol.mass(c)
-        hs.append(h)
-    cand = ThresholdPolicy(tuple(hs))
-    back = expand_threshold(cand, sc)
-    if not np.allclose(back.probs, pol.probs, atol=atol, rtol=0.0):
-        raise ValueError("policy is not threshold shaped")
-    return cand
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +345,6 @@ def _row_windows(mu: np.ndarray, ttl: int, n: int) -> np.ndarray:
         s = np.arange(1, n - ttl)   # window starts; a start on a block edge spans that block
         w[b:] = tail[s] + np.where(s % b != 0, head[s + ttl], 0.0)
     return w
-
-
-def q_no_receive(mu_c: Sequence[float], k: int, k2: int, lam: float, dt: float) -> float:
-    """Probability that one relay receives nothing during sub-slots k..k2
-    (inclusive): exp(-lam * dt * sum(mu_c[k:k2+1]))."""
-    mu = np.asarray(mu_c, dtype=float)
-    if not (0 <= k <= k2 < mu.shape[0]):
-        raise ValueError(f"window [{k}, {k2}] outside policy of length {mu.shape[0]}")
-    # k..k2 is the TTL window of sub-slot k2 for a TTL of k2 - k
-    return math.exp(-lam * dt * _row_windows(mu, k2 - k, k2 + 1)[k2])
 
 
 def _p_receive(c: int, k: int, ttl: int, pol: Policy, sc: Scenario) -> float:
@@ -536,6 +499,9 @@ def threshold_energy(thresholds: Sequence[float], sc: Scenario) -> float:
     hs = [float(h) for h in thresholds]
     if len(hs) != len(sc.classes):
         raise ValueError("threshold count does not match scenario classes")
+    # written so that NaN fails the check
+    if not all(-1e-9 <= h <= sc.max_threshold + 1e-9 for h in hs):
+        raise ValueError("threshold outside policy grid")
     total = _tx_energy(enumerate(hs), sc)
     for rate, members in sc.beacons:
         total += rate * _beacon_span(hs, members)
@@ -664,6 +630,8 @@ def _log_miss_slopes(c: int, sc: Scenario) -> np.ndarray:
 
 def threshold_objective(thresholds: Sequence[float], sc: Scenario) -> float:
     """Delivery probability of a threshold profile at the full horizon."""
+    if len(thresholds) != len(sc.classes):
+        raise ValueError("threshold count does not match scenario classes")
     total = sum(float(class_log_miss(c, [h], sc)[0]) for c, h in enumerate(thresholds))
     return -math.expm1(total)
 

@@ -11,7 +11,6 @@ import twohop.gridsearch
 from twohop import (
     BudgetExceededError,
     BudgetUnboundedError,
-    PartialAssignment,
     ThresholdPolicy,
     boundary_threshold,
     enumerate_saturating,
@@ -27,7 +26,6 @@ from twohop import (
 from twohop.cli import sample_table_scenario
 from twohop.gridsearch import (
     _SNAP,
-    FeasibleRange,
     SolveTimeout,
     _Best,
     _completion_masses,
@@ -64,13 +62,13 @@ from conftest import (
 
 def test_boundary_single_class_closed_form():
     sc = make_scenario([0.1], -math.expm1(-0.2), slots=5)
-    r = boundary_threshold(0, PartialAssignment(0), sc)
+    r = boundary_threshold(0, {}, sc)
     assert r == pytest.approx(2.0, abs=1e-10)
 
 
 def test_boundary_reference_instance_vs_bisection():
     sc = two_class_reference()
-    r = boundary_threshold(0, PartialAssignment(0, {1: 15}), sc)
+    r = boundary_threshold(0, {1: 15}, sc)
     # independent bisection on 1*(1-e^(-0.021 h)) = 0.7 - 2*(1-e^(-0.02*15))
     rem = 0.7 - 2.0 * -math.expm1(-0.02 * 15)
     lo, hi = 0.0, 19.0
@@ -89,10 +87,10 @@ def test_boundary_signals():
     sc = make_scenario([0.1, 0.1], 0.05, slots=5)
     # other class already eats the whole budget and more
     with pytest.raises(BudgetExceededError):
-        boundary_threshold(0, PartialAssignment(0, {1: 4}), sc)
+        boundary_threshold(0, {1: 4}, sc)
     rich = make_scenario([0.1], 5.0, slots=5)
     with pytest.raises(BudgetUnboundedError):
-        boundary_threshold(0, PartialAssignment(0), rich)
+        boundary_threshold(0, {}, rich)
 
 
 def test_boundary_beacon_branch_vs_blackbox():
@@ -104,7 +102,7 @@ def test_boundary_beacon_branch_vs_blackbox():
                                    share_prob=0.7)
         assigned = {1: int(rng.integers(0, sc.subslots))}
         try:
-            r = boundary_threshold(0, PartialAssignment(0, assigned), sc)
+            r = boundary_threshold(0, assigned, sc)
         except (BudgetExceededError, BudgetUnboundedError):
             continue
         others = [float(assigned.get(c, 0 if c != 2 else 0)) for c in range(3)]
@@ -122,7 +120,7 @@ def test_boundary_homogeneous_matches_published_closed_form():
     sc = make_scenario([0.12, 0.08], 0.9, slots=8, populations=[2, 3],
                        rho=[0.5, 0.5], beta=[0.02, 0.02], shared_tech=True)
     h2 = 4
-    r = boundary_threshold(0, PartialAssignment(0, {1: h2}), sc)
+    r = boundary_threshold(0, {1: h2}, sc)
     rho, beta = 0.5, 0.02
     a_term = 3 * -math.expm1(-0.08 * h2)
     inner = (2 + a_term - sc.budget / rho + (beta / rho) * h2) / 2
@@ -140,7 +138,7 @@ def test_boundary_homogeneous_matches_published_closed_form():
 
 def test_feasible_range_reference_instance():
     sc = two_class_reference()
-    rng_ = feasible_range(1, PartialAssignment(0), sc)
+    lo, hi = feasible_range(1, {}, sc)
     # exhaustive scan over integer h2: keep those with a saturating h1
     tol = budget_tolerance(sc.budget)
     valid = []
@@ -149,21 +147,20 @@ def test_feasible_range_reference_instance():
         hi_e = threshold_energy([float(sc.max_threshold), float(h2)], sc)
         if lo_e <= sc.budget + tol and hi_e >= sc.budget - tol:
             valid.append(h2)
-    assert valid == list(range(rng_.lo, rng_.hi + 1))
-    assert rng_.lo == 11 and rng_.hi == 19
+    assert valid == list(range(lo, hi + 1))
+    assert (lo, hi) == (11, 19)
 
 
 def test_feasible_range_zero_budget():
     sc = make_scenario([0.1, 0.2], 0.0, slots=5)
-    rng_ = feasible_range(1, PartialAssignment(0), sc)
-    assert rng_.lo == 0 and rng_.hi == 0
+    assert feasible_range(1, {}, sc) == (0, 0)
 
 
 def test_feasible_range_empty_prunes():
     # an already-overspent branch yields an empty range for the next class
     sc = make_scenario([0.1, 0.2, 0.15], 0.05, slots=5)
-    rng_ = feasible_range(2, PartialAssignment(0, {1: 4}), sc)
-    assert rng_.empty
+    lo, hi = feasible_range(2, {1: 4}, sc)
+    assert lo > hi
 
 
 # ---------------------------------------------------------------------------
@@ -293,25 +290,25 @@ def test_leaf_chunks_keep_candidates_and_bits(monkeypatch):
             == (rep.policy, rep.objective, rep.upper_bound, rep.enumerated)
 
 
-def _full_completion_boundary(c, partial, sc):
+def _full_completion_boundary(c, assigned, sc):
     """The boundary solve of class c with the costly classes not yet assigned
     at full transmission: NaN when they overspend, inf when c cannot
     exhaust the rest."""
-    masses = _completion_masses(c, partial.assigned, sc, float(sc.max_threshold))
+    masses = _completion_masses(c, assigned, sc, float(sc.max_threshold))
     return float(_solve_for(c, *_remaining(c, masses, sc, _tx_energy(masses.items(), sc)),
                             sc)[0])
 
 
-def _scalar_range(c, partial, sc):
+def _scalar_range(c, assigned, sc):
     """The range rule on two scalar boundary solves, and which branch set it."""
     n1 = sc.max_threshold
     try:
-        hi, kind = min(n1, math.floor(boundary_threshold(c, partial, sc) + _SNAP)), "solved"
+        hi, kind = min(n1, math.floor(boundary_threshold(c, assigned, sc) + _SNAP)), "solved"
     except BudgetExceededError:
         return (0, -1), "overspent"
     except BudgetUnboundedError:
         hi, kind = n1, "hi-unbounded"
-    lo = _full_completion_boundary(c, partial, sc)
+    lo = _full_completion_boundary(c, assigned, sc)
     if math.isnan(lo):
         lo, kind = 0, "lo-overspent"
     elif math.isinf(lo):
@@ -338,10 +335,10 @@ def test_range_kernel_rows_match_scalar_boundaries():
         block = {k: rng.integers(0, sc.subslots, 30) for k in prefix}
         lo, hi = _ranges(c, block, sc)
         for i in range(30):
-            partial = PartialAssignment(frac_c, {k: int(v[i]) for k, v in block.items()})
-            expect, kind = _scalar_range(c, partial, sc)
+            assigned = {k: int(v[i]) for k, v in block.items()}
+            expect, kind = _scalar_range(c, assigned, sc)
             assert (int(lo[i]), int(hi[i])) == expect
-            assert feasible_range(c, partial, sc) == FeasibleRange(*expect)
+            assert feasible_range(c, assigned, sc) == expect
             kinds.add(kind)
     assert kinds == {"solved", "overspent", "hi-unbounded", "lo-overspent", "unsaturable",
                      "empty"}

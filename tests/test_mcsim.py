@@ -175,14 +175,6 @@ def test_policy_shape_checked():
         simulate(sc, Policy(np.ones((1, 4))), SimConfig(trials=10, seed=0))
 
 
-def test_sampled_beacon_accounting_mode():
-    sc = make_scenario([0.2], 1.0, slots=4, beta=[0.01])
-    pol = Policy(np.ones((1, 4)))
-    out = simulate(sc, pol, SimConfig(trials=50_000, seed=21,
-                                      beacon_accounting="sampled"))
-    assert abs(out.mean_energy - energy_spent(pol, sc)) <= 3.0 * out.mean_energy_ci
-
-
 def _golden_cases():
     base = make_scenario([0.3, 0.15], 1.0, slots=4, populations=[3, 2],
                          beta=[0.004, 0.002], ttl=[2, 4], resolution=2)
@@ -200,11 +192,11 @@ def _golden_cases():
     fine_pol = expand_threshold(ThresholdPolicy((65_000.5,)), fine)
     return {
         "plain-expected-1": (base, th, SimConfig(1, 41)),
-        "holding-sampled-3": (base, th, SimConfig(3, 42, True, "sampled")),
+        "holding-3": (base, th, SimConfig(3, 42, True)),
         "plain-ttl-below-9000": (base, th, SimConfig(9_000, 43)),
-        "holding-sampled-ttl-below-9000": (base, th, SimConfig(9_000, 44, True, "sampled")),
+        "holding-ttl-below-9000": (base, th, SimConfig(9_000, 44, True)),
         "holding-general-full-ttl-9000": (full, Policy(probs), SimConfig(9_000, 45, True)),
-        "plain-general-sampled-3": (full, Policy(probs), SimConfig(3, 46, False, "sampled")),
+        "plain-general-3": (full, Policy(probs), SimConfig(3, 46, False)),
         "holding-general-1": (full, Policy(probs), SimConfig(1, 47, True)),
         "holding-a4-250-slots": (a4, a4_pol, SimConfig(4_000, 48, True)),
         "holding-131072-subslots-5": (fine, fine_pol, SimConfig(5, 49, True)),
@@ -216,11 +208,11 @@ def _golden_cases():
 # moments are summed, must keep every bit
 GOLDEN = {
     "plain-expected-1": "02085ba0caef0377",
-    "holding-sampled-3": "21e561dbdea7c3b2",
+    "holding-3": "c61873b0f81d21b5",
     "plain-ttl-below-9000": "956afee6bbbc75a9",
-    "holding-sampled-ttl-below-9000": "525475e60cdf6c06",
+    "holding-ttl-below-9000": "d4f7b7bd4acb5fba",
     "holding-general-full-ttl-9000": "a48637f4910c7e4c",
-    "plain-general-sampled-3": "2ebc4ebf7992b3d8",
+    "plain-general-3": "00d1783bf4caf52d",
     "holding-general-1": "30c64d599357aa1e",
     "holding-a4-250-slots": "9ff9e5575e2579bf",
     "holding-131072-subslots-5": "4cefd85dcc8b85e4",
@@ -240,9 +232,8 @@ def test_simulate_outputs_golden():
 
 
 def test_passes_keep_bits(monkeypatch):
-    # holding moments in passes of whole trials and beacon draws in blocks of
-    # trials give the same bits as one pass
-    sc, pol, cfg = _golden_cases()["holding-sampled-ttl-below-9000"]
+    # holding moments in passes of whole trials give the same bits as one pass
+    sc, pol, cfg = _golden_cases()["holding-ttl-below-9000"]
     whole = simulate(sc, pol, cfg)
     monkeypatch.setattr(mcsim, "_CHUNK", 1000)
     parts = simulate(sc, pol, cfg)

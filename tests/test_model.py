@@ -23,9 +23,7 @@ from twohop import (
     expand_threshold,
     expected_holding,
     expected_received,
-    extract_threshold,
     holding_laplace,
-    q_no_receive,
     threshold_energy,
     threshold_objective,
 )
@@ -68,19 +66,8 @@ def test_contact_rate_quarter_when_arena_doubles():
 
 
 # ---------------------------------------------------------------------------
-# q_no_receive / expected counts
+# expected counts
 # ---------------------------------------------------------------------------
-
-def test_q_no_receive_values():
-    mu = np.ones(8)
-    assert q_no_receive(np.zeros(8), 2, 5, lam=0.3, dt=1.0) == 1.0
-    assert q_no_receive(mu, 0, 4, lam=0.1, dt=1.0) == pytest.approx(math.exp(-0.5), abs=1e-15)
-    assert q_no_receive(mu, 0, 7, lam=0.0, dt=1.0) == 1.0
-    with pytest.raises(ValueError):
-        q_no_receive(mu, 3, 8, lam=0.1, dt=1.0)
-    with pytest.raises(ValueError):
-        q_no_receive(mu, -1, 2, lam=0.1, dt=1.0)
-
 
 def test_expected_received_example():
     sc = make_scenario([0.1], 1.0, slots=8, populations=[10])
@@ -102,7 +89,7 @@ def test_expected_holding_window():
 
 
 def test_expected_counts_keep_precision_at_small_mass():
-    # 1 - q_no_receive would cancel almost every digit of this mass
+    # 1 - exp(-lam dt mass) would cancel almost every digit of this mass
     sc = make_scenario([0.1], 1.0, slots=8, populations=[10], ttl=[2])
     pol = Policy(np.array([[0.0, 0.0, 0.0, 1e-10, 0.0, 0.0, 0.0, 0.0]]))
     exact = 10 * -math.expm1(-sc.rates[0] * sc.eff_slot * 1e-10)
@@ -353,6 +340,27 @@ def test_threshold_objective_matches_expansion():
         assert direct == pytest.approx(via, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 19.5])
+def test_threshold_energy_rejects_thresholds_off_the_grid(bad):
+    sc = two_class_reference()     # 20 sub-slots: 19.5 is half a sub-slot past the grid
+    with pytest.raises(ValueError, match="outside policy grid"):
+        threshold_energy([bad, 1.0], sc)
+    with pytest.raises(ValueError, match="outside policy grid"):
+        threshold_energy([1.0, bad], sc)
+    # the 1e-9 slack of class_log_miss still admits rounding at both ends
+    assert threshold_energy([-1e-10, sc.max_threshold + 1e-10], sc) == pytest.approx(
+        threshold_energy([0.0, sc.max_threshold], sc), abs=1e-9)
+
+
+@pytest.mark.parametrize("hs", [[5.0], [5.0, 0.0, 1.0]])
+def test_threshold_functionals_reject_a_wrong_threshold_count(hs):
+    sc = two_class_reference()
+    with pytest.raises(ValueError, match="threshold count"):
+        threshold_objective(hs, sc)
+    with pytest.raises(ValueError, match="threshold count"):
+        threshold_energy(hs, sc)
+
+
 # ---------------------------------------------------------------------------
 # per-class log-miss tables
 # ---------------------------------------------------------------------------
@@ -480,6 +488,13 @@ def test_expand_threshold_shapes():
                           np.array([[1.0, 1.0, 0.5, 0.0]]))
     assert np.array_equal(expand_threshold(ThresholdPolicy((3.0,)), sc).probs,
                           np.array([[1.0, 1.0, 1.0, 0.0]]))
+    # each row of a random profile carries its threshold as its mass
+    rng = np.random.default_rng(9)
+    sc = make_scenario([0.1, 0.3], 1.0, slots=6)
+    for _ in range(50):
+        hs = rng.uniform(0, sc.max_threshold, size=2)
+        rows = expand_threshold(ThresholdPolicy(tuple(hs)), sc).probs
+        assert rows.sum(axis=1) == pytest.approx(hs, abs=1e-12)
 
 
 def test_expand_threshold_rejects_out_of_range():
@@ -492,19 +507,6 @@ def test_expand_threshold_rejects_out_of_range():
 def test_policy_rejects_non_finite_and_out_of_range(bad):
     with pytest.raises(ValueError):
         Policy(np.array([[bad, 0.5]]))
-
-
-def test_threshold_round_trip():
-    rng = np.random.default_rng(9)
-    sc = make_scenario([0.1, 0.3], 1.0, slots=6)
-    for _ in range(50):
-        hs = tuple(rng.uniform(0, sc.max_threshold, size=2))
-        tp = ThresholdPolicy(hs)
-        back = extract_threshold(expand_threshold(tp, sc), sc)
-        assert back.thresholds == pytest.approx(hs, abs=1e-12)
-    with pytest.raises(ValueError):
-        extract_threshold(Policy(np.array([[0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-                                           [0.0] * 6])), sc)
 
 
 def test_evaluate_feasibility():
