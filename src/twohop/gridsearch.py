@@ -60,9 +60,12 @@ __all__ = [
 _SNAP = 1e-9
 _RESIDUAL_TOL = 1e-10
 # Rows per chunk of a level step's expansion (whole prefixes, so a chunk may
-# run over by one prefix's range); bounds the memory of the next level's
-# range solve or of the closure solve.
-_LEAF_CHUNK = 65_536
+# run over by one prefix's range); a walk holds about this many rows of
+# arrays per level.  A scan of 2^11..2^16 on a 2-core Xeon timed table-sweep's
+# 101 three-class instances and the 5-class scalability draw at n = 100:
+# 2^13 was fastest on both (0.79 s, 3.6 s at best), 2^12 took 4.5 s on the
+# draw.  Each parent prefix keeps its own Newton segment: the size moves no bit.
+_LEAF_CHUNK = 8_192
 
 
 class BudgetExceededError(RuntimeError):
@@ -112,7 +115,7 @@ def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: fl
     per segment.
     """
     rem = np.atleast_1d(np.asarray(rem, dtype=float))
-    m2 = np.broadcast_to(np.asarray(m2, dtype=float), rem.shape).copy()
+    m2 = np.broadcast_to(np.asarray(m2, dtype=float), rem.shape)
     tol = _RESIDUAL_TOL
     out = np.full(rem.shape, np.nan)
 
@@ -475,7 +478,9 @@ def _leaf_batches(sc: Scenario, frac_c: int, hull: _HullBound | None = None
     chunk at every level; after the last level each chunk is closed by one
     fractional solve with one Newton segment per parent prefix, the
     segmentation of the scalar walk, so every value keeps its bits whatever
-    the order and grouping of the prefixes.
+    the order and grouping of the prefixes, and ``_LEAF_CHUNK`` moves none.
+    A suspended level drops the chunk's index arrays before the level below
+    runs, so a walk holds about ``_LEAF_CHUNK`` rows of arrays per level.
 
     With a ``hull`` (``grid_search`` only), the last level's step bounds
     every prefix row of its block, sorts the rows by bound and, before each
@@ -527,6 +532,7 @@ def _leaf_batches(sc: Scenario, frac_c: int, hull: _HullBound | None = None
             nudge = np.repeat([hull.slack, -hull.slack], rows.size)
             countable = np.isfinite(_solve_for(frac_c, rem + nudge, m2, sc)).reshape(2, -1)
             countable = countable.all(axis=0)
+            del both, rem, m2, nudge
         total = np.cumsum(count[order])
         a = 0
         while a < order.size:
@@ -553,6 +559,7 @@ def _leaf_batches(sc: Scenario, frac_c: int, hull: _HullBound | None = None
                 ok = np.isfinite(r)
                 yield levels, [child[k][ok] for k in levels], r[ok]
             else:
+                del sel, local, seg, starts
                 yield levels, no_vals, np.empty(0)
                 yield from step(child)
             a = b

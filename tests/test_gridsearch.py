@@ -2,7 +2,9 @@
 completeness against brute force, solver optimality, and the quality bound."""
 
 import dataclasses
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from twohop import (
     threshold_energy,
     threshold_objective,
 )
-from twohop.cli import sample_table_scenario
+from twohop.cli import sample_scalability_scenario, sample_table_scenario
 from twohop.gridsearch import (
     _SNAP,
     SolveTimeout,
@@ -288,6 +290,49 @@ def test_leaf_chunks_keep_candidates_and_bits(monkeypatch):
         monkeypatch.undo()
         assert (chunked.policy, chunked.objective, chunked.upper_bound, chunked.enumerated) \
             == (rep.policy, rep.objective, rep.upper_bound, rep.enumerated)
+
+
+@pytest.mark.parametrize("chunk", [257, twohop.gridsearch._LEAF_CHUNK, 65_536])
+def test_chunk_size_moves_no_bit_on_deep_walks(monkeypatch, chunk):
+    # the twelve three-class draws of the seed-810 table stream's first 30
+    # (n up to 1,250) and the 4-class scalability draw at seed 4, n = 100
+    # (2.4 million candidates): every parent prefix keeps its own Newton
+    # segment, so the chunk size moves no output bit; the digest was taken
+    # at 65,536-row chunks before the walker dropped its dead temporaries.
+    # Only the library-only pruned count may move, as the incumbents update
+    # between chunks
+    rng = np.random.default_rng(810)
+    draws = [sample_table_scenario(rng, resolution=5, with_beacons=i % 2 == 0)[1]
+             for i in range(30)]
+    deep = [sc for sc in draws if len(sc.classes) == 3]
+    deep.append(sample_scalability_scenario(np.random.default_rng(4), 4, resolution=1)[1])
+    assert len(deep) == 13 and deep[-1].subslots == 100
+    monkeypatch.setattr(twohop.gridsearch, "_LEAF_CHUNK", chunk)
+    outputs = []
+    for sc in deep:
+        rep = grid_search(sc)
+        assert 0 <= rep.pruned <= rep.enumerated
+        outputs.append(repr((rep.policy, rep.objective, rep.upper_bound, rep.enumerated)))
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    assert digest == "0525a369f83eceb49bfd696ea66f97a2598167773fd7a2a408f01ee4218607d2"
+
+
+def test_walker_holds_few_temporaries():
+    # the 4-class scalability draw at seed 4, n = 300, walks 66 million
+    # candidates over three levels; each level holds about _LEAF_CHUNK rows
+    # of arrays, so the walk's traced peak stays a few MiB (6.7 MiB at
+    # 8,192-row chunks, 52 MiB at 65,536)
+    sc = sample_scalability_scenario(np.random.default_rng(4), 4, resolution=3)[1]
+    assert sc.subslots == 300
+    for c in range(len(sc.classes)):
+        class_log_miss_table(c, sc)     # cached before tracing: not the walker's
+    tracemalloc.start()
+    try:
+        grid_search(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 def _full_completion_boundary(c, assigned, sc):
