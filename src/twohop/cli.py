@@ -360,7 +360,7 @@ def run_algorithm(name: str, sc: Scenario) -> AlgoResult:
             "cardinality_cap": rep.cardinality_cap,
             "online_bound": rep.online_bound,
             "offline_bound": rep.offline_bound,
-            "fractional_topup": rep.fractional_topup,
+            "fractional_topup": rep.topup_class is not None,
         })
     if name == "combined":
         if sc.beacons:

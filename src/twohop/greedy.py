@@ -61,9 +61,9 @@ class GreedyReport:
 
     ``online_bound`` is the guaranteed fraction 1 - e^(-iterations / cap) of
     the best integer profile, ``offline_bound`` the instance-only variant
-    built from the per-class minimum slot counts.  When the fractional top-up
-    ran, ``topup_class`` names the class whose threshold was extended to the
-    budget boundary.
+    built from the per-class minimum slot counts.  ``topup_class`` names the
+    class whose threshold the top-up extended to the budget boundary, or is
+    None when no extension helped.
     """
 
     policy: ThresholdPolicy
@@ -75,39 +75,14 @@ class GreedyReport:
     variant: GreedyVariant
     topup_class: int | None = None
 
-    @property
-    def fractional_topup(self) -> bool:
-        return self.topup_class is not None
 
-
-def _solo_capacity(c: int, sc: Scenario) -> float:
-    """Saturating threshold of class c with everyone else silent."""
+def _affordable(c: int, fixed: dict, sc: Scenario) -> int:
+    """Largest integer threshold class c can afford with the classes in
+    ``fixed`` at their thresholds and the other costly classes silent: 0
+    when the fixed classes alone exhaust the budget, the whole grid when
+    even full transmission cannot."""
     try:
-        return boundary_threshold(c, {}, sc)
-    except BudgetUnboundedError:
-        return math.inf
-    except BudgetExceededError:
-        return 0.0
-
-
-def cardinality_cap(sc: Scenario) -> int:
-    """Slot-count cap W = min(max_c solo capacity, subslots - 1).
-
-    No single class can afford more than its solo capacity, and no threshold
-    exceeds the grid; the cap feeds the greedy certificates.
-    """
-    best = max(_solo_capacity(c, sc) for c in range(len(sc.classes)))
-    if math.isinf(best):
-        return sc.max_threshold
-    return min(int(math.floor(best + _SNAP)), sc.max_threshold)
-
-
-def min_slots(c: int, sc: Scenario) -> int:
-    """Largest integer threshold class c can afford while every other class
-    transmits in full; 0 when the others alone exhaust the budget."""
-    others = {c2: sc.max_threshold for c2 in range(len(sc.classes)) if c2 != c}
-    try:
-        r = boundary_threshold(c, others, sc)
+        r = boundary_threshold(c, fixed, sc)
     except BudgetExceededError:
         return 0
     except BudgetUnboundedError:
@@ -115,17 +90,33 @@ def min_slots(c: int, sc: Scenario) -> int:
     return max(0, min(int(math.floor(r + _SNAP)), sc.max_threshold))
 
 
-def greedy_construct(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN,
-                     *, fractional_topup: bool = True) -> GreedyReport:
-    """Build an integer threshold policy by repeatedly awarding the next
-    sub-slot to the class with the best gain, while the budget allows it.
+def cardinality_cap(sc: Scenario) -> int:
+    """Slot-count cap W: the most sub-slots any one class can afford alone.
+
+    No single class can afford more than its solo capacity, and no threshold
+    exceeds the grid; the cap feeds the greedy certificates.
+    """
+    return max(_affordable(c, {}, sc) for c in range(len(sc.classes)))
+
+
+def min_slots(c: int, sc: Scenario) -> int:
+    """Largest integer threshold class c can afford while every other class
+    transmits in full; 0 when the others alone exhaust the budget."""
+    others = {c2: sc.max_threshold for c2 in range(len(sc.classes)) if c2 != c}
+    return _affordable(c, others, sc)
+
+
+def greedy_construct(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN) -> GreedyReport:
+    """Build a threshold policy by repeatedly awarding the next sub-slot to
+    the class with the best gain, while the budget allows it.
 
     Classes whose transmissions are entirely free are saturated up front and
     excluded from the iteration count.  Ties in the arg max go to the lowest
-    class index.  With ``fractional_topup`` the single class whose extension
-    helps the objective most is afterwards pushed to the exact budget
-    boundary (at most one fractional threshold; the certificates are computed
-    from the integer iterations alone).
+    class index.  An award pays the beacons of the sub-slots it adds beyond
+    the coverage its radio (one of ``sc.beacons``) already pays.  Afterwards
+    the single class whose extension helps the objective most is pushed to
+    the exact budget boundary (at most one fractional threshold); the
+    certificates are computed from the integer iterations alone.
     """
     n_classes = len(sc.classes)
     n1 = sc.max_threshold
@@ -142,17 +133,14 @@ def greedy_construct(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN,
     limit = sc.budget + tol
     per_cost = variant is GreedyVariant.GAIN_PER_COST
 
-    # per costly class: (class, tx_cost * population, lam dt, beacon rate,
-    # technology, log-miss table)
-    terms = []
-    for c in costly:
-        cls = sc.classes[c]
-        terms.append((c, cls.tx_cost * cls.population, sc.rates[c] * dt,
-                      sc.beacon_rate(cls.technology), cls.technology, tables[c]))
-
-    # per-technology integer beacon coverage
-    cover = {t.ident: max((k[c] for c in sc.tech_members[t.ident]), default=0)
-             for t in sc.technologies}
+    # (beacon rate, radio index) of each class on a charging radio
+    radio = {c: (rate, j) for j, (rate, members) in enumerate(sc.beacons) for c in members}
+    # per costly class: (class, tx_cost * population, lam dt, radio or None,
+    # log-miss table)
+    terms = [(c, sc.classes[c].tx_cost * sc.classes[c].population, sc.rates[c] * dt,
+              radio.get(c), tables[c]) for c in costly]
+    # integer beacon coverage per charging radio; its members are all costly
+    cover = [0] * len(sc.beacons)
 
     iterations = 0
     while True:
@@ -161,13 +149,13 @@ def greedy_construct(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN,
         best_energy = 0.0
         f_cur = -math.expm1(log_miss)
         for term in terms:
-            c, weight, g, rate, tech, table = term
+            c, weight, g, beacon, table = term
             kc = k[c]
             if kc >= n1:
                 continue
-            tx_marg = weight * (math.exp(-g * kc) - math.exp(-g * (kc + 1)))
-            beacon_marg = rate * max(0, kc + 1 - cover[tech])
-            e_new = energy + tx_marg + beacon_marg
+            e_new = energy + weight * (math.exp(-g * kc) - math.exp(-g * (kc + 1)))
+            if beacon is not None:
+                e_new += beacon[0] * max(0, kc + 1 - cover[beacon[1]])
             if e_new > limit:
                 continue
             gain = -math.expm1(log_miss - table[kc] + table[kc + 1]) - f_cur
@@ -182,32 +170,32 @@ def greedy_construct(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN,
                 best_energy = e_new
         if best is None:
             break
-        c, _, _, _, tech, table = best
+        c, _, _, beacon, table = best
         log_miss += table[k[c] + 1] - table[k[c]]
         k[c] += 1
         energy = best_energy
-        cover[tech] = max(cover[tech], k[c])
+        if beacon is not None:
+            cover[beacon[1]] = max(cover[beacon[1]], k[c])
         iterations += 1
 
     thresholds = [float(x) for x in k]
 
     topup_class = None
-    if fractional_topup:
-        best_val = log_miss
-        best_h = None
-        for c in costly:
-            if k[c] >= n1:
-                continue
-            r = saturating_threshold(c, thresholds, sc)
-            if r <= k[c] + 1e-12:
-                continue
-            val = log_miss - tables[c][k[c]] + float(class_log_miss(c, [r], sc)[0])
-            if val < best_val:
-                best_val = val
-                best_h = r
-                topup_class = c
-        if topup_class is not None:
-            thresholds[topup_class] = best_h
+    best_val = log_miss
+    best_h = None
+    for c in costly:
+        if k[c] >= n1:
+            continue
+        r = saturating_threshold(c, thresholds, sc)
+        if r <= k[c] + 1e-12:
+            continue
+        val = log_miss - tables[c][k[c]] + float(class_log_miss(c, [r], sc)[0])
+        if val < best_val:
+            best_val = val
+            best_h = r
+            topup_class = c
+    if topup_class is not None:
+        thresholds[topup_class] = best_h
 
     w = cardinality_cap(sc)
     online = -math.expm1(-iterations / w) if w > 0 else 0.0
@@ -229,13 +217,12 @@ def greedy_construct(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN,
     )
 
 
-def combined_best(sc: Scenario, *, fractional_topup: bool = True) -> GreedyReport:
+def combined_best(sc: Scenario) -> GreedyReport:
     """Better of the two greedy variants; only valid without beaconing costs,
     where the pair carries the COMBINED_GUARANTEE factor of the best integer
     profile within budget."""
     if sc.beacons:
         raise ValueError("combined greedy requires a scenario without beacon costs")
-    first = greedy_construct(sc, GreedyVariant.GAIN, fractional_topup=fractional_topup)
-    second = greedy_construct(sc, GreedyVariant.GAIN_PER_COST,
-                              fractional_topup=fractional_topup)
+    first = greedy_construct(sc, GreedyVariant.GAIN)
+    second = greedy_construct(sc, GreedyVariant.GAIN_PER_COST)
     return first if first.objective >= second.objective else second

@@ -781,7 +781,14 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
         return SolveReport(ThresholdPolicy(full), obj, upper_bound=obj,
                            ratio_bound=rb, enumerated=1)
 
-    tables = [class_log_miss_table(c, sc) for c in range(n_classes)]
+    def check_deadline():
+        if deadline is not None and time.perf_counter() > deadline:
+            raise SolveTimeout(f"grid search exceeded {timeout_s:g} s")
+
+    tables = []
+    for c in range(n_classes):
+        tables.append(class_log_miss_table(c, sc))
+        check_deadline()
     # the classes outside the enumeration are the costless ones, pinned full
     pinned = sum(tables[c][n1] for c in range(n_classes) if is_costless(c, sc))
     # T[j + 1]; j = n - 1 only with a = 0
@@ -794,8 +801,7 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     def batches(frac_c: int):
         """The walker's non-empty batches, under the deadline."""
         for batch in _leaf_batches(sc, frac_c, hulls.get(frac_c)):
-            if deadline is not None and time.perf_counter() > deadline:
-                raise SolveTimeout(f"grid search exceeded {timeout_s:g} s")
+            check_deadline()
             if batch[2].size:
                 yield batch
 

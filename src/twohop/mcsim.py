@@ -306,10 +306,13 @@ def simulate(sc: Scenario, pol: Policy, cfg: SimConfig) -> SimOutcome:
 def validate(sc: Scenario, pol: Policy, cfg: SimConfig) -> ValidationRecord:
     """Compare analytic predictions with a simulation run.
 
-    The energy and holding expectations are exact under the model, so their
-    gaps are judged against three Monte Carlo half-widths.  The delivery law
-    is an approximation; its gap is reported and flagged only beyond
-    max(0.02, three half-widths).
+    The energy expectation is exact under the model, so its gap is judged
+    against three Monte Carlo half-widths.  The delivery law is an
+    approximation; its gap is reported and flagged only beyond
+    max(0.02, three half-widths).  The exact transmission counts and, with
+    ``record_holding``, holding trajectory are returned next to the
+    simulated ones but not judged: at one check per class and sub-slot,
+    some would fall outside three half-widths on correct runs.
     """
     outcome = simulate(sc, pol, cfg)
     analytic_f = delivery_probability(pol, sc.subslots, sc)

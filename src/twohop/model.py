@@ -502,10 +502,7 @@ def threshold_energy(thresholds: Sequence[float], sc: Scenario) -> float:
     # written so that NaN fails the check
     if not all(-1e-9 <= h <= sc.max_threshold + 1e-9 for h in hs):
         raise ValueError("threshold outside policy grid")
-    total = _tx_energy(enumerate(hs), sc)
-    for rate, members in sc.beacons:
-        total += rate * _beacon_span(hs, members)
-    return total
+    return _energy_probe(0, hs, sc)(hs[0])
 
 
 def _beacon_span(hs: list[float], members: tuple[int, ...]) -> float:
@@ -521,11 +518,13 @@ def _beacon_span(hs: list[float], members: tuple[int, ...]) -> float:
 
 
 def _energy_probe(c: int, thresholds: Sequence[float], sc: Scenario):
-    """threshold_energy as a function of class c's threshold, the others
-    fixed at ``thresholds``.  The terms without class c (the other classes'
-    transmission energies and the beacons of every other technology) are
-    computed once; each call adds every term in threshold_energy's order,
-    so it returns the same bits."""
+    """Energy of a threshold profile as a function of class c's threshold,
+    the others fixed at ``thresholds``: the transmission energies in class
+    order, then the beacons of each of ``sc.beacons``.  The terms without
+    class c (the other classes' transmission energies and the beacons of
+    every other technology) are computed once.  ``threshold_energy`` is
+    this probe read at class 0's own threshold, so the two share every
+    bit."""
     hs = [float(h) for h in thresholds]
     cls = sc.classes[c]
     weight, scale = cls.tx_cost * cls.population, -sc.rates[c] * sc.eff_slot

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from twohop import NodeClass, Scenario, Technology, threshold_energy
+from twohop import NodeClass, Scenario, Technology, threshold_energy, threshold_objective
+from twohop.model import is_costless
 
 SPEED_CONSTANT = 1.3693
 SLOT_LEN = 100.0
@@ -92,6 +93,23 @@ def random_small_scenario(rng: np.random.Generator, *, n_classes=2, max_slots=10
     budget = float(rng.uniform(*budget_frac)) * full
     return Scenario(tuple(classes), tuple(techs.values()), slots * SLOT_LEN,
                     SLOT_LEN, ARENA, budget, 1)
+
+
+def integer_profile(rep, sc: Scenario) -> tuple[float, ...]:
+    """The integer profile a greedy report's award loop ended on, before the
+    top-up: the topped-up class holds the iterations that the other costly
+    classes' thresholds leave over."""
+    hs = list(rep.policy.thresholds)
+    c = rep.topup_class
+    if c is not None:
+        hs[c] = float(rep.iterations - sum(int(h) for c2, h in enumerate(hs)
+                                           if c2 != c and not is_costless(c2, sc)))
+    return tuple(hs)
+
+
+def integer_objective(rep, sc: Scenario) -> float:
+    """Objective of the greedy's integer profile (``integer_profile``)."""
+    return threshold_objective(integer_profile(rep, sc), sc)
 
 
 def brute_force_integer_optimum(sc: Scenario) -> float:

@@ -10,6 +10,7 @@ from twohop import (
     COMBINED_GUARANTEE,
     GreedyVariant,
     Policy,
+    ThresholdPolicy,
     cardinality_cap,
     combined_best,
     delivery_probability,
@@ -20,8 +21,11 @@ from twohop import (
     threshold_energy,
     threshold_objective,
 )
+from twohop.gridsearch import BudgetExceededError, BudgetUnboundedError, boundary_threshold
 from conftest import (
     brute_force_integer_optimum,
+    integer_objective,
+    integer_profile,
     make_scenario,
     random_small_scenario,
 )
@@ -86,11 +90,10 @@ def test_greedy_zero_budget():
 
 def test_greedy_single_class_matches_boundary_floor():
     sc = make_scenario([0.1], -math.expm1(-0.2), slots=8)
-    rep = greedy_construct(sc, fractional_topup=False)
-    assert rep.policy.thresholds == (2.0,)
+    rep = greedy_construct(sc)
+    assert integer_profile(rep, sc) == (2.0,)
     assert rep.iterations == 2
-    rep_frac = greedy_construct(sc)
-    assert rep_frac.policy.thresholds[0] == pytest.approx(2.0, abs=1e-9)
+    assert rep.policy.thresholds[0] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_greedy_awards_are_left_packed_and_feasible():
@@ -98,10 +101,14 @@ def test_greedy_awards_are_left_packed_and_feasible():
     for trial in range(25):
         sc = random_small_scenario(rng, n_classes=3, max_slots=8,
                                    beacon_scale=0.03 if trial % 2 else 0.0)
-        rep = greedy_construct(sc, fractional_topup=False)
-        assert all(h == int(h) for h in rep.policy.thresholds)
-        assert evaluate(rep.policy, sc).feasible
-        assert rep.iterations == int(sum(rep.policy.thresholds))
+        rep = greedy_construct(sc)
+        hs = integer_profile(rep, sc)
+        assert all(h == int(h) for h in hs)
+        assert evaluate(ThresholdPolicy(hs), sc).feasible
+        assert rep.iterations == int(sum(hs))
+        # the top-up only extends one class of that profile
+        assert sum(a != b for a, b in zip(rep.policy.thresholds, hs)) <= 1
+        assert all(a >= b for a, b in zip(rep.policy.thresholds, hs))
         assert 0.0 <= rep.online_bound < 1.0
         assert 0.0 <= rep.offline_bound < 1.0
 
@@ -110,11 +117,10 @@ def test_greedy_topup_only_improves():
     rng = np.random.default_rng(32)
     for _ in range(20):
         sc = random_small_scenario(rng, n_classes=2, max_slots=8)
-        integer = greedy_construct(sc, fractional_topup=False)
-        topped = greedy_construct(sc, fractional_topup=True)
-        assert topped.objective >= integer.objective - 1e-12
+        topped = greedy_construct(sc)
+        assert topped.objective >= integer_objective(topped, sc) - 1e-12
         assert evaluate(topped.policy, sc).feasible
-        if topped.fractional_topup:
+        if topped.topup_class is not None:
             frac = sum(1 for h in topped.policy.thresholds
                        if abs(h - round(h)) > 1e-9)
             assert frac <= 1
@@ -161,9 +167,9 @@ def test_online_bound_against_integer_optimum():
     for trial in range(15):
         sc = random_small_scenario(rng, n_classes=2, max_slots=7,
                                    beacon_scale=0.02 if trial % 3 == 0 else 0.0)
-        rep = greedy_construct(sc, fractional_topup=False)
+        rep = greedy_construct(sc)
         best_int = brute_force_integer_optimum(sc)
-        assert rep.objective >= rep.online_bound * best_int - 1e-9
+        assert integer_objective(rep, sc) >= rep.online_bound * best_int - 1e-9
 
 
 def test_combined_guarantee_constant():
@@ -185,9 +191,11 @@ def test_combined_meets_guarantee_vs_integer_optimum():
     rng = np.random.default_rng(36)
     for _ in range(15):
         sc = random_small_scenario(rng, n_classes=2, max_slots=7)
-        both = combined_best(sc, fractional_topup=False)
+        # the better of the two variants' integer profiles
+        best = max(integer_objective(greedy_construct(sc, variant), sc)
+                   for variant in GreedyVariant)
         best_int = brute_force_integer_optimum(sc)
-        assert both.objective >= COMBINED_GUARANTEE * best_int - 1e-9
+        assert best >= COMBINED_GUARANTEE * best_int - 1e-9
 
 
 def test_grid_dominates_greedy():
@@ -196,9 +204,20 @@ def test_grid_dominates_greedy():
         sc = random_small_scenario(rng, n_classes=2, max_slots=9,
                                    beacon_scale=0.02 if trial % 2 else 0.0)
         grid = grid_search(sc)
-        for topup in (False, True):
-            rep = greedy_construct(sc, fractional_topup=topup)
-            assert grid.objective >= rep.objective - 1e-9
+        rep = greedy_construct(sc)
+        assert grid.objective >= integer_objective(rep, sc) - 1e-9
+        assert grid.objective >= rep.objective - 1e-9
+
+
+def _alone_unbounded(c, sc):
+    """True when class c alone cannot exhaust the budget at full transmission."""
+    try:
+        boundary_threshold(c, {}, sc)
+    except BudgetUnboundedError:
+        return True
+    except BudgetExceededError:
+        pass
+    return False
 
 
 def test_iterations_within_cap_when_solo_capacity_binds():
@@ -209,10 +228,9 @@ def test_iterations_within_cap_when_solo_capacity_binds():
     for _ in range(40):
         sc = random_small_scenario(rng, n_classes=2, max_slots=8,
                                    budget_frac=(0.05, 0.4))
-        from twohop.greedy import _solo_capacity
-        if any(math.isinf(_solo_capacity(c, sc)) for c in range(2)):
+        if any(_alone_unbounded(c, sc) for c in range(2)):
             continue
-        rep = greedy_construct(sc, fractional_topup=False)
+        rep = greedy_construct(sc)
         assert rep.iterations <= rep.cardinality_cap
         checked += 1
     assert checked >= 5

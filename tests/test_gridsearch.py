@@ -483,6 +483,22 @@ def test_grid_search_timeout():
         grid_search(sc, timeout_s=0.05)
 
 
+def test_grid_search_timeout_checked_during_table_builds(monkeypatch):
+    # the deadline is checked after each class's log-miss table, before the
+    # rest of the set-up and the walk
+    builds = []
+
+    def counted(c, sc):
+        builds.append(c)
+        return class_log_miss_table(c, sc)
+
+    monkeypatch.setattr(twohop.gridsearch, "class_log_miss_table", counted)
+    sc = make_scenario([0.1, 0.2, 0.3], 0.5, slots=8)
+    with pytest.raises(SolveTimeout):
+        grid_search(sc, timeout_s=0)
+    assert len(builds) <= 1
+
+
 # ---------------------------------------------------------------------------
 # upper bound
 # ---------------------------------------------------------------------------

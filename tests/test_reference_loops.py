@@ -3,10 +3,12 @@ copies of their earlier forms.
 
 The loops are the fixed 200-step ``saturating_threshold`` bisection, the
 fixed 100-step shave in ``class_independent``, and the greedy award loop
-that looked every per-class value up again on each iteration; each pair is
-compared by repr over seeded instances with one to four classes, with and
-without beacons, with shared radios, and with budgets near zero and near
-the all-full cost.  The kernels are the log-miss evaluators (at a batch of
+that looked every per-class value up again on each iteration (whose
+integer-only mode also checks the greedy's profile before its top-up);
+each pair is compared by repr over seeded instances with one to four
+classes, with and without beacons, with shared radios, with free radios
+next to charging ones, and with budgets near zero and near the all-full
+cost.  The kernels are the log-miss evaluators (at a batch of
 thresholds, at every integer threshold, and under a general policy) and
 the three transmission-energy loops; they are compared bit for bit over
 seeded scenarios at resolutions 1-5 with TTLs below and at or above the
@@ -65,7 +67,7 @@ from twohop.model import (
     threshold_objective,
     within_budget,
 )
-from conftest import make_scenario, random_small_scenario
+from conftest import integer_objective, integer_profile, make_scenario, random_small_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +259,16 @@ def _instances():
                                          with_beacons=i % 2 == 0)[1])
     # a costless class next to a costly one
     out.append(make_scenario([0.1, 0.2], 0.3, slots=6, rho=[0.0, 1.0], ttl=[3, 6]))
+    # costly classes on a free radio next to a charging one: beaconed draws
+    # with their last radio's beacon cost zeroed, then one instance with a
+    # costless class beside them
+    for i in range(12):
+        sc = random_small_scenario(rng, n_classes=3 + i % 2, max_slots=10, beacon_scale=0.05,
+                                   share_prob=0.6, budget_frac=BUDGET_FRACS[i % 3])
+        *charging, last = sc.technologies
+        out.append(replace(sc, technologies=(*charging, Technology(last.ident, 0.0))))
+    out.append(make_scenario([0.1, 0.2, 0.15], 0.3, slots=6, beta=[0.0, 0.02, 0.0],
+                             rho=[1.0, 1.0, 0.0]))
     return out
 
 
@@ -278,6 +290,13 @@ def test_instances_cover_the_cases():
     assert {len(sc.classes) for sc in INSTANCES} == {1, 2, 3, 4}
     fracs = [sc.budget / _full_cost(sc) for sc in INSTANCES]
     assert sum(f < 0.02 for f in fracs) >= 20 and sum(f > 0.97 for f in fracs) >= 20
+    # costly classes on a free radio next to a charging one, shared or with
+    # a costless class beside them
+    mixed = [sc for sc in INSTANCES if sc.beacons and any(
+        not is_costless(c, sc) and all(c not in m for _, m in sc.beacons)
+        for c in range(len(sc.classes)))]
+    assert sum(any(len(m) > 1 for _, m in sc.beacons) for sc in mixed) >= 5
+    assert any(any(is_costless(c, sc) for c in range(len(sc.classes))) for sc in mixed)
 
 
 def test_saturating_threshold_matches_200_steps():
@@ -342,19 +361,29 @@ def test_class_independent_matches_100_step_shave(monkeypatch):
     assert shaved >= 10
 
 
-@pytest.mark.parametrize("topup", [True, False], ids=["topup", "integer"])
-def test_greedy_matches_per_iteration_loop(topup):
+def _integer_outputs(rep, sc: Scenario, integer: GreedyReport) -> None:
+    """rep's integer profile, its objective, iterations and certificates
+    equal those of the copy's integer-only run ``integer``."""
+    assert repr(integer_profile(rep, sc)) == repr(integer.policy.thresholds)
+    assert repr(integer_objective(rep, sc)) == repr(integer.objective)
+    assert repr((rep.iterations, rep.cardinality_cap, rep.online_bound, rep.offline_bound)) == \
+        repr((integer.iterations, integer.cardinality_cap, integer.online_bound,
+              integer.offline_bound))
+
+
+def test_greedy_matches_per_iteration_loop():
     compared = set()
     for sc in INSTANCES:
         variants = [GreedyVariant.GAIN]
         if _free(sc):
             variants.append(GreedyVariant.GAIN_PER_COST)
         for variant in variants:
-            rep = greedy_construct(sc, variant, fractional_topup=topup)
-            assert repr(rep) == \
-                repr(greedy_construct_per_iteration(sc, variant, fractional_topup=topup))
-            compared.add((variant, rep.fractional_topup))
-    assert {(variant, topup) for variant in GreedyVariant} <= compared
+            rep = greedy_construct(sc, variant)
+            assert repr(rep) == repr(greedy_construct_per_iteration(sc, variant))
+            _integer_outputs(rep, sc, greedy_construct_per_iteration(
+                sc, variant, fractional_topup=False))
+            compared.add((variant, rep.topup_class is not None))
+    assert {(variant, True) for variant in GreedyVariant} <= compared
 
 
 def test_greedy_matches_per_iteration_loop_at_the_budget_boundary():
@@ -365,7 +394,7 @@ def test_greedy_matches_per_iteration_loop_at_the_budget_boundary():
     flips = 0
     for sc in INSTANCES[:48]:
         variant = GreedyVariant.GAIN_PER_COST if _free(sc) else GreedyVariant.GAIN
-        k = greedy_construct(sc, variant, fractional_topup=False).policy.thresholds
+        k = integer_profile(greedy_construct(sc, variant), sc)
         target = threshold_energy(k, sc)
         base = target / (1.0 + BUDGET_RTOL) if target > 1.0 else target - BUDGET_RTOL
         if base <= 0.0:   # nothing awarded
@@ -373,8 +402,8 @@ def test_greedy_matches_per_iteration_loop_at_the_budget_boundary():
         seen = set()
         for j in range(-8, 9):
             bsc = replace(sc, budget=base + j * math.ulp(base))
-            rep = greedy_construct(bsc, variant, fractional_topup=False)
-            assert repr(rep) == repr(greedy_construct_per_iteration(
+            rep = greedy_construct(bsc, variant)
+            _integer_outputs(rep, bsc, greedy_construct_per_iteration(
                 bsc, variant, fractional_topup=False))
             seen.add(rep.iterations)
         flips += len(seen) > 1
