@@ -371,7 +371,10 @@ def _integer_outputs(rep, sc: Scenario, integer: GreedyReport) -> None:
               integer.offline_bound))
 
 
-def test_greedy_matches_per_iteration_loop():
+@pytest.mark.parametrize("topup", [True, False], ids=["topup", "integer"])
+def test_greedy_matches_per_iteration_loop(topup):
+    # topup: the whole report against the copy's top-up mode; integer: the
+    # profile before the top-up against the copy's integer-only mode
     compared = set()
     for sc in INSTANCES:
         variants = [GreedyVariant.GAIN]
@@ -379,9 +382,11 @@ def test_greedy_matches_per_iteration_loop():
             variants.append(GreedyVariant.GAIN_PER_COST)
         for variant in variants:
             rep = greedy_construct(sc, variant)
-            assert repr(rep) == repr(greedy_construct_per_iteration(sc, variant))
-            _integer_outputs(rep, sc, greedy_construct_per_iteration(
-                sc, variant, fractional_topup=False))
+            if topup:
+                assert repr(rep) == repr(greedy_construct_per_iteration(sc, variant))
+            else:
+                _integer_outputs(rep, sc, greedy_construct_per_iteration(
+                    sc, variant, fractional_topup=False))
             compared.add((variant, rep.topup_class is not None))
     assert {(variant, True) for variant in GreedyVariant} <= compared
 
