@@ -108,21 +108,47 @@ class CliRequestError(RuntimeError):
 # Scenario files
 # =========================================================================
 
-def _field(data: dict, path: str, key: str, kind, required: bool = True, default=None):
+def _number(value, where: str | None = None, kind: type = float, low: int | None = None,
+            finite: bool = False):
+    """The one reader of numbers from outside the program.
+
+    ``where`` is the field path of a scenario- or policy-file value, which
+    must be a JSON number (an integer when ``kind`` is int) and not a bool;
+    without it ``value`` is a flag's text, parsed by ``kind``, and argparse
+    names the flag.  The number, converted to ``kind``, must be >= ``low``
+    and, with ``finite``, finite as a float.  Any failure, an overflow
+    included, is bad input.
+    """
+    problem = None
+    if where is None or (not isinstance(value, bool)
+                         and isinstance(value, int if kind is int else (int, float))):
+        try:
+            number = kind(value)
+            if (low is None or number >= low) and (not finite or math.isfinite(number)):
+                return number
+        except OverflowError as exc:
+            problem = f"out of range ({exc})"
+        except ValueError:
+            pass
+    if problem is None:
+        want = "an integer" if kind is int else "a finite number" if finite else "a number"
+        if low is not None:
+            want += f" >= {low}"
+        problem = f"expected {want}, got {value!r}"
+    raise CliInputError(f"{where}: {problem}") if where else argparse.ArgumentTypeError(problem)
+
+
+def _field(data: dict, path: str, key: str, kind=float, required: bool = True, default=None,
+           **bounds):
+    """``data[key]``: a str or list as is, a number through ``_number``."""
     if key not in data:
         if required:
             raise CliInputError(f"{path}.{key}: missing required key")
         return default
     value = data[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise CliInputError(f"{path}.{key}: expected an integer, got {value!r}")
-        return value
-    if kind is str and isinstance(value, str):
-        return value
-    if kind is list and isinstance(value, list):
+    if kind in (int, float):
+        return _number(value, f"{path}.{key}", kind, **bounds)
+    if isinstance(value, kind):
         return value
     raise CliInputError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
 
@@ -136,15 +162,15 @@ def parse_scenario(doc: dict, *, resolution_override: int | None = None) -> Scen
     if not isinstance(doc, dict):
         raise CliInputError("scenario: top level must be an object")
     path = "scenario"
-    deadline = _field(doc, path, "deadline_s", float)
-    slot_len = _field(doc, path, "slot_len_s", float)
-    arena = _field(doc, path, "arena_radius_m", float)
-    budget = _field(doc, path, "budget", float)
-    resolution = _field(doc, path, "resolution", int, required=False, default=1)
-    if resolution_override is not None:
-        resolution = resolution_override
-    speed_constant = _field(doc, path, "speed_constant", float, required=False,
-                            default=1.3693)
+    deadline = _field(doc, path, "deadline_s")
+    slot_len = _field(doc, path, "slot_len_s")
+    arena = _field(doc, path, "arena_radius_m")
+    budget = _field(doc, path, "budget")
+    # checked before it scales the TTLs; an override replaces it unread
+    resolution = (_field(doc, path, "resolution", int, required=False, default=1, low=1,
+                         finite=True)
+                  if resolution_override is None else resolution_override)
+    speed_constant = _field(doc, path, "speed_constant", required=False, default=1.3693)
 
     tech_docs = _field(doc, path, "technologies", list)
     technologies = []
@@ -155,7 +181,7 @@ def parse_scenario(doc: dict, *, resolution_override: int | None = None) -> Scen
         try:
             technologies.append(Technology(
                 ident=_field(td, tpath, "id", str),
-                beacon_cost=_field(td, tpath, "beacon_cost", float),
+                beacon_cost=_field(td, tpath, "beacon_cost"),
             ))
         except ScenarioError as exc:
             raise CliInputError(f"{tpath}: {exc}") from exc
@@ -168,21 +194,18 @@ def parse_scenario(doc: dict, *, resolution_override: int | None = None) -> Scen
         cpath = f"classes[{i}]"
         if not isinstance(cd, dict):
             raise CliInputError(f"{cpath}: expected an object")
-        ttl_slots = cd.get("ttl_slots")
-        if (not isinstance(ttl_slots, (int, float)) or isinstance(ttl_slots, bool)
-                or not math.isfinite(ttl_slots)):
-            raise CliInputError(f"{cpath}.ttl_slots: expected a finite number")
-        ttl_sub = int(round(ttl_slots * resolution))
-        if abs(ttl_slots * resolution - ttl_sub) > 1e-9:
+        ttl_slots = _field(cd, cpath, "ttl_slots", finite=True)
+        ttl_sub = ttl_slots * resolution   # inf when the product overflows
+        if not (math.isfinite(ttl_sub) and abs(ttl_sub - round(ttl_sub)) <= 1e-9):
             raise CliInputError(
                 f"{cpath}.ttl_slots: {ttl_slots} not representable at resolution {resolution}")
         try:
             classes.append(NodeClass(
-                population=_field(cd, cpath, "population", int),
-                ttl_slots=ttl_sub,
-                speed=_field(cd, cpath, "speed_mps", float),
-                range_m=_field(cd, cpath, "range_m", float),
-                tx_cost=_field(cd, cpath, "tx_cost", float),
+                population=_field(cd, cpath, "population", int, finite=True),
+                ttl_slots=round(ttl_sub),
+                speed=_field(cd, cpath, "speed_mps"),
+                range_m=_field(cd, cpath, "range_m"),
+                tx_cost=_field(cd, cpath, "tx_cost"),
                 technology=_field(cd, cpath, "technology", str),
             ))
         except ScenarioError as exc:
@@ -237,23 +260,6 @@ def load_scenario(path: str, resolution_override: int | None = None) -> Scenario
     return parse_scenario(doc, resolution_override=resolution_override)
 
 
-def preset_class(mobility: str, technology: str, population: int,
-                 ttl_slots: int, resolution: int) -> NodeClass:
-    """Node class built from a mobility and technology preset pair."""
-    if mobility not in MOBILITY_PRESETS:
-        raise CliInputError(f"unknown mobility preset {mobility!r}")
-    if technology not in TECH_RANGE_M:
-        raise CliInputError(f"unknown technology preset {technology!r}")
-    return NodeClass(
-        population=population,
-        ttl_slots=ttl_slots * resolution,
-        speed=MOBILITY_PRESETS[mobility],
-        range_m=TECH_RANGE_M[technology],
-        tx_cost=DEFAULT_TX_COST,
-        technology=technology,
-    )
-
-
 # =========================================================================
 # Random instance samplers
 # =========================================================================
@@ -288,8 +294,9 @@ def sample_table_scenario(rng: np.random.Generator, *, resolution: int = 5,
     tech_ids = sorted({combos[p][1] for p in picks})
     technologies = tuple(Technology(t, beacon) for t in tech_ids)
     classes = tuple(
-        preset_class(combos[p][0], combos[p][1], pop, k_slots, resolution)
-        for p in picks)
+        NodeClass(population=pop, ttl_slots=k_slots * resolution, speed=MOBILITY_PRESETS[m],
+                  range_m=TECH_RANGE_M[t], tx_cost=DEFAULT_TX_COST, technology=t)
+        for m, t in (combos[p] for p in picks))
 
     frac, sc = _budgeted(rng, (0.35, 0.8), Scenario(
         classes=classes, technologies=technologies,
@@ -385,11 +392,11 @@ def run_algorithm(name: str, sc: Scenario) -> AlgoResult:
 
 
 def _algorithm_list(text: str) -> list[str]:
-    """Comma-separated algorithm names, each checked against ALGORITHMS."""
+    """Comma-separated algorithm names: at least one, each in ALGORITHMS."""
     names = [a.strip() for a in text.split(",") if a.strip()]
-    for name in names:
-        if name not in ALGORITHMS:
-            raise CliInputError(f"unknown algorithm {name!r} (choose from {ALGORITHMS})")
+    if not names or not set(names) <= set(ALGORITHMS):
+        raise argparse.ArgumentTypeError(
+            f"expected one or more of {','.join(ALGORITHMS)}, got {text!r}")
     return names
 
 
@@ -487,8 +494,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_solve(args) -> int:
     sc = load_scenario(args.scenario, args.resolution)
     _check_subslots(args.instance_id, sc)
-    results = _solve_instance(args.instance_id, sc, _algorithm_list(args.algorithm),
-                              timeout=args.timeout, ub_cap=args.ub_cap)
+    results = _solve_instance(args.instance_id, sc, args.algorithm, timeout=args.timeout,
+                              ub_cap=args.ub_cap)
     for _, error in results:
         if error is not None:
             raise error
@@ -504,7 +511,6 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     resolution = 5 if args.resolution is None else args.resolution
     rng = np.random.default_rng(args.seed)
-    names = _algorithm_list(args.algorithms)
 
     if args.mode == "table":
         draws = [sample_table_scenario(rng, resolution=resolution,
@@ -519,7 +525,7 @@ def cmd_sweep(args) -> int:
 
     reports = []
     for ident, sc in instances:
-        for report, error in _solve_instance(ident, sc, names, timeout=args.timeout,
+        for report, error in _solve_instance(ident, sc, args.algorithms, timeout=args.timeout,
                                              ub_cap=args.ub_cap):
             report["status"] = ("ok" if error is None
                                 else "timeout" if isinstance(error, SolveTimeout)
@@ -535,15 +541,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _numbers(value, path: str) -> None:
-    """Reject any leaf of a policy-file entry that is not a JSON number."""
-    if isinstance(value, list):
-        for i, item in enumerate(value):
-            _numbers(item, f"{path}[{i}]")
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CliInputError(f"{path}: expected a number, got {value!r}")
-
-
 def _policy_from_source(args, sc: Scenario) -> tuple[str, Policy]:
     if args.policy_file:
         try:
@@ -556,20 +553,21 @@ def _policy_from_source(args, sc: Scenario) -> tuple[str, Policy]:
             if not isinstance(th, list) or len(th) != len(sc.classes):
                 raise CliInputError(
                     f"policy.thresholds: expected {len(sc.classes)} entries")
-            _numbers(th, "policy.thresholds")
+            th = tuple(_number(h, f"policy.thresholds[{c}]") for c, h in enumerate(th))
             try:
-                return "file", expand_threshold(ThresholdPolicy(tuple(th)), sc)
-            except (TypeError, ValueError) as exc:
+                return "file", expand_threshold(ThresholdPolicy(th), sc)
+            except ValueError as exc:
                 raise CliInputError(f"policy.thresholds: {exc}") from exc
         if isinstance(doc, dict) and "policy" in doc:
-            _numbers(doc["policy"], "policy.policy")
+            rows, shape = doc["policy"], (len(sc.classes), sc.subslots)
+            if not (isinstance(rows, list) and len(rows) == shape[0] and all(
+                    isinstance(row, list) and len(row) == shape[1] for row in rows)):
+                raise CliInputError(f"policy.policy: expected a {shape[0]} x {shape[1]} matrix")
+            mat = np.array([[_number(p, f"policy.policy[{c}][{k}]") for k, p in enumerate(row)]
+                            for c, row in enumerate(rows)])
             try:
-                mat = np.asarray(doc["policy"], dtype=float)
-                if mat.shape != (len(sc.classes), sc.subslots):
-                    raise ValueError(f"expected shape {(len(sc.classes), sc.subslots)},"
-                                     f" got {mat.shape}")
                 return "file", Policy(mat)
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise CliInputError(f"policy.policy: {exc}") from exc
         raise CliInputError("policy file needs a 'thresholds' or 'policy' key")
     _check_subslots(args.instance_id, sc)
@@ -642,13 +640,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+    return _number(text, kind=int, low=1, finite=True)
+
+
+def _non_negative_int(text: str) -> int:
+    return _number(text, kind=int, low=0)
 
 
 def _class_counts(text: str) -> list[int]:
@@ -661,23 +657,12 @@ def _class_counts(text: str) -> list[int]:
 def _class_limit(text: str) -> str:
     """Validates bound's --classes and keeps its text; 'inf' or empty is the
     many-class limit."""
-    try:
-        value = float(text.strip() or "inf")
-    except ValueError:
-        value = math.nan
-    if not value >= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a class count >= 1 or inf, got {text!r}")
+    _number(text.strip() or "inf", low=1)
     return text
 
 
 def _seconds(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (0.0 <= value < math.inf):
-        raise argparse.ArgumentTypeError(f"expected a finite number of seconds >= 0, got {text!r}")
-    return value
+    return _number(text, low=0, finite=True)
 
 
 @functools.cache
@@ -698,7 +683,7 @@ def _build_parser() -> _Parser:
 
     # solve and sweep share the grid/upper-bound rule
     bounded = argparse.ArgumentParser(add_help=False)
-    bounded.add_argument("--ub-cap", type=int, default=UB_CLASS_CAP,
+    bounded.add_argument("--ub-cap", type=_non_negative_int, default=UB_CLASS_CAP,
                          help="compute the upper bound only up to this many classes")
     bounded.add_argument("--timeout", type=_seconds, default=None,
                          help="wall-clock limit for the grid enumeration, seconds")
@@ -706,7 +691,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", parents=[common, bounded],
                        help="run solvers or baselines on one scenario")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--algorithm", default="grid",
+    p.add_argument("--algorithm", type=_algorithm_list, default="grid",
                    help="comma-separated subset of " + ",".join(ALGORITHMS))
     p.add_argument("--instance-id", default="scenario")
     p.set_defaults(func=cmd_solve)
@@ -717,8 +702,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=_positive_int, default=10, help="table-mode instance count")
     p.add_argument("--classes", type=_class_counts, default="2,4,8",
                    help="scalability-mode class counts, comma separated")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--algorithms", default="grid,greedy1,arrival,uniform")
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--algorithms", type=_algorithm_list, default="grid,greedy1,arrival,uniform")
     p.add_argument("--no-beacons", action="store_true",
                    help="sample instances without beacon costs")
     p.add_argument("--timings", action="store_true",
@@ -733,7 +718,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--policy-file", default=None,
                    help="JSON file with 'thresholds' or a full 'policy' matrix")
     p.add_argument("--trials", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--instance-id", default="scenario")
     p.set_defaults(func=cmd_simulate)
 

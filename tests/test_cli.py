@@ -86,27 +86,45 @@ def test_parse_errors_carry_field_paths():
         parse_scenario(doc)
 
 
-@pytest.mark.parametrize("path, value, message", [
-    ("deadline_s", math.inf, r"scenario: deadline must be finite"),
-    ("slot_len_s", math.inf, r"scenario: slot_len must be finite"),
-    ("arena_radius_m", math.inf, r"scenario: arena_radius must be finite"),
-    ("speed_constant", math.inf, r"scenario: speed_constant must be finite"),
-    ("technologies.beacon_cost", math.inf, r"technologies\[0\]: .*beacon_cost must be finite"),
-    ("classes.ttl_slots", math.nan, r"classes\[0\]\.ttl_slots: expected a finite number"),
-    ("classes.ttl_slots", math.inf, r"classes\[0\]\.ttl_slots: expected a finite number"),
-    ("classes.speed_mps", math.inf, r"classes\[0\]: speed must be finite"),
-    ("classes.range_m", math.inf, r"classes\[0\]: range_m must be finite"),
-    ("classes.tx_cost", math.inf, r"classes\[0\]: tx_cost must be finite"),
+@pytest.mark.parametrize("fields, message", [
+    ({"deadline_s": math.inf}, r"scenario: deadline must be finite"),
+    ({"slot_len_s": math.inf}, r"scenario: slot_len must be finite"),
+    ({"arena_radius_m": math.inf}, r"scenario: arena_radius must be finite"),
+    ({"speed_constant": math.inf}, r"scenario: speed_constant must be finite"),
+    ({"technologies.beacon_cost": math.inf}, r"technologies\[0\]: .*beacon_cost must be finite"),
+    ({"classes.ttl_slots": math.nan}, r"classes\[0\]\.ttl_slots: expected a finite number"),
+    ({"classes.ttl_slots": math.inf}, r"classes\[0\]\.ttl_slots: expected a finite number"),
+    ({"classes.speed_mps": math.inf}, r"classes\[0\]: speed must be finite"),
+    ({"classes.range_m": math.inf}, r"classes\[0\]: range_m must be finite"),
+    ({"classes.tx_cost": math.inf}, r"classes\[0\]: tx_cost must be finite"),
+    # numbers a float cannot hold, given or made by the TTL's scaling
+    ({"budget": 10**400}, r"scenario\.budget: out of range"),
+    ({"classes.population": 10**400}, r"classes\[0\]\.population: out of range"),
+    ({"classes.ttl_slots": 1e308, "resolution": 5},
+     r"classes\[0\]\.ttl_slots: 1e\+308 not representable at resolution 5"),
 ], ids=["deadline", "slot-len", "arena", "speed-constant", "beacon-cost", "ttl-nan",
-        "ttl-inf", "speed", "range", "tx-cost"])
-def test_non_finite_scenario_number_is_input_error(tmp_path, capsys, path, value, message):
+        "ttl-inf", "speed", "range", "tx-cost", "budget-overflow", "population-overflow",
+        "ttl-overflow"])
+def test_non_finite_scenario_number_is_input_error(tmp_path, capsys, fields, message):
     doc = scenario_doc()
-    part, _, key = path.rpartition(".")
-    (doc[part][0] if part else doc)[key] = value
+    for path, value in fields.items():
+        part, _, key = path.rpartition(".")
+        (doc[part][0] if part else doc)[key] = value
     with pytest.raises(ValueError, match=message):
         parse_scenario(doc)
     assert main(["solve", "--scenario", write_doc(tmp_path, doc)]) == 1
     assert re.search(message, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("resolution", [0, -2])
+def test_bad_resolution_names_its_field(tmp_path, capsys, resolution):
+    # checked before it scales the TTLs, so no TTL takes the blame
+    doc = scenario_doc(resolution=resolution)
+    message = f"scenario.resolution: expected an integer >= 1, got {resolution}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_scenario(doc)
+    assert main(["solve", "--scenario", write_doc(tmp_path, doc)]) == 1
+    assert f"error: {message}\n" == capsys.readouterr().err
 
 
 def test_infinite_budget_gives_the_all_full_profile(tmp_path):
@@ -276,14 +294,34 @@ def test_bad_flag_is_input_error(capsys):
     (["bound", "--slots", "5", "--classes", "abc"], "--classes"),
     (["bound", "--slots", "5", "--classes", "0.5"], "--classes"),
     (["bound", "--slots", "5", "--classes", "nan"], "--classes"),
+    (["bound", "--slots", "9" * 401], "--slots"),
+    (["sweep", "--seed", "-1"], "--seed"),
+    (["simulate", "--seed", "-1"], "--seed"),
+    (["solve", "--ub-cap", "-5"], "--ub-cap"),
 ], ids=["trials", "slots", "timeout-negative", "timeout-nan", "resolution", "limit", "count",
         "sweep-classes-text", "sweep-classes-list", "bound-classes-text", "bound-classes-below-one",
-        "bound-classes-nan"])
+        "bound-classes-nan", "slots-overflow", "sweep-seed", "simulate-seed", "ub-cap"])
 def test_bad_numeric_flag_is_input_error(tmp_path, capsys, argv, flag):
     if argv[0] not in ("bound", "sweep"):
         argv = argv + ["--scenario", write_doc(tmp_path, two_class_doc())]
     assert main(argv) == 1
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--algorithm", "", "--format", "json"], "--algorithm"),
+    (["solve", "--algorithm", ","], "--algorithm"),
+    (["solve", "--algorithm", "grid,simplex"], "--algorithm"),
+    (["sweep", "--algorithms", ""], "--algorithms"),
+], ids=["solve-empty", "solve-comma", "solve-unknown", "sweep-empty"])
+def test_algorithm_list_needs_known_names(tmp_path, capsys, monkeypatch, argv, flag):
+    # refused while the flags are read: no scenario is solved or sampled
+    monkeypatch.setattr(twohop.cli, "_solve_instance", None)
+    if argv[0] == "solve":
+        argv = argv + ["--scenario", write_doc(tmp_path, two_class_doc())]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: argument {flag}: expected one or more of" in captured.err
 
 
 def test_solve_rejects_grid_beyond_subslot_limit(tmp_path, capsys, monkeypatch):
@@ -522,7 +560,10 @@ def test_simulate_malformed_policy_file_is_input_error(tmp_path, capsys, policy)
     ({"thresholds": [1.0, True, 2.5]}, "policy.thresholds[1]"),
     ({"policy": [[0.0] * 5, [1.0, "0.5", 0.0, 0.0, 0.0], [0.0] * 5]}, "policy.policy[1][1]"),
     ({"policy": [[0.0] * 5, [0.0] * 5, [True, 0.0, 0.0, 0.0, 0.0]]}, "policy.policy[2][0]"),
-], ids=["string-threshold", "bool-threshold", "string-cell", "bool-cell"])
+    ({"thresholds": [1.0, 2.0, 10**400]}, "policy.thresholds[2]: out of range"),
+    ({"policy": [[0.0] * 5, [0.0, 10**400, 0.0, 0.0, 0.0], [0.0] * 5]}, "policy.policy[1][1]"),
+], ids=["string-threshold", "bool-threshold", "string-cell", "bool-cell", "overflow-threshold",
+        "overflow-cell"])
 def test_simulate_non_numeric_policy_entry_is_input_error(tmp_path, capsys, policy, where):
     base = scenario_doc()["classes"][0]
     doc = scenario_doc(classes=[base, dict(base, speed_mps=3.0), dict(base, speed_mps=6.0)])

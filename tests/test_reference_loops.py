@@ -269,6 +269,10 @@ def _instances():
         out.append(replace(sc, technologies=(*charging, Technology(last.ident, 0.0))))
     out.append(make_scenario([0.1, 0.2, 0.15], 0.3, slots=6, beta=[0.0, 0.02, 0.0],
                              rho=[1.0, 1.0, 0.0]))
+    # a beacon-free budget that buys the all-full profile: greedy ends
+    # without a top-up
+    sc = make_scenario([0.1, 0.2], 0.3, slots=6)
+    out.append(replace(sc, budget=threshold_energy([sc.max_threshold] * 2, sc)))
     return out
 
 
@@ -388,7 +392,8 @@ def test_greedy_matches_per_iteration_loop(topup):
                 _integer_outputs(rep, sc, greedy_construct_per_iteration(
                     sc, variant, fractional_topup=False))
             compared.add((variant, rep.topup_class is not None))
-    assert {(variant, True) for variant in GreedyVariant} <= compared
+    assert compared == {(variant, topped_up) for variant in GreedyVariant
+                        for topped_up in (True, False)}
 
 
 def test_greedy_matches_per_iteration_loop_at_the_budget_boundary():
