@@ -26,10 +26,10 @@ from .model import (
     ScenarioError,
     Technology,
     ThresholdPolicy,
-    energy_spent,
-    evaluate,
+    evaluate,   # not called here; perfbench/tracing.py wraps cli.evaluate
     expand_threshold,
     threshold_energy,
+    threshold_objective,
     within_budget,
 )
 from .gridsearch import (SolveReport, SolveTimeout, _costly_classes, brute_force_saturating,
@@ -381,13 +381,11 @@ def run_algorithm(name: str, sc: Scenario) -> AlgoResult:
         })
     if name == "arrival":
         tp = arrival_rate_greedy(sc)
-        ev = evaluate(tp, sc)
-        return AlgoResult(tp, ev.delivery_prob, len(sc.classes), {})
+        return AlgoResult(tp, threshold_objective(tp.thresholds, sc), len(sc.classes), {})
     if name == "uniform":
         h = class_independent(sc)
         tp = uniform_policy(sc, h)
-        ev = evaluate(tp, sc)
-        return AlgoResult(tp, ev.delivery_prob, 1, {"common_threshold": h})
+        return AlgoResult(tp, threshold_objective(tp.thresholds, sc), 1, {"common_threshold": h})
     raise CliInputError(f"unknown algorithm {name!r}")
 
 
@@ -441,12 +439,13 @@ def _solve_instance(ident: str, sc: Scenario, names: list[str], *,
         except (CliRequestError, SolveTimeout) as exc:
             out.append((report, exc))
             continue
+        energy = threshold_energy(res.policy.thresholds, sc)
         report.update({
             "objective": res.objective,
             "upper_bound": ub,
             "ratio": (res.objective / ub) if ub else None,
-            "energy": threshold_energy(res.policy.thresholds, sc),
-            "feasible": within_budget(energy_spent(expand_threshold(res.policy, sc), sc), sc),
+            "energy": energy,
+            "feasible": within_budget(energy, sc),
             "thresholds_subslots": list(res.policy.thresholds),
             "thresholds_slots": [h / sc.resolution for h in res.policy.thresholds],
             "wall_time_s": wall,

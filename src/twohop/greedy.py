@@ -27,9 +27,8 @@ from .model import (
 )
 from .gridsearch import (
     _SNAP,
-    BudgetExceededError,
-    BudgetUnboundedError,
-    boundary_threshold,
+    _ends,
+    boundary_threshold,   # not called here; perfbench/tracing.py wraps greedy.boundary_threshold
     saturating_threshold,
 )
 
@@ -76,18 +75,12 @@ class GreedyReport:
     topup_class: int | None = None
 
 
-def _affordable(c: int, fixed: dict, sc: Scenario) -> int:
-    """Largest integer threshold class c can afford with the classes in
-    ``fixed`` at their thresholds and the other costly classes silent: 0
-    when the fixed classes alone exhaust the budget, the whole grid when
-    even full transmission cannot."""
-    try:
-        r = boundary_threshold(c, fixed, sc)
-    except BudgetExceededError:
-        return 0
-    except BudgetUnboundedError:
-        return sc.max_threshold
-    return max(0, min(int(math.floor(r + _SNAP)), sc.max_threshold))
+def _affordable(c: int, fill: float, sc: Scenario) -> int:
+    """Largest integer threshold class c can afford with the other costly
+    classes at ``fill``, from its ``_ends`` end: 0 when they alone exhaust
+    the budget, the whole grid when even full transmission cannot."""
+    end = _ends(c, {}, sc, (fill,))[0, 0]
+    return 0 if math.isnan(end) else math.floor(min(end + _SNAP, sc.max_threshold))
 
 
 def cardinality_cap(sc: Scenario) -> int:
@@ -96,14 +89,13 @@ def cardinality_cap(sc: Scenario) -> int:
     No single class can afford more than its solo capacity, and no threshold
     exceeds the grid; the cap feeds the greedy certificates.
     """
-    return max(_affordable(c, {}, sc) for c in range(len(sc.classes)))
+    return max(_affordable(c, 0.0, sc) for c in range(len(sc.classes)))
 
 
 def min_slots(c: int, sc: Scenario) -> int:
     """Largest integer threshold class c can afford while every other class
     transmits in full; 0 when the others alone exhaust the budget."""
-    others = {c2: sc.max_threshold for c2 in range(len(sc.classes)) if c2 != c}
-    return _affordable(c, others, sc)
+    return _affordable(c, sc.max_threshold, sc)
 
 
 def greedy_construct(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN) -> GreedyReport:

@@ -6,9 +6,10 @@ makes the search combinatorial: fix an ordering of the remaining classes,
 walk feasible integer thresholds level by level, and close each leaf with the
 unique fractional threshold that exhausts what is left of the budget.
 
-The module provides the boundary solver (closed form with a safeguarded
-Newton fallback for beacon-bearing technologies), the per-level feasible
-ranges (one vector kernel for a block of prefixes), the enumeration itself
+The module provides the budget-end kernel ``_ends`` (closed form with a
+safeguarded Newton fallback for beacon-bearing technologies), which every
+boundary, range and greedy certificate reads, the per-level feasible ranges
+(one vector step for a block of prefixes), the enumeration itself
 (one walker shared by the reference generator and ``grid_search``, which
 also returns the rounded-up upper bound from the same pass), and the
 grid-quality lower-bound formula.
@@ -218,29 +219,36 @@ def _remaining(c2: int, masses: dict, sc: Scenario, const):
     return sc.budget - const - own * m2, m2
 
 
+def _ends(c: int, fixed: Mapping, sc: Scenario, fills) -> np.ndarray:
+    """Saturating thresholds of class c, shape (len(fills), rows): a row per
+    prefix row of ``fixed`` (class -> threshold, or an array of one per row)
+    for each fill of the costly classes not fixed.  NaN marks a row that
+    already overspends, +inf one that cannot exhaust the budget.  Each row
+    is its own Newton segment, so it keeps the bits of a one-row call."""
+    rem, m2 = np.empty((2, len(fills), max(map(np.size, fixed.values()), default=1)))
+    for i, fill in enumerate(fills):
+        masses = _completion_masses(c, fixed, sc, fill)
+        rem[i], m2[i] = _remaining(c, masses, sc, _tx_energy(masses.items(), sc))
+    ends = _solve_for(c, rem.ravel(), m2.ravel(), sc, starts=np.arange(rem.size))
+    return ends.reshape(rem.shape)
+
+
 def boundary_threshold(c2: int, assigned: Mapping, sc: Scenario) -> float:
     """Threshold for class c2 that spends the budget exactly, given the
     classes fixed in ``assigned`` (class -> threshold), with the costly
-    classes not in it silent.
-
-    The transmission part inverts in closed form; when the solved threshold
-    sticks out beyond the beacon coverage already paid on c2's technology,
-    the beacon term grows with the threshold itself and the saturation
-    equation is closed by a safeguarded Newton iteration (residual < 1e-10).
+    classes not in it silent: the one-row silent end of ``_ends``.
 
     Raises BudgetExceededError when the fixed classes alone overspend, and
     BudgetUnboundedError when even h = subslots - 1 cannot exhaust the budget.
     """
-    masses = _completion_masses(c2, assigned, sc, 0.0)
-    rem, m2 = _remaining(c2, masses, sc, _tx_energy(masses.items(), sc))
-    sol = _solve_for(c2, rem, m2, sc)[0]
+    sol = float(_ends(c2, assigned, sc, (0.0,))[0, 0])
     if math.isnan(sol):
         raise BudgetExceededError(
             f"fixed classes already spend more than the budget (class {c2})")
     if math.isinf(sol):
         raise BudgetUnboundedError(
             f"class {c2} cannot exhaust the remaining budget even at full transmission")
-    return float(sol)
+    return sol
 
 
 def _bisect_budget(energy_at, lo: float, hi: float, budget: float) -> float:
@@ -287,23 +295,14 @@ def saturating_threshold(c: int, thresholds, sc: Scenario) -> float:
 
 def _ranges(c: int, fixed: Mapping, sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Integer thresholds of class c that admit a budget-saturating
-    completion, as closed ranges (lo, hi), one per prefix row of ``fixed``
-    (class -> threshold, or an array holding one threshold per row).
-
-    The upper end solves the completion with every class not fixed (the
-    fractional one included) silent, the lower end the completion with them
-    at full transmission; each solve is its own Newton segment, so a row
-    keeps the bits of a one-row call.  A row whose silent completion already
-    overspends (NaN) or whose full completion cannot exhaust the budget
-    (inf) is (0, -1).
-    """
-    n_rows = max(map(np.size, fixed.values()), default=1)
-    parts = [_remaining(c, m, sc, _tx_energy(m.items(), sc))
-             for m in (_completion_masses(c, fixed, sc, fill) for fill in (0.0, float(sc.max_threshold)))]
-    rem, m2 = (np.concatenate([np.broadcast_to(p[k], n_rows) for p in parts]) for k in (0, 1))
-    ends = _solve_for(c, rem, m2, sc, starts=np.arange(2 * n_rows))
-    hi = np.minimum(sc.max_threshold, np.floor(ends[:n_rows] + _SNAP))
-    lo = np.fmax(0.0, np.ceil(ends[n_rows:] - _SNAP))
+    completion, as closed ranges (lo, hi), one per prefix row of ``fixed``:
+    the floor of ``_ends``' silent end (every class not fixed silent, the
+    fractional one included) and the ceiling of its full end.  A row whose
+    silent end overspends (NaN) or whose full end cannot exhaust the budget
+    (inf) is (0, -1)."""
+    silent, full = _ends(c, fixed, sc, (0.0, float(sc.max_threshold)))
+    hi = np.minimum(sc.max_threshold, np.floor(silent + _SNAP))
+    lo = np.fmax(0.0, np.ceil(full - _SNAP))
     void = np.isnan(hi) | np.isinf(lo)
     return np.where(void, 0, lo).astype(int), np.where(void, -1, hi).astype(int)
 
@@ -567,8 +566,7 @@ def _leaf_batches(sc: Scenario, frac_c: int, hull: _HullBound | None = None
     if levels:
         yield from step({})
     else:
-        masses = _completion_masses(frac_c, {}, sc, 0.0)
-        r = _solve_for(frac_c, *_remaining(frac_c, masses, sc, _tx_energy(masses.items(), sc)), sc)
+        r = _ends(frac_c, {}, sc, (0.0,))[0]
         yield levels, no_vals, r[np.isfinite(r)]
 
 
@@ -878,7 +876,7 @@ def ratio_bound(k_slots: int, resolution: int, n_classes: float) -> float:
     """
     if k_slots < 1 or resolution < 1 or not (n_classes >= 1):
         raise ValueError("all arguments must be >= 1")
-    e = (k_slots - 1) * resolution
+    e = float(k_slots - 1) * resolution   # exact below 2**53, inf rather than an overflow
     if e == 0:
         return 0.0 if math.isinf(n_classes) else 1.0 / n_classes
     num = -math.expm1(e * math.log(0.5))

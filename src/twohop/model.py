@@ -177,6 +177,13 @@ class Scenario:
         for i, cls in enumerate(self.classes):
             if cls.technology not in known:
                 raise ScenarioError(f"classes[{i}]: unknown technology {cls.technology!r}")
+            try:
+                rate = contact_rate(cls, self)
+            except (OverflowError, ZeroDivisionError):   # arena_radius ** 2 overflows or is 0
+                rate = math.nan
+            if not (0.0 < rate < math.inf and 0.0 < rate * self.eff_slot < math.inf):
+                raise ScenarioError(f"classes[{i}]: contact rate must be finite and > 0,"
+                                    f" also per sub-slot (got {rate!r} per second)")
 
     @cached_property
     def slots(self) -> int:

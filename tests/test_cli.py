@@ -102,9 +102,13 @@ def test_parse_errors_carry_field_paths():
     ({"classes.population": 10**400}, r"classes\[0\]\.population: out of range"),
     ({"classes.ttl_slots": 1e308, "resolution": 5},
      r"classes\[0\]\.ttl_slots: 1e\+308 not representable at resolution 5"),
+    # finite factors whose contact rate is not a finite number > 0
+    ({"classes.speed_mps": 1e308}, r"classes\[0\]: contact rate must be finite and > 0"),
+    ({"arena_radius_m": 1e-300}, r"classes\[0\]: contact rate must be finite and > 0"),
+    ({"arena_radius_m": 1e200}, r"classes\[0\]: contact rate must be finite and > 0"),
 ], ids=["deadline", "slot-len", "arena", "speed-constant", "beacon-cost", "ttl-nan",
         "ttl-inf", "speed", "range", "tx-cost", "budget-overflow", "population-overflow",
-        "ttl-overflow"])
+        "ttl-overflow", "rate-overflow", "arena-underflow", "arena-overflow"])
 def test_non_finite_scenario_number_is_input_error(tmp_path, capsys, fields, message):
     doc = scenario_doc()
     for path, value in fields.items():
@@ -371,6 +375,12 @@ def test_bound_command(capsys):
     assert value == 1.0 - 2.0 ** -10
     assert main(["bound", "--slots", "2"]) == 0
     assert float(capsys.readouterr().out.strip()) == 0.5
+
+
+def test_bound_on_a_grid_past_float_range(capsys):
+    # (slots - 1) * resolution = 10**400 has no float; the bound is 1.0
+    assert main(["bound", "--slots", str(10**200), "--resolution", str(10**200)]) == 0
+    assert capsys.readouterr().out == "1.0\n"
 
 
 def test_bound_json_keeps_class_text(capsys):

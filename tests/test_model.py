@@ -563,6 +563,13 @@ def test_scenario_rejects_non_finite_numbers():
             Scenario((cls,), tech, 10.0, 10.0, 100.0, 1.0, speed_constant=bad)
     with pytest.raises(ScenarioError, match="too many slots"):
         Scenario((cls,), tech, 1e300, 1e-300, 100.0, 1.0)
+    # finite factors whose contact rate, per second or per sub-slot, is not
+    # a finite number > 0: an overflowing product, and an arena radius whose
+    # square rounds to 0 or overflows
+    fast = NodeClass(1, 1, 1e308, 10.0, 0.1, "t")
+    for classes, arena in (((cls, fast), 100.0), ((cls,), 1e-300), ((cls,), 1e200)):
+        with pytest.raises(ScenarioError, match=rf"classes\[{len(classes) - 1}\]: contact rate"):
+            Scenario(classes, tech, 10.0, 10.0, arena, 1.0)
     # an infinite budget is valid: every class transmits in full
     assert Scenario((cls,), tech, 10.0, 10.0, 100.0, math.inf).budget == math.inf
 

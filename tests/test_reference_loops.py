@@ -2,9 +2,10 @@
 copies of their earlier forms.
 
 The loops are the fixed 200-step ``saturating_threshold`` bisection, the
-fixed 100-step shave in ``class_independent``, and the greedy award loop
-that looked every per-class value up again on each iteration (whose
-integer-only mode also checks the greedy's profile before its top-up);
+fixed 100-step shave in ``class_independent``, the greedy award loop that
+looked every per-class value up again on each iteration (whose integer-only
+mode also checks the greedy's profile before its top-up), and the greedy
+certificates solved through ``boundary_threshold`` and its two exceptions;
 each pair is compared by repr over seeded instances with one to four
 classes, with and without beacons, with shared radios, with free radios
 next to charging ones, and with budgets near zero and near the all-full
@@ -24,14 +25,18 @@ from typing import Iterator
 import numpy as np
 import pytest
 
+import twohop.greedy
 import twohop.gridsearch
-from twohop import GreedyVariant, class_independent, greedy_construct, model
+from twohop import (GreedyVariant, arrival_rate_greedy, class_independent, greedy_construct,
+                    model)
 from twohop.baselines import _uniform_energy, uniform_policy
 from twohop.cli import sample_table_scenario
 from twohop.greedy import GreedyReport, cardinality_cap, min_slots
 from twohop.gridsearch import (
     _LEAF_CHUNK,
     _SNAP,
+    BudgetExceededError,
+    BudgetUnboundedError,
     SolveReport,
     SolveTimeout,
     _Best,
@@ -42,6 +47,7 @@ from twohop.gridsearch import (
     _ranges,
     _remaining,
     _solve_for,
+    boundary_threshold,
     grid_search,
     ratio_bound,
     saturating_threshold,
@@ -138,6 +144,25 @@ def class_independent_100(sc: Scenario) -> float:
                 lo = mid
         h = lo
     return float(h)
+
+
+def affordable_copy(c: int, fixed: dict, sc: Scenario) -> int:
+    try:
+        r = boundary_threshold(c, fixed, sc)
+    except BudgetExceededError:
+        return 0
+    except BudgetUnboundedError:
+        return sc.max_threshold
+    return max(0, min(int(math.floor(r + _SNAP)), sc.max_threshold))
+
+
+def cardinality_cap_copy(sc: Scenario) -> int:
+    return max(affordable_copy(c, {}, sc) for c in range(len(sc.classes)))
+
+
+def min_slots_copy(c: int, sc: Scenario) -> int:
+    others = {c2: sc.max_threshold for c2 in range(len(sc.classes)) if c2 != c}
+    return affordable_copy(c, others, sc)
 
 
 def greedy_construct_per_iteration(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN,
@@ -519,6 +544,23 @@ def threshold_energy_copy(thresholds, sc: Scenario) -> float:
     return total
 
 
+def test_certificates_match_boundary_copy():
+    # each class's solo end (the cap is their maximum) and its end beside
+    # every other class in full, against the copies that solve through
+    # boundary_threshold and map its exceptions to 0 and the whole grid
+    outcomes = {"solo": set(), "beside full": set()}
+    for sc in INSTANCES:
+        n1 = sc.max_threshold
+        assert repr(cardinality_cap(sc)) == repr(cardinality_cap_copy(sc))
+        for c in range(len(sc.classes)):
+            for kind, got, want in (
+                    ("solo", twohop.greedy._affordable(c, 0.0, sc), affordable_copy(c, {}, sc)),
+                    ("beside full", min_slots(c, sc), min_slots_copy(c, sc))):
+                assert repr(got) == repr(want)
+                outcomes[kind].add("0" if want == 0 else "grid" if want == n1 else "solved")
+    assert outcomes == {kind: {"0", "solved", "grid"} for kind in outcomes}
+
+
 def uniform_energy_copy(h: float, sc: Scenario) -> float:
     total = 0.0
     dt = sc.eff_slot
@@ -681,12 +723,15 @@ def test_delivery_of_expanded_thresholds_is_threshold_objective():
         n1 = sc.max_threshold
         draws = [rng.uniform(0.0, n1, len(sc.classes)) for _ in range(30)]
         draws += [rng.integers(0, n1 + 1, len(sc.classes)).astype(float) for _ in range(10)]
+        # the baselines' profiles, whose CLI rows report threshold_objective
+        draws += [arrival_rate_greedy(sc).thresholds,
+                  uniform_policy(sc, class_independent(sc)).thresholds]
         for hs in draws:
             tp = ThresholdPolicy(tuple(hs))
             assert repr(delivery_probability(expand_threshold(tp, sc), sc.subslots, sc)) == \
                 repr(threshold_objective(tp.thresholds, sc))
             checked += 1
-    assert checked >= 1800
+    assert checked >= 1890
 
 
 def test_transmission_energy_matches_copies():
