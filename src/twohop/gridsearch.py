@@ -60,6 +60,12 @@ __all__ = [
 # float noise at range endpoints.
 _SNAP = 1e-9
 _RESIDUAL_TOL = 1e-10
+# A log-miss whose -expm1 reads exactly 1.0 with 2.5 nats to spare (the
+# rounding to 1.0 starts near -37.43), far more than the rounding between
+# the search's sums and threshold_objective's: once the best log-miss or
+# the best rounded-up one falls below it, the reported upper bound can only
+# be 1.0, so the prune rule drops its rounded-up half.
+_PINNED_LOG_MISS = -40.0
 # Rows per chunk of a level step's expansion (whole prefixes, so a chunk may
 # run over by one prefix's range); a walk holds about this many rows of
 # arrays per level.  A scan of 2^11..2^16 on a 2-core Xeon timed table-sweep's
@@ -110,13 +116,13 @@ def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: fl
     exceeded" (rem < 0), +inf marks "cannot exhaust" (rem beyond the cost of
     h = hi).  The left side is strictly increasing, so the root is unique;
     beacon-bearing cases use a clamped Newton iteration with a bisection
-    fallback.  ``starts`` (sorted start indices) splits ``rem`` into
+    fallback.  ``starts`` (sorted start indices, from 0) splits ``rem`` into
     segments, and each segment leaves the Newton loop when its own residuals
     converge, so one call over many segments returns the bits of one call
     per segment.
     """
     rem = np.atleast_1d(np.asarray(rem, dtype=float))
-    m2 = np.broadcast_to(np.asarray(m2, dtype=float), rem.shape)
+    m2 = np.asarray(m2, dtype=float)
     tol = _RESIDUAL_TOL
     out = np.full(rem.shape, np.nan)
 
@@ -129,7 +135,7 @@ def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: fl
         return out
 
     r = rem[core]
-    m2c = m2[core]
+    m2c = m2[core] if m2.ndim else m2
     if rho_n <= 0.0 or g <= 0.0:
         # transmissions are free; only the beacon extension costs anything
         sol = np.where(r <= tol, 0.0, m2c + (r / beacon if beacon > 0.0 else np.inf))
@@ -142,22 +148,27 @@ def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: fl
     sol = np.clip(closed, 0.0, None)
     needs_newton = sol > m2c + _SNAP
     if beacon > 0.0 and needs_newton.any():
-        idx = np.where(needs_newton)[0]
-        seg = np.searchsorted(starts, np.flatnonzero(core)[idx], side="right")
+        idx = np.flatnonzero(needs_newton)
         h = np.minimum(np.where(np.isfinite(sol[idx]), sol[idx], hi), hi)
-        h = np.maximum(h, m2c[idx])
+        mm = m2c[idx] if m2c.ndim else m2c
+        h = np.maximum(h, mm)
         rr = r[idx]
-        mm = m2c[idx]
-        live = np.arange(idx.size)
+        # one segment leaves on its own residuals; with several, a row stays
+        # live while a residual of its segment has not converged (NaN too)
+        one = len(starts) == 1
+        seg = None if one else np.searchsorted(starts, np.flatnonzero(core)[idx], side="right")
+        live = slice(None) if one else np.arange(idx.size)
         for _ in range(64):
-            hl, ml = h[live], mm[live]
+            hl, ml = h[live], mm[live] if mm.ndim else mm
             f = rho_n * -np.expm1(-g * hl) + beacon * (hl - ml) - rr[live]
             fp = rho_n * g * np.exp(-g * hl) + beacon
             step = f / fp
             h[live] = np.clip(hl - step, ml, hi)
-            heads = np.flatnonzero(np.diff(seg[live], prepend=-1))
-            done = np.maximum.reduceat(np.abs(f), heads) < tol
-            live = live[np.repeat(~done, np.diff(heads, append=live.size))]
+            if one:
+                if np.abs(f).max() < tol:
+                    break
+                continue
+            live = live[np.bincount(seg[live], ~(np.abs(f) < tol))[seg[live]] > 0]
             if live.size == 0:
                 break
         f = rho_n * -np.expm1(-g * h) + beacon * (h - mm) - rr
@@ -412,10 +423,13 @@ class _HullBound:
 
     def rules_out(self, bound: np.ndarray, bound_up: np.ndarray) -> np.ndarray:
         """Rows whose candidates can neither match the best log-miss nor
-        lower the rounded-up one, against the live incumbents."""
+        lower the rounded-up one, against the live incumbents; only the
+        first half once the upper bound is pinned at 1.0."""
         best = self.best
-        return ((bound - self.margin > min(best.incumbent, best.log_miss))
-                & (bound_up - self.margin_up > best.ub_log_miss))
+        out = bound - self.margin > min(best.incumbent, best.log_miss)
+        if min(best.log_miss, best.ub_log_miss) < _PINNED_LOG_MISS:
+            return out
+        return out & (bound_up - self.margin_up > best.ub_log_miss)
 
 
 def _hull_bounds(sc: Scenario, tables: list[np.ndarray], pinned: float, full_energy: float,
@@ -764,7 +778,9 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     first batch (its best-bound prefix) is consumed before any walk goes
     on, so the incumbents of all fractional classes rule from the start.
     Each parent prefix keeps its own Newton segment, so the order moves no
-    bit.
+    bit.  Once the best log-miss or the smallest rounded-up one is below
+    ``_PINNED_LOG_MISS``, the upper bound reads 1.0 whatever follows, and
+    the first test alone rules a prefix out.
     """
     t0 = time.perf_counter()
     n1 = sc.max_threshold

@@ -328,8 +328,6 @@ def _windows(cum, ttl: int, n: int) -> np.ndarray:
     is exact.  A column of thresholds gives one C-ordered row of windows per
     threshold, so a row sum keeps numpy's pairwise order."""
     k = np.arange(n)
-    if ttl >= n - 1:    # every window starts at sub-slot 0, and cum(0) = 0
-        return cum(k + 1)
     return cum(k + 1) - cum(np.maximum(0, k - ttl))
 
 
@@ -426,6 +424,27 @@ def _threshold_sums(h: np.ndarray, ttl: int, n: int, terms) -> np.ndarray:
     for start in range(0, h.shape[0], rows):
         col = h[start:start + rows, None]
         out[start:start + rows] = terms(_windows(lambda m: np.minimum(m, col), ttl, n)).sum(axis=1)
+    return out
+
+
+def _full_ttl_sums(j: np.ndarray, v: np.ndarray, ints: np.ndarray) -> np.ndarray:
+    """``_threshold_sums`` of the log-miss terms when the TTL keeps every
+    copy (ttl >= n - 1): the window of sub-slot k holds min(k + 1, h), so
+    the row of a threshold h = j + a is the terms ``ints`` at masses
+    1..j, then its own term v from sub-slot j on.  Each block is written by
+    slices in the same C-ordered shape and summed the same way, so every
+    row keeps its bits."""
+    n = ints.size
+    out = np.empty(v.size)
+    rows = max(1, _CHUNK_CELLS // n)
+    block = np.empty((min(rows, v.size), n))
+    for start in range(0, v.size, rows):
+        part = block[:min(rows, v.size - start)]
+        part[:] = ints
+        for row, a, t in zip(part, j[start:start + rows].tolist(),
+                             v[start:start + rows].tolist()):
+            row[a:] = t
+        out[start:start + rows] = part.sum(axis=1)
     return out
 
 
@@ -573,17 +592,25 @@ def class_log_miss(c: int, thresholds: Iterable[float], sc: Scenario) -> np.ndar
     if h.size and not (h.min() >= -1e-9 and h.max() <= (n - 1) + 1e-9):
         raise ValueError("threshold outside policy grid")
     h = np.clip(h, 0.0, float(n - 1))
-    return cls.population * _threshold_sums(h, cls.ttl_slots, n,
-                                            lambda w: _log_miss_terms(x, w))
+    if cls.ttl_slots >= n - 1:
+        sums = _full_ttl_sums(h.astype(int), _log_miss_terms(x, h),
+                              _log_miss_terms(x, np.arange(1.0, n + 1)))
+    else:
+        sums = _threshold_sums(h, cls.ttl_slots, n, lambda w: _log_miss_terms(x, w))
+    return cls.population * sums
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _log_miss_sums(x: float, ttl: int, n: int) -> np.ndarray:
     """Per-relay class_log_miss over np.arange(n), x = -lam dt, TTL <= n - 1,
     with the same bits: at an integer threshold every window mass is an
-    integer in 0..ttl + 1, so the rows gather one term per mass."""
+    integer in 0..ttl + 1, so the rows gather one term per mass, or are
+    written by ``_full_ttl_sums`` when the TTL keeps every copy."""
     terms = _log_miss_terms(x, np.arange(ttl + 2.0))
-    out = _threshold_sums(np.arange(n), ttl, n, terms.__getitem__)
+    if ttl == n - 1:
+        out = _full_ttl_sums(np.arange(n), terms[:n], terms[1:])
+    else:
+        out = _threshold_sums(np.arange(n), ttl, n, terms.__getitem__)
     out.flags.writeable = False
     return out
 

@@ -75,6 +75,23 @@ def test_min_slots_one_slot_short():
     assert threshold_energy(probe, sc) <= sc.budget + 1e-9
 
 
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_certificates_read_an_end_a_few_ulps_below_an_integer(k):
+    # the budget is stepped down from the energy of threshold k, alone and
+    # beside a class in full, until the solved end falls below k: it then
+    # lies a few ulps under k, and the _SNAP slack still reads k
+    for lam in ([0.3], [0.3, 0.2]):
+        sc = make_scenario(lam, 1.0, slots=10)
+        others = {1: sc.max_threshold} if len(lam) == 2 else {}
+        budget = threshold_energy([float(k)] + [float(h) for h in others.values()], sc)
+        sc = make_scenario(lam, budget, slots=10)
+        while (end := boundary_threshold(0, others, sc)) >= k:
+            budget = math.nextafter(budget, 0.0)
+            sc = make_scenario(lam, budget, slots=10)
+        assert 0.0 < k - end < 1e-12
+        assert (min_slots(0, sc) if others else cardinality_cap(sc)) == k
+
+
 # ---------------------------------------------------------------------------
 # greedy construction
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from twohop import (
 )
 from twohop.cli import sample_scalability_scenario, sample_table_scenario
 from twohop.gridsearch import (
+    _PINNED_LOG_MISS,
     _SNAP,
     SolveTimeout,
     _Best,
@@ -733,6 +734,42 @@ def test_pruned_counter():
               for i in range(20)]
     assert len(small) >= 30
     assert all(grid_search(sc).pruned == 0 for sc in small)
+
+
+def _stream_draws(*indices: int) -> list:
+    """Draws of the seed-810 A4 stream (resolution 5, beacons on even draw
+    indices) at the given indices."""
+    rng = np.random.default_rng(810)
+    draws = [sample_table_scenario(rng, resolution=5, with_beacons=i % 2 == 0)[1]
+             for i in range(max(indices) + 1)]
+    return [draws[i] for i in indices]
+
+
+def test_pinned_upper_bound_drops_the_rounded_up_prune(monkeypatch):
+    # i712 and i720 of table-sweep's three-class tail report an objective of
+    # exactly 1.0: past _PINNED_LOG_MISS the upper bound can only read 1.0,
+    # so the prune rule drops its rounded-up half and rules out more
+    # prefixes, every output unchanged.  i528 and i347 stay below 1.0, so the
+    # rule never engages there, and their upper bound is the unpruned walk's,
+    # which dropping the rounded-up half for good would move
+    assert -math.expm1(_PINNED_LOG_MISS + 2.5) == 1.0
+    pinned, unpinned = _stream_draws(712, 720), _stream_draws(528, 347)
+
+    def run(sc):
+        rep = grid_search(sc)
+        return (rep.policy, rep.objective, rep.upper_bound, rep.enumerated), rep.pruned
+
+    on = [run(sc) for sc in pinned + unpinned]
+    monkeypatch.setattr(twohop.gridsearch, "_PINNED_LOG_MISS", -math.inf)
+    off = [run(sc) for sc in pinned + unpinned]
+    monkeypatch.setattr(twohop.gridsearch, "_hull_bounds", lambda *args: {})
+    walked = [run(sc) for sc in unpinned]
+    assert [out for out, _ in on] == [out for out, _ in off]
+    for (out, pruned), (_, pruned_off), (out_walked, unpruned) in zip(on[2:], off[2:], walked):
+        assert out[1] < out[2] < 1.0 and pruned == pruned_off > 0 == unpruned
+        assert out == out_walked
+    for (out, pruned), (_, pruned_off) in zip(on[:2], off[:2]):
+        assert out[1] == out[2] == 1.0 and pruned > pruned_off
 
 
 # ---------------------------------------------------------------------------

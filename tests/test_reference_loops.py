@@ -61,6 +61,9 @@ from twohop.model import (
     ThresholdPolicy,
     _energy_probe,
     _log_miss_slopes,
+    _log_miss_sums,
+    _log_miss_terms,
+    _threshold_sums,
     _tx_energy,
     budget_tolerance,
     class_log_miss,
@@ -684,6 +687,27 @@ def test_log_miss_kernels_cross_chunk_boundaries(monkeypatch):
             assert one_row == {True}
         else:
             assert ragged == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 1250, 2000])
+def test_full_ttl_rows_match_the_window_path(n):
+    # a TTL that keeps every copy writes each row by slices (the integer
+    # terms, then the threshold's own term from sub-slot floor(h) on); the
+    # window path evaluates a term per window.  Both must sum the same bits,
+    # also past lam dt = 37, where _log_miss_terms takes its logaddexp branch
+    rng = np.random.default_rng(n)
+    heads = np.unique(np.concatenate(([0, n - 1], rng.integers(0, n, 30)))).astype(float)
+    h = np.clip(np.concatenate((heads, heads - 1e-12, heads + 1e-12,
+                                rng.uniform(0.0, n - 1, 30))), 0.0, n - 1.0)
+    for lam in (0.004, 0.3, 40.0):
+        sc = make_scenario([lam], 1.0, slots=n, populations=[7], ttl=[n + 2])
+        x = -sc.rates[0] * sc.eff_slot
+        window = _threshold_sums(np.arange(n), n - 1, n, lambda w: _log_miss_terms(x, w))
+        assert np.array_equal(_log_miss_sums.__wrapped__(x, n - 1, n).view(np.int64),
+                              window.view(np.int64))
+        window = 7 * _threshold_sums(h, n + 2, n, lambda w: _log_miss_terms(x, w))
+        assert np.array_equal(class_log_miss(0, h, sc).view(np.int64), window.view(np.int64))
+        assert (lam > 37.0) == (-math.expm1(x) == 1.0)    # the logaddexp branch
 
 
 def delivery_probability_fsum(pol: Policy, k: int, sc: Scenario) -> float:
