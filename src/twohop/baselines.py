@@ -14,7 +14,7 @@ from .model import (
     expand_threshold,
     is_costless,
 )
-from .gridsearch import _bisect_budget, saturating_threshold
+from .gridsearch import _bisect_budget, _energy_margin, saturating_threshold
 
 __all__ = ["arrival_rate_greedy", "class_independent", "uniform_policy"]
 
@@ -87,8 +87,11 @@ def class_independent(sc: Scenario) -> float:
     def energy_at(mid: float) -> float:
         return energy_spent(expand_threshold(uniform_policy(sc, mid), sc), sc)
 
-    if energy_at(h) > sc.budget + tol:
-        h = _bisect_budget(energy_at, math.floor(h), h, sc.budget)
+    e_h = energy_at(h)
+    if e_h > sc.budget + tol:
+        lo = math.floor(h)
+        h = _bisect_budget(energy_at, lo, h, sc.budget, _energy_margin(sc, True),
+                           (energy_at(lo), e_h))
     return float(h)
 
 

@@ -27,7 +27,7 @@ from .model import (
 )
 from .gridsearch import (
     _SNAP,
-    _ends,
+    _solo_ends,
     boundary_threshold,   # not called here; perfbench/tracing.py wraps greedy.boundary_threshold
     saturating_threshold,
 )
@@ -75,11 +75,12 @@ class GreedyReport:
     topup_class: int | None = None
 
 
-def _affordable(c: int, fill: float, sc: Scenario) -> int:
+def _affordable(c: int, full: bool, sc: Scenario) -> int:
     """Largest integer threshold class c can afford with the other costly
-    classes at ``fill``, from its ``_ends`` end: 0 when they alone exhaust
-    the budget, the whole grid when even full transmission cannot."""
-    end = _ends(c, {}, sc, (fill,))[0, 0]
+    classes silent, or all ``full``, from its end in ``_solo_ends`` (the
+    grid search's own first-level ends): 0 when they alone exhaust the
+    budget, the whole grid when even full transmission cannot."""
+    end = _solo_ends(c, sc)[int(full), 0]
     return 0 if math.isnan(end) else math.floor(min(end + _SNAP, sc.max_threshold))
 
 
@@ -89,13 +90,13 @@ def cardinality_cap(sc: Scenario) -> int:
     No single class can afford more than its solo capacity, and no threshold
     exceeds the grid; the cap feeds the greedy certificates.
     """
-    return max(_affordable(c, 0.0, sc) for c in range(len(sc.classes)))
+    return max(_affordable(c, False, sc) for c in range(len(sc.classes)))
 
 
 def min_slots(c: int, sc: Scenario) -> int:
     """Largest integer threshold class c can afford while every other class
     transmits in full; 0 when the others alone exhaust the budget."""
-    return _affordable(c, sc.max_threshold, sc)
+    return _affordable(c, True, sc)
 
 
 def greedy_construct(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN) -> GreedyReport:
@@ -133,41 +134,58 @@ def greedy_construct(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN) 
               radio.get(c), tables[c]) for c in costly]
     # integer beacon coverage per charging radio; its members are all costly
     cover = [0] * len(sc.beacons)
+    # per costly class at its threshold k: e^{-lam dt (k + 1)}, and the
+    # transmission energy and per-cost marginal of its next award, by the
+    # expressions the loop evaluated for every class on every iteration (at
+    # k = 0, e^{-lam dt k} is exactly 1); only an award moves them, and the
+    # awarded class's e^{-lam dt (k + 1)} becomes its next e^{-lam dt k}
+    ahead = [math.exp(-g) for _, _, g, _, _ in terms]
+    tx = [weight * (1.0 - e) for (_, weight, _, _, _), e in zip(terms, ahead)]
+    marg = [weight * -math.expm1(-g) for _, weight, g, _, _ in terms]
+    # a lone costly class wins every award it can afford, whatever its gain
+    lone = len(terms) == 1
 
     iterations = 0
     while True:
         best = None
         best_score = 0.0
         best_energy = 0.0
-        f_cur = -math.expm1(log_miss)
-        for term in terms:
-            c, weight, g, beacon, table = term
+        f_cur = 0.0 if lone else -math.expm1(log_miss)
+        for i, (c, _, _, beacon, table) in enumerate(terms):
             kc = k[c]
             if kc >= n1:
                 continue
-            e_new = energy + weight * (math.exp(-g * kc) - math.exp(-g * (kc + 1)))
+            e_new = energy + tx[i]
             if beacon is not None:
-                e_new += beacon[0] * max(0, kc + 1 - cover[beacon[1]])
+                d = kc + 1 - cover[beacon[1]]
+                if d > 0:
+                    e_new += beacon[0] * d
             if e_new > limit:
                 continue
+            if lone:
+                best, best_energy = i, e_new
+                break
             gain = -math.expm1(log_miss - table[kc] + table[kc + 1]) - f_cur
             if per_cost:
-                marg = weight * math.exp(-g * kc) * -math.expm1(-g)
-                score = gain / marg if marg > 0.0 else math.inf
+                score = gain / marg[i] if marg[i] > 0.0 else math.inf
             else:
                 score = gain
             if best is None or score > best_score:
-                best = term
+                best = i
                 best_score = score
                 best_energy = e_new
         if best is None:
             break
-        c, _, _, beacon, table = best
+        c, weight, g, beacon, table = terms[best]
         log_miss += table[k[c] + 1] - table[k[c]]
         k[c] += 1
         energy = best_energy
-        if beacon is not None:
-            cover[beacon[1]] = max(cover[beacon[1]], k[c])
+        head, ahead[best] = ahead[best], math.exp(-g * (k[c] + 1))
+        tx[best] = weight * (head - ahead[best])
+        if per_cost:
+            marg[best] = weight * head * -math.expm1(-g)
+        if beacon is not None and k[c] > cover[beacon[1]]:
+            cover[beacon[1]] = k[c]
         iterations += 1
 
     thresholds = [float(x) for x in k]

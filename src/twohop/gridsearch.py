@@ -29,7 +29,9 @@ import numpy as np
 from .model import (
     Scenario,
     ThresholdPolicy,
+    _class_key,
     _energy_probe,
+    _kernel,
     _log_miss_slopes,
     _log_miss_terms,
     _tx_energy,
@@ -60,6 +62,10 @@ __all__ = [
 # float noise at range endpoints.
 _SNAP = 1e-9
 _RESIDUAL_TOL = 1e-10
+# Most energy evaluations ``_bracket`` spends on regula falsi steps towards a
+# budget crossing, then on aiming its two ends.
+_ROOT_STEPS = 8
+_AIM_STEPS = 6
 # A log-miss whose -expm1 reads exactly 1.0 with 2.5 nats to spare (the
 # rounding to 1.0 starts near -37.43), far more than the rounding between
 # the search's sums and threshold_objective's: once the best log-miss or
@@ -244,6 +250,18 @@ def _ends(c: int, fixed: Mapping, sc: Scenario, fills) -> np.ndarray:
     return ends.reshape(rem.shape)
 
 
+@functools.lru_cache(maxsize=64)
+def _solo_ends(c: int, sc: Scenario) -> np.ndarray:
+    """``_ends(c, {}, sc, (0.0, max_threshold))``, read-only: class c's end
+    with every other costly class silent (row 0) and with them all full
+    (row 1).  The first level of every walk, the zero-level walk and
+    greedy's certificates all read it, so a scenario solves it once per
+    class; each row is its own Newton segment either way."""
+    ends = _ends(c, {}, sc, (0.0, float(sc.max_threshold)))
+    ends.flags.writeable = False
+    return ends
+
+
 def boundary_threshold(c2: int, assigned: Mapping, sc: Scenario) -> float:
     """Threshold for class c2 that spends the budget exactly, given the
     classes fixed in ``assigned`` (class -> threshold), with the costly
@@ -262,16 +280,111 @@ def boundary_threshold(c2: int, assigned: Mapping, sc: Scenario) -> float:
     return sol
 
 
-def _bisect_budget(energy_at, lo: float, hi: float, budget: float) -> float:
+def _energy_margin(sc: Scenario, expanded: bool = False) -> float:
+    """Twice a bound on the rounding error of an energy ``_bisect_budget``
+    reads: the probe's (``model._energy_probe``) or, ``expanded``, an
+    expanded policy's (``energy_spent``).  u = 2**-53 below.
+
+    Both sum q transmission terms w_c (1 - e^{-lam_c dt m_c}), w_c =
+    tx_cost pop, and a beacon term rate_b S_b per radio of ``sc.beacons``
+    (span S_b <= n, k_b members), all nonnegative and nondecreasing in the
+    threshold moved, so the exact energy is nondecreasing.  As |y| <=
+    e^|y| - 1, a relative error in y moves 1 - e^y by no more: -lam dt m
+    adds u, expm1 (1 ulp) 2u, the weight u.  A span m + 1 - prod(1 - a_i)
+    errs by 2k u + u n, the rate by u n more, and each of the q + B
+    additions by u times a partial sum: within (q + B + 4) u X, X = sum w_c
+    + sum rate_b (n + 2 k_b).  Expanded, masses and spans are numpy pairwise
+    sums of ones and one tail (a tail alone is exact), rounding at most
+    L + 25 times, L = log2 n, by u (j + 1) each: 2 (L + 25) u relative on a
+    mass, (L + 25) u n plus the tail's (2k + 1) u on a span, so 2L + 56 for
+    the 4, X's spans at n + 2 k_b + 1.  Four more cover second-order terms.
+    """
+    n = sc.subslots
+    scale = sum(cls.tx_cost * cls.population for cls in sc.classes)
+    scale += sum(rate * (n + 2 * len(members) + expanded) for rate, members in sc.beacons)
+    count = len(sc.classes) + len(sc.beacons) + (2 * math.log2(n) + 60 if expanded else 8)
+    return 2.0 * count * 2.0 ** -53 * scale
+
+
+def _bracket(energy_at, lo: float, hi: float, budget: float, margin: float,
+             energies: tuple[float, float]) -> tuple[float, float]:
+    """A certified bracket (a, b) of the budget crossing: the largest point
+    evaluated whose energy is below budget - margin and the smallest one
+    above budget + margin, -inf and +inf when there is none.
+
+    ``energies`` are the energies at lo and hi.  Regula falsi steps with
+    the Anderson-Bjorck weights close in on the crossing; then points are
+    aimed at budget - 2 margin until a lies within 8 margins of the budget,
+    then at budget + 2 margin for b, each along the secant of the last two
+    points.  Where the energy is flat no aim certifies, and the bisection
+    evaluates more."""
+    ends = [-math.inf, math.inf]    # a, b
+    gaps = [-math.inf, math.inf]    # energy - budget at a and at b
+
+    def take(x: float, f: float) -> float:
+        if f < -margin and x > ends[0]:
+            ends[0], gaps[0] = x, f
+        elif f > margin and x < ends[1]:
+            ends[1], gaps[1] = x, f
+        return f
+
+    fp, fq = take(lo, energies[0] - budget), take(hi, energies[1] - budget)
+    if not (fp < 0.0 < fq and margin < math.inf):
+        return ends[0], ends[1]
+    # xp, xq the last two points; xa, with weighted energy - budget wa, the
+    # end of the bracket of signs across from xq
+    xp, xq, xa, wa = lo, hi, lo, fp
+    for _ in range(_ROOT_STEPS):
+        if abs(fq) <= 4.0 * margin:
+            break
+        x = xq - fq * (xq - xa) / (fq - wa)
+        if not min(xa, xq) < x < max(xa, xq):
+            break
+        f = take(x, energy_at(x) - budget)
+        if (f < 0.0) != (fq < 0.0):
+            xa, wa = xq, fq
+        else:
+            wa *= 1.0 - f / fq if f / fq < 1.0 else 0.5
+        xp, fp, xq, fq = xq, fq, x, f
+    for _ in range(_AIM_STEPS):
+        # aim at budget - 2 margin for a, then at budget + 2 margin for b,
+        # along the secant of the last two points
+        aim = -2.0 if gaps[0] < -8.0 * margin else 2.0 if gaps[1] > 8.0 * margin else 0.0
+        slope = (fq - fp) / (xq - xp)
+        if aim == 0.0 or not slope > 0.0:
+            break
+        x = xq + (aim * margin - fq) / slope
+        if not lo < x < hi or x == xq:
+            break
+        f = take(x, energy_at(x) - budget)
+        xp, fp, xq, fq = xq, fq, x, f
+    return ends[0], ends[1]
+
+
+def _bisect_budget(energy_at, lo: float, hi: float, budget: float, margin: float,
+                   energies: tuple[float, float]) -> float:
     """Bisect [lo, hi] for the point where the nondecreasing energy_at
     crosses the budget; returns the last point found within it.
 
     The loop stops at the first step that leaves the bracket unchanged:
     every later step would repeat it, so the 200-step cap only bounds it.
+    Only midpoints inside ``_bracket``'s (a, b) are evaluated: ``margin``
+    is at least twice a bound d on the energy's rounding error, so the exact
+    energy at a, and at every point up to it, is below budget - d, where
+    every evaluation reads within budget, and beyond b every one reads over
+    it.  Each skipped midpoint takes the branch its evaluation would, and
+    the same point comes back.  ``energies`` are the energies at lo and hi.
     """
+    a, b = _bracket(energy_at, lo, hi, budget, margin, energies)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if energy_at(mid) > budget:
+        if mid <= a:
+            over = False
+        elif mid >= b:
+            over = True
+        else:
+            over = energy_at(mid) > budget
+        if over:
             if mid == hi:
                 break
             hi = mid
@@ -291,16 +404,23 @@ def saturating_threshold(c: int, thresholds, sc: Scenario) -> float:
     ``_bisect_budget`` on the exact threshold energy, so it is valid for any
     mix of fractional thresholds and shared technologies; the energy comes
     from ``model._energy_probe``, which computes the other classes' terms
-    once.
+    once.  Where the energy at 0 may lie within the margin of the budget,
+    an energy at ``_SNAP`` certified over it returns 0 unbisected, as the
+    bisection would end below ``_SNAP``.
     """
     hi = float(sc.max_threshold)
     tol = budget_tolerance(sc.budget)
     energy_at = _energy_probe(c, thresholds, sc)
-    if energy_at(0.0) > sc.budget + tol:
+    e_lo = energy_at(0.0)
+    if e_lo > sc.budget + tol:
         return 0.0
-    if energy_at(hi) <= sc.budget + tol:
+    e_hi = energy_at(hi)
+    if e_hi <= sc.budget + tol:
         return hi
-    h = _bisect_budget(energy_at, 0.0, hi, sc.budget)
+    margin = _energy_margin(sc)
+    if e_lo >= sc.budget - margin and energy_at(_SNAP) > sc.budget + margin:
+        return 0.0
+    h = _bisect_budget(energy_at, 0.0, hi, sc.budget, margin, (e_lo, e_hi))
     return 0.0 if h < _SNAP else h
 
 
@@ -311,7 +431,8 @@ def _ranges(c: int, fixed: Mapping, sc: Scenario) -> tuple[np.ndarray, np.ndarra
     fractional one included) and the ceiling of its full end.  A row whose
     silent end overspends (NaN) or whose full end cannot exhaust the budget
     (inf) is (0, -1)."""
-    silent, full = _ends(c, fixed, sc, (0.0, float(sc.max_threshold)))
+    silent, full = _ends(c, fixed, sc, (0.0, float(sc.max_threshold))) if fixed else \
+        _solo_ends(c, sc)
     hi = np.minimum(sc.max_threshold, np.floor(silent + _SNAP))
     lo = np.fmax(0.0, np.ceil(full - _SNAP))
     void = np.isnan(hi) | np.isinf(lo)
@@ -580,7 +701,7 @@ def _leaf_batches(sc: Scenario, frac_c: int, hull: _HullBound | None = None
     if levels:
         yield from step({})
     else:
-        r = _ends(frac_c, {}, sc, (0.0,))[0]
+        r = _solo_ends(frac_c, sc)[0]
         yield levels, no_vals, r[np.isfinite(r)]
 
 
@@ -703,7 +824,7 @@ def _tail_bracket(c: int, sc: Scenario, tables: list[np.ndarray]):
     """
     cls, n = sc.classes[c], sc.subslots
     x = -sc.rates[c] * sc.eff_slot
-    prefix = np.concatenate(([0.0], np.cumsum(_log_miss_terms(x, np.arange(1.0, n)))))
+    prefix = _kernel(*_class_key(c, sc)).prefix
     u = 2.0 ** -53
     mb = ((n + math.log2(n) + 40) * u * abs(tables[c][-1])
           + 4 * u * sum(abs(t[-1]) for t in tables))

@@ -20,9 +20,10 @@ locking.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,6 +68,10 @@ _CHUNK_CELLS = 2 ** 16
 
 # Per-class tables (log-miss sums, tx terms) kept in memory; each holds subslots floats.
 _TABLE_CACHE_SIZE = 256
+# The log-miss sums built so far, by key, as long as the cache holds them:
+# an integer threshold reads its value off them, but does not build a table
+# (O(n^2) cells) where one row (O(n)) would do.
+_BUILT_SUMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def budget_tolerance(budget: float) -> float:
@@ -593,11 +598,18 @@ def class_log_miss(c: int, thresholds: Iterable[float], sc: Scenario) -> np.ndar
         raise ValueError("threshold outside policy grid")
     h = np.clip(h, 0.0, float(n - 1))
     if cls.ttl_slots >= n - 1:
-        sums = _full_ttl_sums(h.astype(int), _log_miss_terms(x, h),
-                              _log_miss_terms(x, np.arange(1.0, n + 1)))
+        sums = _full_ttl_sums(h.astype(int), _log_miss_terms(x, h), _kernel(x, n - 1, n).ints)
     else:
         sums = _threshold_sums(h, cls.ttl_slots, n, lambda w: _log_miss_terms(x, w))
     return cls.population * sums
+
+
+def _class_key(c: int, sc: Scenario) -> tuple[float, int, int]:
+    """The key of class c's cached per-relay arrays: its own -lam dt, its
+    TTL clipped to n - 1 (any longer TTL keeps every copy to the end) and
+    the grid length n."""
+    n = sc.subslots
+    return -sc.rates[c] * sc.eff_slot, min(sc.classes[c].ttl_slots, n - 1), n
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -612,7 +624,61 @@ def _log_miss_sums(x: float, ttl: int, n: int) -> np.ndarray:
     else:
         out = _threshold_sums(np.arange(n), ttl, n, terms.__getitem__)
     out.flags.writeable = False
+    _BUILT_SUMS[x, ttl, n] = out
     return out
+
+
+class _Kernel(NamedTuple):
+    """Read-only per-relay arrays of one class key (``_class_key``), built
+    once with the expressions their users evaluated on every call:
+    ``slopes`` for ``_log_miss_slopes`` and, where the TTL keeps every
+    copy (else None), ``ints``, the log-miss terms at the integer masses
+    1..n that ``class_log_miss`` writes its rows from, and ``prefix``, 0
+    then the running sum of the first n - 1 of them
+    (``gridsearch._tail_bracket``)."""
+
+    slopes: np.ndarray
+    ints: np.ndarray | None
+    prefix: np.ndarray | None
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _kernel(x: float, ttl: int, n: int) -> _Kernel:
+    """The ``_Kernel`` of the class key (x, ttl, n), x = -lam dt.
+
+    The slopes: the tail on sub-slot j raises the window mass of sub-slots
+    k = j .. min(j + ttl, n - 1), where the mass at a = 0 is
+    min(j, ttl - (k - j)).  A term at mass w moves at
+    phi(w) = -g l e^{-lw} / (1 - g + g e^{-lw}), l = lam dt, so D[j] sums
+    phi over those masses: at most ttl + 1 terms equal to phi(j), the rest a
+    run of consecutive masses read off a prefix sum of phi(0..ttl).  A TTL
+    of n - 1, the key's for any TTL that keeps every copy, gives every D[j]
+    the operands that one of n gives."""
+    lam_dt = -x
+    g = -math.expm1(-lam_dt)
+    decay = np.exp(-lam_dt * np.arange(ttl + 1))
+    lead = math.exp(-lam_dt)
+    if lead > 0.0:
+        phi = -g * lam_dt * decay / (lead + g * decay)
+    else:   # past l = 745 e^-l underflows and g is 1: phi is -l, -l/2, then 0
+        phi = np.zeros(ttl + 1)
+        phi[0] = -lam_dt
+        phi[1:2] = -lam_dt / 2
+    csum = np.concatenate(([0.0], np.cumsum(phi)))
+    j = np.arange(n)
+    last = np.minimum(ttl, n - 1 - j)                   # k - j runs over 0..last
+    flat = np.maximum(np.minimum(last, ttl - j) + 1, 0)  # terms at mass j
+    lo, hi = ttl - last, np.minimum(ttl + 1, j)         # the rest: masses lo..hi-1
+    rest = np.where(hi > lo, csum[hi] - csum[lo], 0.0)
+    ints = prefix = None
+    if ttl == n - 1:
+        ints = _log_miss_terms(x, np.arange(1.0, n + 1))
+        prefix = np.concatenate(([0.0], np.cumsum(ints[:n - 1])))
+    record = _Kernel(flat * phi[np.minimum(j, ttl)] + rest, ints, prefix)
+    for arr in record:
+        if arr is not None:
+            arr.flags.writeable = False
+    return record
 
 
 def class_log_miss_table(c: int, sc: Scenario) -> np.ndarray:
@@ -620,9 +686,7 @@ def class_log_miss_table(c: int, sc: Scenario) -> np.ndarray:
     The sums are cached by the class's own -lam dt, TTL and grid length, so
     scenarios differing in budget, beacons, costs, population or other
     classes share them."""
-    cls, n = sc.classes[c], sc.subslots
-    table = cls.population * _log_miss_sums(-sc.rates[c] * sc.eff_slot,
-                                            min(cls.ttl_slots, n - 1), n)
+    table = sc.classes[c].population * _log_miss_sums(*_class_key(c, sc))
     table.flags.writeable = False
     return table
 
@@ -630,43 +694,27 @@ def class_log_miss_table(c: int, sc: Scenario) -> np.ndarray:
 def _log_miss_slopes(c: int, sc: Scenario) -> np.ndarray:
     """Right derivative D[j] of class_log_miss(c, j + a) in a at a = 0, for
     every integer threshold j; the log-miss is convex in the fractional tail
-    a, so T[j] + a D[j] bounds it from below on [j, j + 1].
-
-    The tail on sub-slot j raises the window mass of sub-slots
-    k = j .. min(j + ttl, n - 1), where the mass at a = 0 is
-    min(j, ttl - (k - j)).  A term at mass w moves at
-    phi(w) = -g x e^{-xw} / (1 - g + g e^{-xw}), x = lam dt, so D[j] sums
-    phi over those masses: at most ttl + 1 terms equal to phi(j), the rest a
-    run of consecutive masses read off a prefix sum of phi(0..ttl).
-    """
-    cls = sc.classes[c]
-    n = sc.subslots
-    ttl = min(cls.ttl_slots, n)     # any TTL >= n - 1 keeps every copy to the end
-    x = sc.rates[c] * sc.eff_slot
-    g = -math.expm1(-x)
-    decay = np.exp(-x * np.arange(ttl + 1))
-    lead = math.exp(-x)
-    if lead > 0.0:
-        phi = -g * x * decay / (lead + g * decay)
-    else:   # past x = 745 e^-x underflows and g is 1: phi is -x, -x/2, then 0
-        phi = np.zeros(ttl + 1)
-        phi[0] = -x
-        phi[1:2] = -x / 2
-    csum = np.concatenate(([0.0], np.cumsum(phi)))
-    j = np.arange(n)
-    last = np.minimum(ttl, n - 1 - j)                   # k - j runs over 0..last
-    flat = np.maximum(np.minimum(last, ttl - j) + 1, 0)  # terms at mass j
-    lo, hi = ttl - last, np.minimum(ttl + 1, j)         # the rest: masses lo..hi-1
-    rest = np.where(hi > lo, csum[hi] - csum[lo], 0.0)
-    return cls.population * (flat * phi[np.minimum(j, ttl)] + rest)
+    a, so T[j] + a D[j] bounds it from below on [j, j + 1].  The population
+    times the cached per-relay slopes (``_kernel``)."""
+    return sc.classes[c].population * _kernel(*_class_key(c, sc)).slopes
 
 
 def threshold_objective(thresholds: Sequence[float], sc: Scenario) -> float:
     """Delivery probability of a threshold profile at the full horizon."""
     if len(thresholds) != len(sc.classes):
         raise ValueError("threshold count does not match scenario classes")
-    total = sum(float(class_log_miss(c, [h], sc)[0]) for c, h in enumerate(thresholds))
+    total = sum(_log_miss_at(c, h, sc) for c, h in enumerate(thresholds))
     return -math.expm1(total)
+
+
+def _log_miss_at(c: int, h: float, sc: Scenario) -> float:
+    """class_log_miss(c, [h], sc)[0]: read off the class's built sums times
+    the population when h is an integer on the grid, the same product with
+    the same bits as ``class_log_miss_table``'s entry, else evaluated."""
+    sums = _BUILT_SUMS.get(_class_key(c, sc))
+    if sums is not None and float(h).is_integer() and 0.0 <= h <= sc.max_threshold:
+        return float(sc.classes[c].population * sums[int(h)])
+    return float(class_log_miss(c, [h], sc)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from twohop import (
     threshold_energy,
     threshold_objective,
 )
-from twohop.gridsearch import BudgetExceededError, BudgetUnboundedError, boundary_threshold
+from twohop.gridsearch import (BudgetExceededError, BudgetUnboundedError, _solo_ends,
+                               boundary_threshold)
 from conftest import (
     brute_force_integer_optimum,
     integer_objective,
@@ -95,6 +96,26 @@ def test_certificates_read_an_end_a_few_ulps_below_an_integer(k):
 # ---------------------------------------------------------------------------
 # greedy construction
 # ---------------------------------------------------------------------------
+
+def test_greedy_report_is_the_same_after_a_grid_search():
+    # the certificates read the ends that the grid search's first level
+    # cached (gridsearch._solo_ends); cold or after grid_search on the same
+    # scenario, every report bit is the same
+    rng = np.random.default_rng(45)
+    hits = 0
+    for i in range(24):
+        sc = random_small_scenario(rng, n_classes=1 + i % 3, max_slots=10,
+                                   beacon_scale=0.05 if i % 2 else 0.0, share_prob=0.6)
+        _solo_ends.cache_clear()
+        cold = greedy_construct(sc)
+        _solo_ends.cache_clear()
+        grid_search(sc)
+        before = _solo_ends.cache_info().hits
+        warm = greedy_construct(sc)
+        hits += _solo_ends.cache_info().hits - before
+        assert repr(warm) == repr(cold)
+    assert hits >= 2 * 24
+
 
 def test_greedy_zero_budget():
     sc = make_scenario([0.1, 0.2], 0.0, slots=6)

@@ -33,12 +33,14 @@ from twohop.gridsearch import (
     _Best,
     _completion_masses,
     _costly_classes,
+    _ends,
     _hull_bounds,
     _leaf_batches,
     _prune_margin,
     _ranges,
     _remaining,
     _solve_for,
+    _solo_ends,
     _solve_saturating_vec,
     _tail_bracket,
     brute_force_saturating,
@@ -388,6 +390,30 @@ def test_range_kernel_rows_match_scalar_boundaries():
             kinds.add(kind)
     assert kinds == {"solved", "overspent", "hi-unbounded", "lo-overspent", "unsaturable",
                      "empty"}
+
+
+def test_solo_ends_are_the_one_row_ends():
+    # the cached silent and full ends of each class keep the bits of the
+    # one-row _ends calls that the walker, boundary_threshold and greedy's
+    # certificates made, NaN (overspent) and +inf (unexhaustible) included
+    rng = np.random.default_rng(44)
+    kinds = set()
+    for i in range(40):
+        sc = random_small_scenario(rng, n_classes=1 + i % 3, max_slots=10,
+                                   beacon_scale=0.05 if i % 2 else 0.0, share_prob=0.6,
+                                   budget_frac=((0.0, 0.02), (0.05, 0.95), (0.97, 1.2))[i % 3])
+        n1 = float(sc.max_threshold)
+        for c in range(len(sc.classes)):
+            ends = _solo_ends(c, sc)
+            assert not ends.flags.writeable
+            assert np.array_equal(ends.view(np.int64),
+                                  _ends(c, {}, sc, (0.0, n1)).view(np.int64))
+            for row, fill in enumerate((0.0, n1)):
+                one = _ends(c, {}, sc, (fill,))
+                assert repr(float(ends[row, 0])) == repr(float(one[0, 0]))
+                kinds.add("nan" if np.isnan(one[0, 0]) else "inf" if np.isinf(one[0, 0])
+                          else "solved")
+    assert kinds == {"nan", "inf", "solved"}
 
 
 def test_log_miss_slopes_bracket_fractional_tails():

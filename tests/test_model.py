@@ -27,7 +27,8 @@ from twohop import (
     threshold_energy,
     threshold_objective,
 )
-from twohop.model import _log_miss_sums, class_log_miss, class_log_miss_table
+from twohop import model
+from twohop.model import _log_miss_slopes, _log_miss_sums, class_log_miss, class_log_miss_table
 from twohop.mcsim import holding_expectation
 from conftest import make_scenario, random_small_scenario, two_class_reference
 
@@ -436,6 +437,64 @@ def test_log_miss_stays_finite_for_a_very_fast_class():
         want = math.fsum(math.log(math.exp(-x * w) - math.exp(-x) * math.expm1(-x * w))
                          for w in windows)
         assert value == pytest.approx(want, rel=1e-10)
+
+
+def test_threshold_objective_reads_integer_thresholds_off_the_table():
+    # an integer threshold on the grid reads the built sums times the
+    # population; every class's term, and the objective, must keep
+    # class_log_miss's bits for integers, integers -/+ 1e-12 and fractions,
+    # with TTLs below, at and beyond the last sub-slot and lam dt past 37;
+    # a class whose sums are not built is evaluated, and builds none
+    rng = np.random.default_rng(47)
+    read = 0
+    for i in range(60):
+        q = 1 + i % 3
+        slots, res = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        n = slots * res
+        lam = rng.uniform(0.001, 0.5, q).tolist()
+        if i % 4 == 0:
+            lam[0] = float(rng.uniform(38.0, 60.0))     # _log_miss_terms' logaddexp branch
+        sc = make_scenario(lam, 1.0, slots=slots, populations=rng.integers(1, 40, q).tolist(),
+                           resolution=res)
+        sc = replace(sc, classes=tuple(replace(cls, ttl_slots=int(rng.integers(1, n + 3)))
+                                       for cls in sc.classes))
+        if i % 6 == 5:
+            builds = _log_miss_sums.cache_info().misses
+            threshold_objective([0.0] * q, sc)
+            assert _log_miss_sums.cache_info().misses == builds
+        for c in range(q - i % 2):     # the last class unbuilt on odd draws
+            class_log_miss_table(c, sc)
+        for _ in range(5):
+            ints = rng.integers(0, n, q).astype(float)
+            for hs in (ints, ints - 1e-12, ints + 1e-12, rng.uniform(0.0, n - 1.0, q)):
+                hs = hs.tolist()
+                want = [float(class_log_miss(c, [h], sc)[0]) for c, h in enumerate(hs)]
+                got = [model._log_miss_at(c, h, sc) for c, h in enumerate(hs)]
+                assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+                assert np.array([threshold_objective(hs, sc)]).view(np.int64) == \
+                    np.array([-math.expm1(sum(want))]).view(np.int64)
+                read += sum(float(h).is_integer() and model._BUILT_SUMS.get(model._class_key(
+                    c, sc)) is not None for c, h in enumerate(hs))
+    assert read >= 200
+
+
+def test_cached_class_arrays_are_read_only_and_shared_by_populations():
+    # classes 0 and 1 share -lam dt, TTL and grid length and differ in
+    # population: one key, one set of cached sums and slopes
+    sc = make_scenario([0.05, 0.05, 0.3], 1.0, slots=7, populations=[3, 11, 3], ttl=[7, 9, 2],
+                       resolution=2)
+    keys = [model._class_key(c, sc) for c in range(3)]
+    assert keys[0] == keys[1] != keys[2]
+    assert _log_miss_sums(*keys[0]) is _log_miss_sums(*keys[1])
+    full, finite = model._kernel(*model._class_key(0, sc)), model._kernel(*model._class_key(2, sc))
+    assert model._kernel(*model._class_key(1, sc)) is full
+    assert np.array_equal(_log_miss_slopes(0, sc), 3 * full.slopes)
+    assert np.array_equal(_log_miss_slopes(1, sc), 11 * full.slopes)
+    assert finite.ints is None and finite.prefix is None
+    for arr in (_log_miss_sums(*keys[0]), _log_miss_sums(*keys[2]), full.slopes, full.ints,
+                full.prefix, finite.slopes):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 19.5])

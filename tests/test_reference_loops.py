@@ -2,7 +2,9 @@
 copies of their earlier forms.
 
 The loops are the fixed 200-step ``saturating_threshold`` bisection, the
-fixed 100-step shave in ``class_independent``, the greedy award loop that
+fixed 100-step shave in ``class_independent``, the budget bisection that
+evaluated every midpoint (also under energies offset by a bounded noise),
+the greedy award loop that
 looked every per-class value up again on each iteration (whose integer-only
 mode also checks the greedy's profile before its top-up), and the greedy
 certificates solved through ``boundary_threshold`` and its two exceptions;
@@ -11,20 +13,23 @@ classes, with and without beacons, with shared radios, with free radios
 next to charging ones, and with budgets near zero and near the all-full
 cost.  The kernels are the log-miss evaluators (at a batch of
 thresholds, at every integer threshold, and under a general policy) and
-the three transmission-energy loops; they are compared bit for bit over
-seeded scenarios at resolutions 1-5 with TTLs below and at or above the
-last sub-slot, fractional and integer thresholds, and general policies.
+the three transmission-energy loops, and the per-class slopes and
+tail-bracket prefix before they were cached; they are compared bit for bit
+over seeded scenarios at resolutions 1-5 with TTLs below and at or above
+the last sub-slot, fractional and integer thresholds, and general policies.
 """
 
 import math
 import sys
 import time
+import zlib
 from dataclasses import replace
 from typing import Iterator
 
 import numpy as np
 import pytest
 
+import twohop.baselines
 import twohop.greedy
 import twohop.gridsearch
 from twohop import (GreedyVariant, arrival_rate_greedy, class_independent, greedy_construct,
@@ -146,6 +151,68 @@ def class_independent_100(sc: Scenario) -> float:
             else:
                 lo = mid
         h = lo
+    return float(h)
+
+
+def bisect_budget_copy(energy_at, lo: float, hi: float, budget: float) -> float:
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if energy_at(mid) > budget:
+            if mid == hi:
+                break
+            hi = mid
+        else:
+            if mid == lo:
+                break
+            lo = mid
+    return lo
+
+
+def saturating_threshold_copy(c: int, thresholds, sc: Scenario) -> float:
+    # the energy read through the module attribute, so that a patched probe
+    # serves both sides
+    hi = float(sc.max_threshold)
+    tol = budget_tolerance(sc.budget)
+    energy_at = twohop.gridsearch._energy_probe(c, thresholds, sc)
+    if energy_at(0.0) > sc.budget + tol:
+        return 0.0
+    if energy_at(hi) <= sc.budget + tol:
+        return hi
+    h = bisect_budget_copy(energy_at, 0.0, hi, sc.budget)
+    return 0.0 if h < _SNAP else h
+
+
+def class_independent_copy(sc: Scenario) -> float:
+    n1 = float(sc.max_threshold)
+    tol = budget_tolerance(sc.budget)
+    if sc.budget == 0.0 or _uniform_energy(0.0, sc) >= sc.budget:
+        return 0.0
+    if _uniform_energy(n1, sc) <= sc.budget + tol:
+        h = n1
+    else:
+        lo, hi = 0.0, n1
+        h = 0.0
+        for _ in range(100):
+            res = _uniform_energy(h, sc) - sc.budget
+            if abs(res) < 1e-12:
+                break
+            dt = sc.eff_slot
+            deriv = sum(cls.tx_cost * cls.population * sc.rates[c] * dt
+                        * math.exp(-sc.rates[c] * dt * h)
+                        for c, cls in enumerate(sc.classes))
+            deriv += sum(rate for rate, _ in sc.beacons)
+            if res > 0.0:
+                hi = h
+            else:
+                lo = h
+            step = h - res / deriv if deriv > 0.0 else None
+            h = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+
+    def energy_at(mid: float) -> float:
+        return twohop.baselines.energy_spent(expand_threshold(uniform_policy(sc, mid), sc), sc)
+
+    if energy_at(h) > sc.budget + tol:
+        h = bisect_budget_copy(energy_at, math.floor(h), h, sc.budget)
     return float(h)
 
 
@@ -393,6 +460,143 @@ def test_class_independent_matches_100_step_shave(monkeypatch):
     assert shaved >= 10
 
 
+def _table_sample() -> list[Scenario]:
+    """The 104 A4 draws of the acceptance table sample (seed 810)."""
+    rng = np.random.default_rng(810)
+    return [sample_table_scenario(rng, resolution=5, with_beacons=i % 2 == 0)[1]
+            for i in range(104)]
+
+
+TABLE_SAMPLE = _table_sample()
+
+
+def _bisection_instances() -> list[Scenario]:
+    """Seeded instances for the bracketed bisection: shared radios, zero and
+    infinite budgets, flat energies (a class whose transmissions saturate
+    within a sub-slot, with the budget just below its plateau, where few
+    points certify) and a costless class next to a costly one."""
+    rng = np.random.default_rng(83)
+    out = []
+    for i in range(24):
+        sc = random_small_scenario(rng, n_classes=1 + i % 3, max_slots=12, beacon_scale=0.05,
+                                   share_prob=0.8, budget_frac=BUDGET_FRACS[i % 3])
+        out.append(sc)
+        out.append(replace(sc, budget=(0.0, math.inf)[i % 2]))
+    for budget in (0.5 - 2e-9, 0.5 - 1e-6, 0.49999):
+        out.append(make_scenario([60.0, 0.2], budget, slots=8, rho=[0.5, 0.3], beta=[0.0, 0.01],
+                                 resolution=3))
+    out.append(make_scenario([0.1, 0.2], 0.2, slots=6, rho=[0.0, 1.0], resolution=2))
+    return out
+
+
+BISECTION_INSTANCES = _bisection_instances()
+
+
+def _saturating_calls(monkeypatch, instances) -> list[tuple]:
+    """Every saturating_threshold call (class, thresholds, scenario) that
+    arrival_rate_greedy and greedy_construct make on the instances, and
+    calls at silent, random fractional and integer thresholds."""
+    calls = []
+
+    def recorded(c, thresholds, sc):
+        calls.append((c, tuple(thresholds), sc))
+        return saturating_threshold(c, thresholds, sc)
+
+    rng = np.random.default_rng(84)
+    with monkeypatch.context() as m:
+        m.setattr(twohop.baselines, "saturating_threshold", recorded)
+        m.setattr(twohop.greedy, "saturating_threshold", recorded)
+        for sc in instances:
+            arrival_rate_greedy(sc)
+            greedy_construct(sc)
+            if _free(sc):
+                greedy_construct(sc, GreedyVariant.GAIN_PER_COST)
+    for sc in instances:
+        q = len(sc.classes)
+        for hs in ([0.0] * q, rng.uniform(0.0, sc.max_threshold, q).tolist(),
+                   rng.integers(0, sc.subslots, q).astype(float).tolist()):
+            calls += [(c, tuple(hs), sc) for c in range(q)]
+    return calls
+
+
+def _noisy(energy, amplitude: float):
+    """energy plus a fixed pseudo-random offset of at most ``amplitude`` at
+    each point: a function within that much of a nondecreasing one, whose
+    evaluations read over and within the budget in turn near the
+    crossing."""
+    def noisy(*args):
+        point = args[0].probs if isinstance(args[0], Policy) else np.float64(args[0])
+        spread = zlib.crc32(point.tobytes()) / 2.0 ** 31 - 1.0
+        return energy(*args) + amplitude * spread
+    return noisy
+
+
+def _energy_scale(sc: Scenario, expanded: bool) -> float:
+    """sum tx_cost pop + sum rate (n + 2 k (+ 1)): the energy scale X of
+    ``gridsearch._energy_margin``, computed here on its own."""
+    n = sc.subslots
+    return (sum(cls.tx_cost * cls.population for cls in sc.classes)
+            + sum(rate * (n + 2 * len(members) + expanded) for rate, members in sc.beacons))
+
+
+@pytest.mark.parametrize("noise", [False, True], ids=["exact", "noisy"])
+def test_bracketed_bisection_matches_every_midpoint(monkeypatch, noise):
+    # saturating_threshold and class_independent against the verbatim loop
+    # that evaluates every midpoint.  Noisy: every energy both sides read is
+    # offset by up to 2 u X, u = 2**-53, which keeps it within the margin's
+    # derived bound of a nondecreasing function, but makes the evaluations
+    # near the crossing disagree with a bracket certified with a zero margin
+    # or on the wrong side of the budget
+    instances = INSTANCES + TABLE_SAMPLE + BISECTION_INSTANCES
+    calls = _saturating_calls(monkeypatch, instances)
+    results = set()
+    with monkeypatch.context() as m:
+        if noise:
+            def probe(c, thresholds, sc):
+                return _noisy(model._energy_probe(c, thresholds, sc),
+                              2.0 ** -52 * _energy_scale(sc, False))
+
+            def spent(pol, sc):
+                return _noisy(model.energy_spent, 2.0 ** -52 * _energy_scale(sc, True))(pol, sc)
+
+            m.setattr(twohop.gridsearch, "_energy_probe", probe)
+            m.setattr(twohop.baselines, "energy_spent", spent)
+        for c, hs, sc in calls:
+            got = saturating_threshold(c, hs, sc)
+            assert repr(got) == repr(saturating_threshold_copy(c, hs, sc))
+            results.add("0" if got == 0.0 else "grid" if got == sc.max_threshold else "solved")
+        for sc in instances:
+            assert repr(class_independent(sc)) == repr(class_independent_copy(sc))
+    assert len(calls) > 2000 and results == {"0", "grid", "solved"}
+
+
+def test_bracketed_bisection_evaluates_few_midpoints(monkeypatch):
+    # energy evaluations per _bisect_budget call on the table sample, the
+    # bracket's and the midpoints': a bracket that certified nothing would
+    # leave the full bisection's 60 or so
+    counts = []
+
+    def counted(energy_at, *args):
+        n = len(counts)
+        counts.append(0)
+
+        def energy(h):
+            counts[n] += 1
+            return energy_at(h)
+
+        return bisect(energy, *args)
+
+    bisect = twohop.gridsearch._bisect_budget
+    monkeypatch.setattr(twohop.gridsearch, "_bisect_budget", counted)
+    monkeypatch.setattr(twohop.baselines, "_bisect_budget", counted)
+    for sc in TABLE_SAMPLE:
+        arrival_rate_greedy(sc)
+        greedy_construct(sc)
+        class_independent(sc)
+    assert len(counts) >= 200
+    assert sum(counts) / len(counts) <= 25
+
+
 def _integer_outputs(rep, sc: Scenario, integer: GreedyReport) -> None:
     """rep's integer profile, its objective, iterations and certificates
     equal those of the copy's integer-only run ``integer``."""
@@ -557,7 +761,7 @@ def test_certificates_match_boundary_copy():
         assert repr(cardinality_cap(sc)) == repr(cardinality_cap_copy(sc))
         for c in range(len(sc.classes)):
             for kind, got, want in (
-                    ("solo", twohop.greedy._affordable(c, 0.0, sc), affordable_copy(c, {}, sc)),
+                    ("solo", twohop.greedy._affordable(c, False, sc), affordable_copy(c, {}, sc)),
                     ("beside full", min_slots(c, sc), min_slots_copy(c, sc))):
                 assert repr(got) == repr(want)
                 outcomes[kind].add("0" if want == 0 else "grid" if want == n1 else "solved")
@@ -708,6 +912,60 @@ def test_full_ttl_rows_match_the_window_path(n):
         window = 7 * _threshold_sums(h, n + 2, n, lambda w: _log_miss_terms(x, w))
         assert np.array_equal(class_log_miss(0, h, sc).view(np.int64), window.view(np.int64))
         assert (lam > 37.0) == (-math.expm1(x) == 1.0)    # the logaddexp branch
+
+
+def log_miss_slopes_copy(c: int, sc: Scenario) -> np.ndarray:
+    cls = sc.classes[c]
+    n = sc.subslots
+    ttl = min(cls.ttl_slots, n)     # any TTL >= n - 1 keeps every copy to the end
+    x = sc.rates[c] * sc.eff_slot
+    g = -math.expm1(-x)
+    decay = np.exp(-x * np.arange(ttl + 1))
+    lead = math.exp(-x)
+    if lead > 0.0:
+        phi = -g * x * decay / (lead + g * decay)
+    else:   # past x = 745 e^-x underflows and g is 1: phi is -x, -x/2, then 0
+        phi = np.zeros(ttl + 1)
+        phi[0] = -x
+        phi[1:2] = -x / 2
+    csum = np.concatenate(([0.0], np.cumsum(phi)))
+    j = np.arange(n)
+    last = np.minimum(ttl, n - 1 - j)                   # k - j runs over 0..last
+    flat = np.maximum(np.minimum(last, ttl - j) + 1, 0)  # terms at mass j
+    lo, hi = ttl - last, np.minimum(ttl + 1, j)         # the rest: masses lo..hi-1
+    rest = np.where(hi > lo, csum[hi] - csum[lo], 0.0)
+    return cls.population * (flat * phi[np.minimum(j, ttl)] + rest)
+
+
+def test_cached_class_kernels_match_copies():
+    # the slopes, class_log_miss's integer-mass terms and the tail bracket's
+    # prefix, cached per class key, against the expressions that rebuilt
+    # them on every call; a TTL of n - 1 and the longer ones share a key,
+    # and lam dt runs past 37 (logaddexp terms) and 745 (e^-x underflows)
+    extra = [make_scenario([lam, 0.02], 1.0, slots=n, populations=[5, 2], ttl=[n + 2, n],
+                           resolution=res)
+             for lam in (0.004, 40.0, 800.0) for n, res in ((1, 1), (2, 1), (250, 5))]
+    seen = set()
+    for sc in KERNEL_SCENARIOS + extra:
+        n = sc.subslots
+        for c, cls in enumerate(sc.classes):
+            x = -sc.rates[c] * sc.eff_slot
+            kernel = model._kernel(*model._class_key(c, sc))
+            assert _same_bits(_log_miss_slopes(c, sc), log_miss_slopes_copy(c, sc))
+            full = cls.ttl_slots >= n - 1
+            if full:
+                assert _same_bits(kernel.ints, _log_miss_terms(x, np.arange(1.0, n + 1)))
+                prefix = np.concatenate(([0.0], np.cumsum(_log_miss_terms(x, np.arange(1.0, n)))))
+                assert _same_bits(kernel.prefix, prefix)
+                value, _ = twohop.gridsearch._tail_bracket(c, sc, [np.zeros(n)] * 3)
+                j = np.arange(n)
+                assert _same_bits(value(j + 0.5, j), cls.population * (
+                    prefix[j] + (n - j) * _log_miss_terms(x, j + 0.5)))
+            else:
+                assert kernel.ints is None and kernel.prefix is None
+            seen.add((full, -x > 745.0, -x > 37.0))
+    assert {(False, False, False), (True, False, False), (True, True, True),
+            (True, False, True)} <= seen
 
 
 def delivery_probability_fsum(pol: Policy, k: int, sc: Scenario) -> float:
