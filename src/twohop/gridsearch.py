@@ -29,11 +29,10 @@ import numpy as np
 from .model import (
     Scenario,
     ThresholdPolicy,
-    _class_key,
     _energy_probe,
-    _kernel,
+    _law,
     _log_miss_slopes,
-    _log_miss_terms,
+    _read_only,
     _tx_energy,
     budget_tolerance,
     class_log_miss,
@@ -257,9 +256,7 @@ def _solo_ends(c: int, sc: Scenario) -> np.ndarray:
     (row 1).  The first level of every walk, the zero-level walk and
     greedy's certificates all read it, so a scenario solves it once per
     class; each row is its own Newton segment either way."""
-    ends = _ends(c, {}, sc, (0.0, float(sc.max_threshold)))
-    ends.flags.writeable = False
-    return ends
+    return _read_only(_ends(c, {}, sc, (0.0, float(sc.max_threshold))))
 
 
 def boundary_threshold(c2: int, assigned: Mapping, sc: Scenario) -> float:
@@ -785,7 +782,9 @@ def _prune_margin(c: int, sc: Scenario, tables: list[np.ndarray]) -> float:
     e = (48 + log2 n + 11 E) u |T[n-1]| of the true log-miss, |T[n-1]| being
     the largest magnitude (the log-miss falls with the threshold).  The
     slope table sums phi terms of total magnitude at most 2x, so it errs by
-    at most d = (32 ttl + 96) e^x u pop x.  A candidate's tangent then lies
+    at most d = (32 ttl + 96) e^x u pop x, with ttl = n for every TTL that
+    keeps every copy, as those share one slope table (``_Law.margins``
+    holds the class factors of e and d).  A candidate's tangent then lies
     at most 2e + d above its evaluation, the incumbent (a chord or an
     evaluation) at most 2e below the evaluation it bounds, and the other
     roundings of partial sums stay below 16 u S, S the summed |T_c[n-1]|.
@@ -793,14 +792,13 @@ def _prune_margin(c: int, sc: Scenario, tables: list[np.ndarray]) -> float:
     evaluation could match the best one, ties included.  Past x = 709 the
     bound is infinite.
     """
-    u = 2.0 ** -53
-    cls = sc.classes[c]
-    x = sc.rates[c] * sc.eff_slot
-    if x > 709.0:   # e^x overflows: no finite bound, so nothing is pruned
+    law = _law(c, sc)
+    rel_e, rel_d, _ = law.margins
+    if math.isinf(rel_e):   # e^x overflows: no finite bound, so nothing is pruned
         return math.inf
-    e = (48 + math.log2(sc.subslots) + 11 * math.expm1(x) / x) * u * abs(tables[c][-1])
-    d = (32 * min(cls.ttl_slots, sc.subslots) + 96) * math.exp(x) * u * cls.population * x
-    return 4 * e + d + 16 * u * sum(abs(t[-1]) for t in tables)
+    e = rel_e * abs(tables[c][-1])
+    d = rel_d * sc.classes[c].population * -law.x
+    return 4 * e + d + 16 * 2.0 ** -53 * sum(abs(t[-1]) for t in tables)
 
 
 def _tail_bracket(c: int, sc: Scenario, tables: list[np.ndarray]):
@@ -810,27 +808,23 @@ def _tail_bracket(c: int, sc: Scenario, tables: list[np.ndarray]):
     known sum plus it may lie from that known sum plus the evaluation;
     u = 2**-53 below.
 
-    Every window then holds min(k + 1, r): sub-slots k < j hold the masses
-    1..j, the other n - j hold r.  t is ``_log_miss_terms``, the same ufuncs
-    on the same operands as the evaluation, and P[j] its sequential cumsum
-    over 1..j.  The terms share one sign, so the cumsum errs by at most
-    (j - 1) u times their summed magnitude, the product and the sum by 2u
-    more, and the evaluation's pairwise sum by (32 + log2 n) u; each side
-    adds u for the population factor.  That summed magnitude times pop is
-    at most |T[n - 1]| (the log-miss falls with the threshold), and adding
-    the same known sum rounds each side once more, by at most u S, S the
-    summed |T_c[n - 1]|.  So mb = (n + log2 n + 40) u |T[n - 1]| + 4 u S
-    covers it, with the rest left for second-order terms.
+    Every window then holds min(k + 1, r) (``_Law.tail``): t is the
+    per-relay term, the same ufuncs on the same operands as the evaluation,
+    and P[j] its sequential cumsum over 1..j.  The terms share one sign, so
+    the cumsum errs by at most (j - 1) u times their summed magnitude, the
+    product and the sum by 2u more, and the evaluation's pairwise sum by
+    (32 + log2 n) u; each side adds u for the population factor.  That
+    summed magnitude times pop is at most |T[n - 1]| (the log-miss falls
+    with the threshold), and adding the same known sum rounds each side
+    once more, by at most u S, S the summed |T_c[n - 1]|.  So
+    mb = (n + log2 n + 40) u |T[n - 1]| + 4 u S covers it, with the rest
+    left for second-order terms (``_Law.margins`` holds its class factor).
     """
-    cls, n = sc.classes[c], sc.subslots
-    x = -sc.rates[c] * sc.eff_slot
-    prefix = _kernel(*_class_key(c, sc)).prefix
-    u = 2.0 ** -53
-    mb = ((n + math.log2(n) + 40) * u * abs(tables[c][-1])
-          + 4 * u * sum(abs(t[-1]) for t in tables))
+    law, pop = _law(c, sc), sc.classes[c].population
+    mb = law.margins[2] * abs(tables[c][-1]) + 4 * 2.0 ** -53 * sum(abs(t[-1]) for t in tables)
 
     def value(r: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return cls.population * (prefix[j] + (n - j) * _log_miss_terms(x, r))
+        return pop * law.tail(r, j)
 
     return value, mb
 

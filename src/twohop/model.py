@@ -20,10 +20,9 @@ locking.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,12 +65,13 @@ BUDGET_RTOL = 1e-9
 # move a bit.
 _CHUNK_CELLS = 2 ** 16
 
-# Per-class tables (log-miss sums, tx terms) kept in memory; each holds subslots floats.
+# Per-class law records (``_Law``) kept in memory; each holds up to five subslots-float arrays.
 _TABLE_CACHE_SIZE = 256
-# The log-miss sums built so far, by key, as long as the cache holds them:
-# an integer threshold reads its value off them, but does not build a table
-# (O(n^2) cells) where one row (O(n)) would do.
-_BUILT_SUMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def budget_tolerance(budget: float) -> float:
@@ -273,9 +273,7 @@ class Policy:
         # written so that NaN fails the check
         if not (arr.min(initial=0.0) >= -1e-12 and arr.max(initial=0.0) <= 1.0 + 1e-12):
             raise ValueError("forwarding probabilities must be finite and lie in [0, 1]")
-        arr = np.clip(arr, 0.0, 1.0)
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", _read_only(np.clip(arr, 0.0, 1.0)))
 
     @staticmethod
     def zeros(sc: Scenario) -> "Policy":
@@ -481,26 +479,16 @@ def beacon_activity(pol: Policy, sc: Scenario) -> Iterator[tuple[float, np.ndarr
         yield rate, 1.0 - np.prod(1.0 - pol.probs[list(members), :], axis=0)
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _tx_terms(weight: float, scale: float, n: int) -> np.ndarray:
-    """weight * -expm1(scale * v) at the integer thresholds v < n, each
-    through math.expm1 as the scalar path takes it (read-only)."""
-    terms = np.array([weight * -math.expm1(scale * v) for v in range(n)])
-    terms.flags.writeable = False
-    return terms
-
-
 def _tx_energy(masses, sc: Scenario):
     """Transmission energy tx_cost * population * (1 - e^{-lam dt mass}) of
-    the (class, mass) pairs ``masses``, summed in their order.  An array mass
-    holds integer thresholds and reads its terms from ``_tx_terms``, so each
-    entry carries the bits of the scalar path."""
+    the (class, mass) pairs ``masses``, summed in their order; an array mass
+    (integer thresholds) reads ``_Law.tx``, with the scalar path's bits."""
     total = 0.0
     classes, rates, dt = sc.classes, sc.rates, sc.eff_slot
     for c, h in masses:
-        weight, scale = classes[c].tx_cost * classes[c].population, -rates[c] * dt
-        total = total + (_tx_terms(weight, scale, sc.subslots)[h] if isinstance(h, np.ndarray)
-                         else weight * -math.expm1(scale * h))
+        weight = classes[c].tx_cost * classes[c].population
+        total = total + (weight * _law(c, sc).tx[h] if isinstance(h, np.ndarray)
+                         else weight * -math.expm1(-rates[c] * dt * h))
     return total
 
 
@@ -589,114 +577,131 @@ def class_log_miss(c: int, thresholds: Iterable[float], sc: Scenario) -> np.ndar
     delivery probability of a threshold profile H is
     1 - exp(sum_c class_log_miss(c, [H_c])).
     """
-    cls = sc.classes[c]
     n = sc.subslots
-    x = -sc.rates[c] * sc.eff_slot
     h = np.atleast_1d(np.asarray(thresholds, dtype=float))
     # written so that NaN fails the check
     if h.size and not (h.min() >= -1e-9 and h.max() <= (n - 1) + 1e-9):
         raise ValueError("threshold outside policy grid")
-    h = np.clip(h, 0.0, float(n - 1))
-    if cls.ttl_slots >= n - 1:
-        sums = _full_ttl_sums(h.astype(int), _log_miss_terms(x, h), _kernel(x, n - 1, n).ints)
-    else:
-        sums = _threshold_sums(h, cls.ttl_slots, n, lambda w: _log_miss_terms(x, w))
-    return cls.population * sums
+    return sc.classes[c].population * _law(c, sc).at(np.clip(h, 0.0, float(n - 1)))
 
 
-def _class_key(c: int, sc: Scenario) -> tuple[float, int, int]:
-    """The key of class c's cached per-relay arrays: its own -lam dt, its
-    TTL clipped to n - 1 (any longer TTL keeps every copy to the end) and
-    the grid length n."""
+@dataclass(frozen=True)
+class _Law:
+    """The per-relay log-miss law of one class key: x = -lam dt, the TTL
+    clipped to n - 1 (any longer TTL keeps every copy too) and the grid
+    length n; callers scale by the population.  Each field is built on first
+    use and read-only.  It is a pure function of the key, so a race builds
+    the same bits twice and concurrent use still needs no locking."""
+
+    x: float
+    ttl: int
+    n: int
+
+    @cached_property
+    def sums(self) -> np.ndarray:
+        """``at`` over np.arange(n) with the same bits, from one term per
+        window mass: at an integer threshold each is an integer in 0..ttl + 1."""
+        terms = _log_miss_terms(self.x, np.arange(self.ttl + 2.0))
+        if self.ttl == self.n - 1:
+            return _read_only(_full_ttl_sums(np.arange(self.n), terms[:self.n], terms[1:]))
+        return _read_only(_threshold_sums(np.arange(self.n), self.ttl, self.n, terms.__getitem__))
+
+    def at(self, h: np.ndarray) -> np.ndarray:
+        """The sums at thresholds h in [0, n - 1], fractional tails allowed."""
+        if self.ints is not None:
+            return _full_ttl_sums(h.astype(int), _log_miss_terms(self.x, h), self.ints)
+        return _threshold_sums(h, self.ttl, self.n, lambda w: _log_miss_terms(self.x, w))
+
+    @cached_property
+    def slopes(self) -> np.ndarray:
+        """Right derivative D[j] of ``at(j + a)`` in a at a = 0.
+
+        The tail on sub-slot j raises the window mass of sub-slots
+        k = j .. min(j + ttl, n - 1), where the mass at a = 0 is
+        min(j, ttl - (k - j)).  A term at mass w moves at
+        phi(w) = -g l e^{-lw} / (1 - g + g e^{-lw}), l = lam dt, so D[j]
+        sums phi over those masses: at most ttl + 1 terms equal to phi(j),
+        the rest a run of consecutive masses read off a prefix sum of
+        phi(0..ttl).  A TTL of n - 1, the key's for any TTL that keeps every
+        copy, gives every D[j] the operands that one of n gives."""
+        ttl, n, lam_dt = self.ttl, self.n, -self.x
+        g = -math.expm1(-lam_dt)
+        decay = np.exp(-lam_dt * np.arange(ttl + 1))
+        lead = math.exp(-lam_dt)
+        if lead > 0.0:
+            phi = -g * lam_dt * decay / (lead + g * decay)
+        else:   # past l = 745 e^-l underflows and g is 1: phi is -l, -l/2, then 0
+            phi = np.zeros(ttl + 1)
+            phi[0] = -lam_dt
+            phi[1:2] = -lam_dt / 2
+        csum = np.concatenate(([0.0], np.cumsum(phi)))
+        j = np.arange(n)
+        last = np.minimum(ttl, n - 1 - j)                   # k - j runs over 0..last
+        flat = np.maximum(np.minimum(last, ttl - j) + 1, 0)  # terms at mass j
+        lo, hi = ttl - last, np.minimum(ttl + 1, j)         # the rest: masses lo..hi-1
+        rest = np.where(hi > lo, csum[hi] - csum[lo], 0.0)
+        return _read_only(flat * phi[np.minimum(j, ttl)] + rest)
+
+    @cached_property
+    def ints(self) -> np.ndarray | None:
+        """The terms at the integer masses 1..n that ``at`` writes its rows
+        from, where the TTL keeps every copy; else None."""
+        if self.ttl < self.n - 1:
+            return None
+        return _read_only(_log_miss_terms(self.x, np.arange(1.0, self.n + 1)))
+
+    @cached_property
+    def prefix(self) -> np.ndarray | None:
+        """0, then the running sum of ``ints[:n - 1]``; None where ``ints`` is."""
+        if self.ints is None:
+            return None
+        return _read_only(np.concatenate(([0.0], np.cumsum(self.ints[:self.n - 1]))))
+
+    def tail(self, r: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """``at(r)`` in closed form where the TTL keeps every copy, r = j + a:
+        sub-slots k < j hold the masses 1..j, the other n - j hold r."""
+        return self.prefix[j] + (self.n - j) * _log_miss_terms(self.x, r)
+
+    @cached_property
+    def tx(self) -> np.ndarray:
+        """-expm1(x v) at the integer thresholds v < n through math.expm1, as
+        the scalar path takes it; callers multiply by tx_cost * population."""
+        return _read_only(np.array([-math.expm1(self.x * v) for v in range(self.n)]))
+
+    @cached_property
+    def margins(self) -> tuple[float, float, float]:
+        """The class factors of the rounding bounds derived in gridsearch:
+        ``_prune_margin``'s of the sums and of the slopes (inf past
+        lam dt = 709, where e^(lam dt) overflows), and ``_tail_bracket``'s."""
+        lam_dt, n, u = -self.x, self.n, 2.0 ** -53
+        tail = (n + math.log2(n) + 40) * u
+        if lam_dt > 709.0:
+            return math.inf, math.inf, tail
+        ttl = n if self.ttl == n - 1 else self.ttl
+        return ((48 + math.log2(n) + 11 * math.expm1(lam_dt) / lam_dt) * u,
+                (32 * ttl + 96) * math.exp(lam_dt) * u, tail)
+
+
+_laws = lru_cache(maxsize=_TABLE_CACHE_SIZE)(_Law)
+
+
+def _law(c: int, sc: Scenario) -> _Law:
+    """Class c's cached law record."""
     n = sc.subslots
-    return -sc.rates[c] * sc.eff_slot, min(sc.classes[c].ttl_slots, n - 1), n
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _log_miss_sums(x: float, ttl: int, n: int) -> np.ndarray:
-    """Per-relay class_log_miss over np.arange(n), x = -lam dt, TTL <= n - 1,
-    with the same bits: at an integer threshold every window mass is an
-    integer in 0..ttl + 1, so the rows gather one term per mass, or are
-    written by ``_full_ttl_sums`` when the TTL keeps every copy."""
-    terms = _log_miss_terms(x, np.arange(ttl + 2.0))
-    if ttl == n - 1:
-        out = _full_ttl_sums(np.arange(n), terms[:n], terms[1:])
-    else:
-        out = _threshold_sums(np.arange(n), ttl, n, terms.__getitem__)
-    out.flags.writeable = False
-    _BUILT_SUMS[x, ttl, n] = out
-    return out
-
-
-class _Kernel(NamedTuple):
-    """Read-only per-relay arrays of one class key (``_class_key``), built
-    once with the expressions their users evaluated on every call:
-    ``slopes`` for ``_log_miss_slopes`` and, where the TTL keeps every
-    copy (else None), ``ints``, the log-miss terms at the integer masses
-    1..n that ``class_log_miss`` writes its rows from, and ``prefix``, 0
-    then the running sum of the first n - 1 of them
-    (``gridsearch._tail_bracket``)."""
-
-    slopes: np.ndarray
-    ints: np.ndarray | None
-    prefix: np.ndarray | None
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _kernel(x: float, ttl: int, n: int) -> _Kernel:
-    """The ``_Kernel`` of the class key (x, ttl, n), x = -lam dt.
-
-    The slopes: the tail on sub-slot j raises the window mass of sub-slots
-    k = j .. min(j + ttl, n - 1), where the mass at a = 0 is
-    min(j, ttl - (k - j)).  A term at mass w moves at
-    phi(w) = -g l e^{-lw} / (1 - g + g e^{-lw}), l = lam dt, so D[j] sums
-    phi over those masses: at most ttl + 1 terms equal to phi(j), the rest a
-    run of consecutive masses read off a prefix sum of phi(0..ttl).  A TTL
-    of n - 1, the key's for any TTL that keeps every copy, gives every D[j]
-    the operands that one of n gives."""
-    lam_dt = -x
-    g = -math.expm1(-lam_dt)
-    decay = np.exp(-lam_dt * np.arange(ttl + 1))
-    lead = math.exp(-lam_dt)
-    if lead > 0.0:
-        phi = -g * lam_dt * decay / (lead + g * decay)
-    else:   # past l = 745 e^-l underflows and g is 1: phi is -l, -l/2, then 0
-        phi = np.zeros(ttl + 1)
-        phi[0] = -lam_dt
-        phi[1:2] = -lam_dt / 2
-    csum = np.concatenate(([0.0], np.cumsum(phi)))
-    j = np.arange(n)
-    last = np.minimum(ttl, n - 1 - j)                   # k - j runs over 0..last
-    flat = np.maximum(np.minimum(last, ttl - j) + 1, 0)  # terms at mass j
-    lo, hi = ttl - last, np.minimum(ttl + 1, j)         # the rest: masses lo..hi-1
-    rest = np.where(hi > lo, csum[hi] - csum[lo], 0.0)
-    ints = prefix = None
-    if ttl == n - 1:
-        ints = _log_miss_terms(x, np.arange(1.0, n + 1))
-        prefix = np.concatenate(([0.0], np.cumsum(ints[:n - 1])))
-    record = _Kernel(flat * phi[np.minimum(j, ttl)] + rest, ints, prefix)
-    for arr in record:
-        if arr is not None:
-            arr.flags.writeable = False
-    return record
+    return _laws(-sc.rates[c] * sc.eff_slot, min(sc.classes[c].ttl_slots, n - 1), n)
 
 
 def class_log_miss_table(c: int, sc: Scenario) -> np.ndarray:
-    """class_log_miss at every integer threshold 0..subslots-1, read-only.
-    The sums are cached by the class's own -lam dt, TTL and grid length, so
-    scenarios differing in budget, beacons, costs, population or other
-    classes share them."""
-    table = sc.classes[c].population * _log_miss_sums(*_class_key(c, sc))
-    table.flags.writeable = False
-    return table
+    """class_log_miss at every integer threshold 0..subslots-1, read-only:
+    the population times the class's cached ``_Law.sums``."""
+    return _read_only(sc.classes[c].population * _law(c, sc).sums)
 
 
 def _log_miss_slopes(c: int, sc: Scenario) -> np.ndarray:
-    """Right derivative D[j] of class_log_miss(c, j + a) in a at a = 0, for
-    every integer threshold j; the log-miss is convex in the fractional tail
-    a, so T[j] + a D[j] bounds it from below on [j, j + 1].  The population
-    times the cached per-relay slopes (``_kernel``)."""
-    return sc.classes[c].population * _kernel(*_class_key(c, sc)).slopes
+    """The population times ``_Law.slopes``: the right derivative D[j] of
+    class_log_miss(c, j + a) in a at a = 0 at every integer threshold j;
+    convex in a, the log-miss lies above T[j] + a D[j] on [j, j + 1]."""
+    return sc.classes[c].population * _law(c, sc).slopes
 
 
 def threshold_objective(thresholds: Sequence[float], sc: Scenario) -> float:
@@ -708,12 +713,12 @@ def threshold_objective(thresholds: Sequence[float], sc: Scenario) -> float:
 
 
 def _log_miss_at(c: int, h: float, sc: Scenario) -> float:
-    """class_log_miss(c, [h], sc)[0]: read off the class's built sums times
-    the population when h is an integer on the grid, the same product with
-    the same bits as ``class_log_miss_table``'s entry, else evaluated."""
-    sums = _BUILT_SUMS.get(_class_key(c, sc))
-    if sums is not None and float(h).is_integer() and 0.0 <= h <= sc.max_threshold:
-        return float(sc.classes[c].population * sums[int(h)])
+    """class_log_miss(c, [h], sc)[0] with its bits: an integer h on the grid
+    reads the class's sums times the population (the table entry) once they
+    are built; any other is evaluated, which builds no O(n^2)-cell table."""
+    law = _law(c, sc)
+    if "sums" in law.__dict__ and float(h).is_integer() and 0.0 <= h <= sc.max_threshold:
+        return float(sc.classes[c].population * law.sums[int(h)])
     return float(class_log_miss(c, [h], sc)[0])
 
 

@@ -47,6 +47,7 @@ from twohop.gridsearch import (
 )
 from twohop.model import (
     Technology,
+    _law,
     _log_miss_slopes,
     _tx_energy,
     budget_tolerance,
@@ -710,6 +711,18 @@ def test_pruned_rows_count_only_closable_leaves(monkeypatch):
         assert repr((rep.policy, rep.objective, rep.upper_bound, rep.enumerated)) == \
             repr((whole.policy, whole.objective, whole.upper_bound, whole.enumerated))
     assert short >= 10
+
+
+def test_prune_margin_is_one_value_per_class_key():
+    # a TTL of n - 1 and a longer one keep every copy and share one record,
+    # slopes included, so they share one margin: the slope term's
+    # 32 n + 96, which covers the longer TTL
+    sc = make_scenario([0.05, 0.05], 1.0, slots=14, populations=[3, 3], ttl=[13, 20])
+    tables = [class_log_miss_table(c, sc) for c in range(2)]
+    assert _law(0, sc) is _law(1, sc)
+    assert _prune_margin(0, sc, tables) == _prune_margin(1, sc, tables)
+    x = sc.rates[0] * sc.eff_slot
+    assert _law(0, sc).margins[1] == (32 * 14 + 96) * math.exp(x) * 2.0 ** -53
 
 
 def test_tail_bracket_lies_within_its_margin():

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
@@ -23,12 +24,15 @@ from twohop import (
     expand_threshold,
     expected_holding,
     expected_received,
+    greedy_construct,
+    grid_search,
     holding_laplace,
     threshold_energy,
     threshold_objective,
 )
 from twohop import model
-from twohop.model import _log_miss_slopes, _log_miss_sums, class_log_miss, class_log_miss_table
+from twohop.cli import sample_table_scenario
+from twohop.model import _law, _laws, _log_miss_slopes, class_log_miss, class_log_miss_table
 from twohop.mcsim import holding_expectation
 from conftest import make_scenario, random_small_scenario, two_class_reference
 
@@ -404,15 +408,15 @@ def test_log_miss_table_cache_is_keyed_by_class_parameters():
                       ttl=[4, 9], resolution=2),
     ]
     class_log_miss_table(0, base)
-    before = _log_miss_sums.cache_info()
-    for sc in same_class:
-        assert np.array_equal(class_log_miss_table(0, sc),
-                              class_log_miss(0, np.arange(sc.subslots), sc))
-    after = _log_miss_sums.cache_info()
+    want = [class_log_miss(0, np.arange(sc.subslots), sc) for sc in same_class]
+    before = _laws.cache_info()
+    for sc, evaluated in zip(same_class, want):
+        assert np.array_equal(class_log_miss_table(0, sc), evaluated)
+    after = _laws.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
     for sc in other_class:
         class_log_miss_table(0, sc)
-    assert _log_miss_sums.cache_info().misses - after.misses == 2
+    assert _laws.cache_info().misses - after.misses == 2
 
 
 def test_log_miss_stays_finite_for_a_very_fast_class():
@@ -459,9 +463,9 @@ def test_threshold_objective_reads_integer_thresholds_off_the_table():
         sc = replace(sc, classes=tuple(replace(cls, ttl_slots=int(rng.integers(1, n + 3)))
                                        for cls in sc.classes))
         if i % 6 == 5:
-            builds = _log_miss_sums.cache_info().misses
+            built = ["sums" in _law(c, sc).__dict__ for c in range(q)]
             threshold_objective([0.0] * q, sc)
-            assert _log_miss_sums.cache_info().misses == builds
+            assert ["sums" in _law(c, sc).__dict__ for c in range(q)] == built
         for c in range(q - i % 2):     # the last class unbuilt on odd draws
             class_log_miss_table(c, sc)
         for _ in range(5):
@@ -473,28 +477,66 @@ def test_threshold_objective_reads_integer_thresholds_off_the_table():
                 assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
                 assert np.array([threshold_objective(hs, sc)]).view(np.int64) == \
                     np.array([-math.expm1(sum(want))]).view(np.int64)
-                read += sum(float(h).is_integer() and model._BUILT_SUMS.get(model._class_key(
-                    c, sc)) is not None for c, h in enumerate(hs))
+                read += sum(float(h).is_integer() and "sums" in _law(c, sc).__dict__
+                            for c, h in enumerate(hs))
     assert read >= 200
 
 
 def test_cached_class_arrays_are_read_only_and_shared_by_populations():
     # classes 0 and 1 share -lam dt, TTL and grid length and differ in
-    # population: one key, one set of cached sums and slopes
+    # population: one key, one record of cached sums, slopes and tx terms
     sc = make_scenario([0.05, 0.05, 0.3], 1.0, slots=7, populations=[3, 11, 3], ttl=[7, 9, 2],
                        resolution=2)
-    keys = [model._class_key(c, sc) for c in range(3)]
-    assert keys[0] == keys[1] != keys[2]
-    assert _log_miss_sums(*keys[0]) is _log_miss_sums(*keys[1])
-    full, finite = model._kernel(*model._class_key(0, sc)), model._kernel(*model._class_key(2, sc))
-    assert model._kernel(*model._class_key(1, sc)) is full
+    full, finite = _law(0, sc), _law(2, sc)
+    assert _law(1, sc) is full and finite is not full
+    assert (full.x, full.ttl, full.n) == (-sc.rates[0] * sc.eff_slot, sc.subslots - 1, 14)
+    assert full.sums is _law(1, sc).sums and full.tx is _law(1, sc).tx
     assert np.array_equal(_log_miss_slopes(0, sc), 3 * full.slopes)
     assert np.array_equal(_log_miss_slopes(1, sc), 11 * full.slopes)
     assert finite.ints is None and finite.prefix is None
-    for arr in (_log_miss_sums(*keys[0]), _log_miss_sums(*keys[2]), full.slopes, full.ints,
-                full.prefix, finite.slopes):
+    for arr in (full.sums, finite.sums, full.slopes, full.ints, full.prefix, finite.slopes,
+                full.tx, finite.tx):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
+
+
+class _DoubledLaw(model._Law):
+    """A second law record: every per-relay log-miss field doubled (``tail``
+    once, so not through its ``prefix``)."""
+
+    @cached_property
+    def sums(self):
+        return 2 * super().sums
+
+    @cached_property
+    def slopes(self):
+        return 2 * super().slopes
+
+    def at(self, h):
+        return 2 * super().at(h)
+
+    def tail(self, r, j):
+        return 2 * super().tail(r, j)
+
+
+def test_solvers_read_the_log_miss_law_only_through_the_record(monkeypatch):
+    # with the doubled record installed, grid and greedy must return the
+    # bits of the same scenario with every population doubled and every
+    # tx_cost halved: both scalings are exact, and the energies are the same
+    rng = np.random.default_rng(5)
+    draws = [sample_table_scenario(rng, resolution=3, n_classes=1 + i % 3,
+                                   with_beacons=i % 2 == 0)[1] for i in range(60)]
+
+    def solve(sc):
+        grid, greedy = grid_search(sc), greedy_construct(sc)
+        return repr((grid.policy, grid.objective, grid.upper_bound, grid.enumerated,
+                     greedy.policy, greedy.objective, greedy.iterations))
+
+    scaled = [solve(replace(sc, classes=tuple(
+        replace(cls, population=2 * cls.population, tx_cost=cls.tx_cost / 2)
+        for cls in sc.classes))) for sc in draws]
+    monkeypatch.setattr(model, "_laws", lru_cache(maxsize=None)(_DoubledLaw))
+    assert [solve(sc) for sc in draws] == scaled
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 19.5])
@@ -517,7 +559,7 @@ def test_log_miss_kernels_hold_few_temporaries():
     n = sc.subslots
     assert n == 2000 and sc.classes[0].ttl_slots < n - 1 <= sc.classes[1].ttl_slots
     batch = np.linspace(0.0, n - 1.0, 4000)     # fractional tails in between
-    _log_miss_sums.cache_clear()
+    _laws.cache_clear()
     table_peak = batch_peak = 0
     tracemalloc.start()
     try:
@@ -530,7 +572,7 @@ def test_log_miss_kernels_hold_few_temporaries():
             batch_peak = max(batch_peak, tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-        _log_miss_sums.cache_clear()
+        _laws.cache_clear()
     assert table_peak <= 4 * 2 ** 20
     assert batch_peak <= 8 * 2 ** 20
 

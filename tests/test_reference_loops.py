@@ -65,8 +65,10 @@ from twohop.model import (
     Technology,
     ThresholdPolicy,
     _energy_probe,
+    _Law,
+    _law,
+    _laws,
     _log_miss_slopes,
-    _log_miss_sums,
     _log_miss_terms,
     _threshold_sums,
     _tx_energy,
@@ -860,6 +862,52 @@ def test_log_miss_table_matches_copy():
             assert _same_bits(class_log_miss_table(c, sc), cls.population * sums)
 
 
+def log_miss_fsum(c: int, h: float, sc: Scenario) -> float:
+    """class_log_miss(c, [h], sc)[0] with every term through math and the
+    terms summed exactly by math.fsum: a sub-slot whose window holds mass w
+    misses with 1 - p g = e^{x w} + e^x p, p = 1 - e^{x w}, g = 1 - e^x,
+    x = -lam dt, taken through log1p while p g < 1/2 and as a log of the
+    two positive parts otherwise, where neither cancels."""
+    cls = sc.classes[c]
+    x = -sc.rates[c] * sc.eff_slot
+    g = -math.expm1(x)
+    terms = []
+    for k in range(sc.subslots):
+        w = min(k + 1, h) - min(max(0, k - cls.ttl_slots), h)
+        p = -math.expm1(x * w)
+        terms.append(math.log1p(-p * g) if p * g < 0.5
+                     else math.log(math.exp(x * w) + math.exp(x) * p))
+    return cls.population * math.fsum(terms)
+
+
+def test_log_miss_matches_exact_sums_within_the_derived_bound():
+    # a reference that shares no rounding with the copies above: the table
+    # and fractional thresholds against log_miss_fsum, held to the record's
+    # own bound (48 + log2 n + 11 E) u |T[n - 1]| (gridsearch._prune_margin);
+    # grids up to 250 sub-slots, one TTL below n - 1, one at it and one past
+    # it per scenario, and lam dt past 37 on every fourth
+    rng = np.random.default_rng(125)
+    checked = 0
+    for i, n in enumerate((1, 2, 3, 7, 40, 128, 250, 5, 19, 64, 97, 250)):
+        lam = np.exp(rng.uniform(math.log(1e-4), math.log(2.0), 3))
+        if i % 4 == 3:
+            lam[0] = rng.uniform(38.0, 60.0)
+        sc = make_scenario(lam.tolist(), 1.0, slots=n, populations=[3, 1, 40],
+                           ttl=[int(rng.integers(1, n - 1)) if n > 2 else 1, n - 1 or 1,
+                                n + int(rng.integers(0, 4))])
+        ints = np.arange(n)
+        frac = np.clip(np.concatenate((rng.uniform(0.0, n - 1.0, 20), ints[1:] - 1e-12)),
+                       0.0, n - 1.0)
+        for c in range(3):
+            table = class_log_miss_table(c, sc)
+            bound = _law(c, sc).margins[0] * abs(table[-1])
+            got = np.concatenate((table[ints], class_log_miss(c, frac, sc)))
+            want = [log_miss_fsum(c, float(h), sc) for h in np.concatenate((ints, frac))]
+            assert np.all(np.abs(got - want) <= bound)
+            checked += got.size
+    assert checked >= 5000
+
+
 def test_log_miss_kernels_cross_chunk_boundaries(monkeypatch):
     # small chunks split every batch and every table build into several
     # blocks of rows (one row each when cells < n, a ragged last block
@@ -869,7 +917,7 @@ def test_log_miss_kernels_cross_chunk_boundaries(monkeypatch):
     rng = np.random.default_rng(122)
     for cells in (1, 50, 301):
         monkeypatch.setattr(model, "_CHUNK_CELLS", cells)
-        model._log_miss_sums.cache_clear()
+        _laws.cache_clear()
         seen = set()
         try:
             for sc in KERNEL_SCENARIOS[:40:4] + KERNEL_SCENARIOS[40:]:
@@ -884,7 +932,7 @@ def test_log_miss_kernels_cross_chunk_boundaries(monkeypatch):
                                               min(cls.ttl_slots, n - 1), n)
                     assert _same_bits(class_log_miss_table(c, sc), cls.population * sums)
         finally:
-            model._log_miss_sums.cache_clear()
+            _laws.cache_clear()
         one_row, ragged, full_ttl = (set(flags) for flags in zip(*seen))
         assert full_ttl == {True, False}
         if cells == 1:
@@ -907,7 +955,7 @@ def test_full_ttl_rows_match_the_window_path(n):
         sc = make_scenario([lam], 1.0, slots=n, populations=[7], ttl=[n + 2])
         x = -sc.rates[0] * sc.eff_slot
         window = _threshold_sums(np.arange(n), n - 1, n, lambda w: _log_miss_terms(x, w))
-        assert np.array_equal(_log_miss_sums.__wrapped__(x, n - 1, n).view(np.int64),
+        assert np.array_equal(_Law(x, n - 1, n).sums.view(np.int64),
                               window.view(np.int64))
         window = 7 * _threshold_sums(h, n + 2, n, lambda w: _log_miss_terms(x, w))
         assert np.array_equal(class_log_miss(0, h, sc).view(np.int64), window.view(np.int64))
@@ -938,10 +986,11 @@ def log_miss_slopes_copy(c: int, sc: Scenario) -> np.ndarray:
 
 
 def test_cached_class_kernels_match_copies():
-    # the slopes, class_log_miss's integer-mass terms and the tail bracket's
-    # prefix, cached per class key, against the expressions that rebuilt
-    # them on every call; a TTL of n - 1 and the longer ones share a key,
-    # and lam dt runs past 37 (logaddexp terms) and 745 (e^-x underflows)
+    # the slopes, class_log_miss's integer-mass terms, the tail bracket's
+    # prefix and the transmission terms, cached per class key, against the
+    # expressions that rebuilt them on every call; a TTL of n - 1 and the
+    # longer ones share a key, and lam dt runs past 37 (logaddexp terms)
+    # and 745 (e^-x underflows)
     extra = [make_scenario([lam, 0.02], 1.0, slots=n, populations=[5, 2], ttl=[n + 2, n],
                            resolution=res)
              for lam in (0.004, 40.0, 800.0) for n, res in ((1, 1), (2, 1), (250, 5))]
@@ -950,19 +999,22 @@ def test_cached_class_kernels_match_copies():
         n = sc.subslots
         for c, cls in enumerate(sc.classes):
             x = -sc.rates[c] * sc.eff_slot
-            kernel = model._kernel(*model._class_key(c, sc))
+            law = _law(c, sc)
             assert _same_bits(_log_miss_slopes(c, sc), log_miss_slopes_copy(c, sc))
+            weight = cls.tx_cost * cls.population
+            assert _same_bits(_tx_energy([(c, np.arange(n))], sc),
+                              [weight * -math.expm1(x * v) for v in range(n)])
             full = cls.ttl_slots >= n - 1
             if full:
-                assert _same_bits(kernel.ints, _log_miss_terms(x, np.arange(1.0, n + 1)))
+                assert _same_bits(law.ints, _log_miss_terms(x, np.arange(1.0, n + 1)))
                 prefix = np.concatenate(([0.0], np.cumsum(_log_miss_terms(x, np.arange(1.0, n)))))
-                assert _same_bits(kernel.prefix, prefix)
+                assert _same_bits(law.prefix, prefix)
                 value, _ = twohop.gridsearch._tail_bracket(c, sc, [np.zeros(n)] * 3)
                 j = np.arange(n)
                 assert _same_bits(value(j + 0.5, j), cls.population * (
                     prefix[j] + (n - j) * _log_miss_terms(x, j + 0.5)))
             else:
-                assert kernel.ints is None and kernel.prefix is None
+                assert law.ints is None and law.prefix is None
             seen.add((full, -x > 745.0, -x > 37.0))
     assert {(False, False, False), (True, False, False), (True, True, True),
             (True, False, True)} <= seen
