@@ -89,10 +89,10 @@ ALGORITHMS = ("grid", "greedy1", "greedy2", "combined", "arrival", "uniform")
 UB_CLASS_CAP = 3
 
 # Largest policy grid `solve` and `sweep` accept.  Each class's log-miss
-# table costs O(subslots^2) to build: about 0.55 s per class at this limit
-# (0.34 s when the TTL reaches the last sub-slot) on a 2-core Xeon VM, five
-# times the largest grid the tests, the README and the benchmark build
-# (2,000 sub-slots).
+# table costs O(subslots^2) to build: 0.10-0.19 s per class at this limit
+# for a TTL below it (0.07 s when the TTL reaches the last sub-slot) on a
+# 2-core Xeon VM, five times the largest grid the tests, the README and the
+# benchmark build (2,000 sub-slots).
 MAX_SUBSLOTS = 10_000
 
 

@@ -59,10 +59,13 @@ __all__ = [
 BUDGET_RTOL = 1e-9
 
 # Cells per block of threshold rows in _threshold_sums: 2^16 float64 cells
-# are 512 KiB, so a block's windows and terms stay in a core's L2 cache
-# (2 MiB on a current Xeon) and no solve holds more than a few MiB of them.
-# A block holds whole rows, each summed alone in k order, so the size cannot
-# move a bit.
+# are 512 KiB, so a block's rows, its run terms and their indices stay in a
+# core's L2 cache (2 MiB on a current Xeon) and no solve holds more than a
+# few MiB of them.  On a 2-core Xeon, 2^16 and 2^17 built tables and
+# evaluated 4,096 thresholds fastest of 2^13..2^20 at n = 1,250 and 10,000
+# (a TTL of n / 7 at n = 10,000: 132 ms per table, 268 ms at 2^13 and
+# 163 ms at 2^20).  A block holds whole rows, each summed alone in k order,
+# so the size cannot move a bit.
 _CHUNK_CELLS = 2 ** 16
 
 # Per-class law records (``_Law``) kept in memory; each holds up to five subslots-float arrays.
@@ -325,15 +328,6 @@ def contact_rate(cls: NodeClass, sc: Scenario) -> float:
     return 8.0 * sc.speed_constant * cls.range_m * cls.speed / (math.pi * sc.arena_radius ** 2)
 
 
-def _windows(cum, ttl: int, n: int) -> np.ndarray:
-    """Threshold mass in the TTL window of every sub-slot k < n,
-    w[k] = cum(k + 1) - cum(max(0, k - ttl)) with cum(m) = min(m, h), which
-    is exact.  A column of thresholds gives one C-ordered row of windows per
-    threshold, so a row sum keeps numpy's pairwise order."""
-    k = np.arange(n)
-    return cum(k + 1) - cum(np.maximum(0, k - ttl))
-
-
 def _row_windows(mu: np.ndarray, ttl: int, n: int) -> np.ndarray:
     """Policy mass in the TTL window of every sub-slot k < n of a policy row,
     w[k] = sum(mu[max(0, k - ttl):k + 1]).
@@ -418,35 +412,42 @@ def _log_miss_terms(x: float, w) -> np.ndarray:
     return out
 
 
-def _threshold_sums(h: np.ndarray, ttl: int, n: int, terms) -> np.ndarray:
-    """For each threshold in h, the sum over sub-slots k < n of terms(w[k]),
-    w the TTL windows at cum(m) = min(m, h); about _CHUNK_CELLS cells at a
-    time, each threshold's terms one C-ordered row in k order."""
-    out = np.empty(h.shape[0])
-    rows = max(1, _CHUNK_CELLS // n)
-    for start in range(0, h.shape[0], rows):
-        col = h[start:start + rows, None]
-        out[start:start + rows] = terms(_windows(lambda m: np.minimum(m, col), ttl, n)).sum(axis=1)
-    return out
-
-
-def _full_ttl_sums(j: np.ndarray, v: np.ndarray, ints: np.ndarray) -> np.ndarray:
-    """``_threshold_sums`` of the log-miss terms when the TTL keeps every
-    copy (ttl >= n - 1): the window of sub-slot k holds min(k + 1, h), so
-    the row of a threshold h = j + a is the terms ``ints`` at masses
-    1..j, then its own term v from sub-slot j on.  Each block is written by
-    slices in the same C-ordered shape and summed the same way, so every
-    row keeps its bits."""
-    n = ints.size
+def _threshold_sums(j: np.ndarray, v: np.ndarray, caps: np.ndarray, ttl: int,
+                    runs) -> np.ndarray:
+    """For each threshold h[r] = j[r] + a with own term v[r], the sum over
+    sub-slots k < n of the log-miss terms of its TTL windows, whose masses
+    min(k + 1, h) - min(max(0, k - ttl), h) are exact (h - m is, for an
+    integer m <= h).  So h's row is, in k order: ``caps[k]`` for k < j; v
+    for k = j..ttl; ``runs(r, m)``, the terms at the masses h[r] - m, with
+    m = k - ttl for k = b..e - 1, b = max(j, ttl + 1), e = min(n, j + ttl + 1);
+    then 0, which sums as the term at mass 0 does.  About _CHUNK_CELLS cells
+    at a time, each row written by slices in one C-ordered block and summed
+    alone in k order; one ``runs`` call per block evaluates its rows' runs."""
+    n, cut = caps.size, ttl + 1
     out = np.empty(v.size)
     rows = max(1, _CHUNK_CELLS // n)
     block = np.empty((min(rows, v.size), n))
     for start in range(0, v.size, rows):
         part = block[:min(rows, v.size - start)]
-        part[:] = ints
-        for row, a, t in zip(part, j[start:start + rows].tolist(),
-                             v[start:start + rows].tolist()):
-            row[a:] = t
+        part[:] = caps
+        spans = []
+        for i, (row, q, t) in enumerate(zip(part, j[start:start + rows].tolist(),
+                                            v[start:start + rows].tolist())):
+            row[q:cut] = t
+            b = q if q > cut else cut
+            if b < n:
+                e = min(n, q + cut)
+                row[e:] = 0.0
+                if b < e:
+                    spans.append((i, b, e))
+        if spans:
+            i, b, e = np.array(spans).T
+            size = e - b
+            first = np.cumsum(size) - size      # each run's offset in the flat terms
+            flat = runs(np.repeat(start + i, size),
+                        np.arange(size.sum()) + np.repeat(b - ttl - first, size))
+            for (i, b, e), f in zip(spans, first.tolist()):
+                part[i, b:e] = flat[f:f + e - b]
         out[start:start + rows] = part.sum(axis=1)
     return out
 
@@ -599,18 +600,16 @@ class _Law:
 
     @cached_property
     def sums(self) -> np.ndarray:
-        """``at`` over np.arange(n) with the same bits, from one term per
-        window mass: at an integer threshold each is an integer in 0..ttl + 1."""
-        terms = _log_miss_terms(self.x, np.arange(self.ttl + 2.0))
-        if self.ttl == self.n - 1:
-            return _read_only(_full_ttl_sums(np.arange(self.n), terms[:self.n], terms[1:]))
-        return _read_only(_threshold_sums(np.arange(self.n), self.ttl, self.n, terms.__getitem__))
+        """``at`` over np.arange(n) with the same bits, every term read from
+        the terms v at the integer masses 0..n - 1."""
+        v = _log_miss_terms(self.x, np.arange(float(self.n)))
+        return _read_only(_threshold_sums(np.arange(self.n), v, self.caps, self.ttl,
+                                          lambda r, m: v[r - m]))
 
     def at(self, h: np.ndarray) -> np.ndarray:
         """The sums at thresholds h in [0, n - 1], fractional tails allowed."""
-        if self.ints is not None:
-            return _full_ttl_sums(h.astype(int), _log_miss_terms(self.x, h), self.ints)
-        return _threshold_sums(h, self.ttl, self.n, lambda w: _log_miss_terms(self.x, w))
+        return _threshold_sums(h.astype(int), _log_miss_terms(self.x, h), self.caps, self.ttl,
+                               lambda r, m: _log_miss_terms(self.x, h[r] - m))
 
     @cached_property
     def slopes(self) -> np.ndarray:
@@ -643,19 +642,16 @@ class _Law:
         return _read_only(flat * phi[np.minimum(j, ttl)] + rest)
 
     @cached_property
-    def ints(self) -> np.ndarray | None:
-        """The terms at the integer masses 1..n that ``at`` writes its rows
-        from, where the TTL keeps every copy; else None."""
-        if self.ttl < self.n - 1:
-            return None
-        return _read_only(_log_miss_terms(self.x, np.arange(1.0, self.n + 1)))
+    def caps(self) -> np.ndarray:
+        """The term at the integer mass min(k + 1, ttl + 1) of every sub-slot
+        k < n: sub-slot k's term in the row of every threshold h >= k + 1."""
+        return _read_only(_log_miss_terms(
+            self.x, np.minimum(np.arange(1.0, self.n + 1), self.ttl + 1)))
 
     @cached_property
-    def prefix(self) -> np.ndarray | None:
-        """0, then the running sum of ``ints[:n - 1]``; None where ``ints`` is."""
-        if self.ints is None:
-            return None
-        return _read_only(np.concatenate(([0.0], np.cumsum(self.ints[:self.n - 1]))))
+    def prefix(self) -> np.ndarray:
+        """0, then the running sum of ``caps[:n - 1]``."""
+        return _read_only(np.concatenate(([0.0], np.cumsum(self.caps[:self.n - 1]))))
 
     def tail(self, r: np.ndarray, j: np.ndarray) -> np.ndarray:
         """``at(r)`` in closed form where the TTL keeps every copy, r = j + a:

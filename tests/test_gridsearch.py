@@ -14,16 +14,20 @@ from twohop import (
     BudgetExceededError,
     BudgetUnboundedError,
     ThresholdPolicy,
+    arrival_rate_greedy,
     boundary_threshold,
+    class_independent,
     enumerate_saturating,
     evaluate,
     expand_threshold,
     feasible_range,
+    greedy_construct,
     grid_search,
     ratio_bound,
     saturating_threshold,
     threshold_energy,
     threshold_objective,
+    uniform_policy,
 )
 from twohop.cli import sample_scalability_scenario, sample_table_scenario
 from twohop.gridsearch import (
@@ -319,6 +323,50 @@ def test_chunk_size_moves_no_bit_on_deep_walks(monkeypatch, chunk):
         outputs.append(repr((rep.policy, rep.objective, rep.upper_bound, rep.enumerated)))
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
     assert digest == "0525a369f83eceb49bfd696ea66f97a2598167773fd7a2a408f01ee4218607d2"
+
+
+def _finite_ttl_draws():
+    """21 A4 draws at resolutions 1-3 whose classes keep a copy for one
+    sub-slot, n // 7 or n - 2 sub-slots, the three TTLs rotated over the
+    classes from draw to draw; every other draw charges beacons."""
+    rng = np.random.default_rng(29)
+    out = []
+    for i in range(21):
+        sc = sample_table_scenario(rng, resolution=1 + i % 3, with_beacons=i % 2 == 0)[1]
+        n = sc.subslots
+        ttls = (1, max(1, n // 7), max(1, n - 2))
+        out.append(dataclasses.replace(sc, classes=tuple(
+            dataclasses.replace(cls, ttl_slots=ttls[(i + c) % 3])
+            for c, cls in enumerate(sc.classes))))
+    return out
+
+
+def test_finite_ttl_solver_outputs_golden():
+    # every A4 draw keeps each copy to the horizon, so the table goldens
+    # never reach a TTL window that drops a copy; these draws do, through
+    # every solver the table runs.  The digests were taken before the
+    # window path and the full-TTL rows became one row kernel
+    draws = _finite_ttl_draws()
+    assert {1, 2, 3} == {len(sc.classes) for sc in draws}
+    assert any(sc.beacons and len(sc.technologies) < len(sc.classes) for sc in draws)
+    assert all(cls.ttl_slots < sc.subslots - 1 for sc in draws for cls in sc.classes)
+    outputs = {"grid": [], "greedy1": [], "arrival": [], "uniform": []}
+    for sc in draws:
+        rep = grid_search(sc)
+        outputs["grid"].append(repr((rep.objective, rep.upper_bound, rep.policy.thresholds,
+                                     rep.enumerated)))
+        for name, tp in (("greedy1", greedy_construct(sc).policy),
+                         ("arrival", arrival_rate_greedy(sc)),
+                         ("uniform", uniform_policy(sc, class_independent(sc)))):
+            outputs[name].append(repr((threshold_objective(tp.thresholds, sc), tp.thresholds)))
+    digests = {name: hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+               for name, reprs in outputs.items()}
+    assert digests == {
+        "grid": "f5670eece8cb7466b47033351f33a582b27a14b208edf0ab2194e4df08c51d25",
+        "greedy1": "57fecb683e4485f737ba5fe52e1aa5a36ba994c76906aabe1d43f041e71a3b5e",
+        "arrival": "6533a5e24c86268855a1e2871e7d566f00f52a0cc4e7699f59aedb5139330df9",
+        "uniform": "1bb277c097ee51389e4bac14699b88ed8ab67a03e9423c57859bd89ebfce1f00",
+    }
 
 
 def test_walker_holds_few_temporaries():

@@ -443,6 +443,37 @@ def test_log_miss_stays_finite_for_a_very_fast_class():
         assert value == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("lam_dt", [1e-4, 0.004, 0.3, 5.0, 40.0, 60.0])
+def test_log_miss_terms_do_not_depend_on_the_array_layout(lam_dt):
+    # the row kernel reads a mass's term from whichever array holds it (the
+    # integer terms, the caps, a block of run terms), so each term must keep
+    # its bits whatever the array's shape, length, stride, order, offset or
+    # neighbours; past lam dt = 37 the logaddexp branch runs on some entries
+    rng = np.random.default_rng(33)
+    x = -lam_dt
+    w = np.concatenate((np.arange(0.0, 301.0), rng.uniform(0.0, 300.0, 696),
+                        np.arange(1.0, 301.0) - 1e-12, [1e-300, 5e-324, 1e-12]))
+    flat = model._log_miss_terms(x, w)
+    assert (lam_dt > 37.0) == (-math.expm1(x) == 1.0)
+
+    def same(got, want=flat):
+        return np.array_equal(np.asarray(got).view(np.int64), want.view(np.int64))
+
+    assert same(model._log_miss_terms(x, w.reshape(50, -1)).ravel())
+    assert same(model._log_miss_terms(x, w.reshape(-1, 50).T).T.ravel())
+    assert same(np.concatenate([model._log_miss_terms(x, w[i:i + 1]) for i in range(w.size)]))
+    assert same(model._log_miss_terms(x, np.repeat(w, 3)[1::3]))
+    assert same(model._log_miss_terms(x, w[::-1])[::-1])
+    assert same(model._log_miss_terms(x, np.concatenate(([0.5], w))[1:]))
+    pick = rng.integers(0, w.size, 5000)
+    assert same(model._log_miss_terms(x, w[pick]), flat[pick])
+    # a block of runs, a fractional part per row plus the integers 7..0,
+    # against each row alone
+    runs = w[301:997, None] % 1.0 + np.arange(7.0, -1.0, -1.0)
+    assert same(model._log_miss_terms(x, runs).ravel(),
+                np.concatenate([model._log_miss_terms(x, row) for row in runs]))
+
+
 def test_threshold_objective_reads_integer_thresholds_off_the_table():
     # an integer threshold on the grid reads the built sums times the
     # population; every class's term, and the objective, must keep
@@ -493,9 +524,12 @@ def test_cached_class_arrays_are_read_only_and_shared_by_populations():
     assert full.sums is _law(1, sc).sums and full.tx is _law(1, sc).tx
     assert np.array_equal(_log_miss_slopes(0, sc), 3 * full.slopes)
     assert np.array_equal(_log_miss_slopes(1, sc), 11 * full.slopes)
-    assert finite.ints is None and finite.prefix is None
-    for arr in (full.sums, finite.sums, full.slopes, full.ints, full.prefix, finite.slopes,
-                full.tx, finite.tx):
+    assert full.caps is _law(1, sc).caps and finite.caps is not full.caps
+    # past k = ttl every window of the finite class holds ttl + 1 sub-slots
+    assert finite.ttl == 4 and np.all(finite.caps[4:] == finite.caps[4])
+    assert np.all(np.diff(finite.caps[:5]) < 0.0) and np.all(np.diff(full.caps) < 0.0)
+    for arr in (full.sums, finite.sums, full.slopes, full.caps, full.prefix, finite.caps,
+                finite.prefix, finite.slopes, full.tx, finite.tx):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
 

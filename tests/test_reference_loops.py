@@ -65,12 +65,10 @@ from twohop.model import (
     Technology,
     ThresholdPolicy,
     _energy_probe,
-    _Law,
     _law,
     _laws,
     _log_miss_slopes,
     _log_miss_terms,
-    _threshold_sums,
     _tx_energy,
     budget_tolerance,
     class_log_miss,
@@ -669,7 +667,6 @@ def class_log_miss_copy(c: int, thresholds, sc: Scenario) -> np.ndarray:
     h = np.clip(h, 0.0, float(n - 1))
     j = np.floor(h)
     alpha = h - j
-    g = -math.expm1(-lam * dt)
     k = np.arange(n)
     a = np.maximum(0, k - cls.ttl_slots)
     out = np.empty(h.shape[0])
@@ -679,15 +676,24 @@ def class_log_miss_copy(c: int, thresholds, sc: Scenario) -> np.ndarray:
         jj = j[start:stop, None]
         w = np.clip(np.minimum(k + 1, jj) - a, 0.0, None)
         w += alpha[start:stop, None] * ((a <= jj) & (jj <= k))
-        p = -np.expm1(-lam * dt * w)
-        out[start:stop] = cls.population * np.log1p(-p * g).sum(axis=1)
+        out[start:stop] = cls.population * log_miss_terms_copy(-lam * dt, w).sum(axis=1)
+    return out
+
+
+def log_miss_terms_copy(x: float, w: np.ndarray) -> np.ndarray:
+    """log1p(-p g), p = 1 - e^{x w}, g = 1 - e^x; past lam dt = 37, where
+    that rounds to -inf, log(e^{x w} + e^x p) through logaddexp."""
+    p = -np.expm1(x * w)
+    g = -math.expm1(x)
+    with np.errstate(divide="ignore"):
+        out = np.log1p(-p * g)
+    lost = np.isneginf(out)
+    out[lost] = np.logaddexp(x * w[lost], x + np.log(p[lost]))
     return out
 
 
 def log_miss_sums_copy(x: float, ttl: int, n: int) -> np.ndarray:
-    p = -np.expm1(x * np.arange(ttl + 2.0))
-    g = -math.expm1(x)
-    terms = np.log1p(-p * g)
+    terms = log_miss_terms_copy(x, np.arange(ttl + 2.0))
     k = np.arange(n)
     a = np.maximum(0, k - ttl)
     out = np.empty(n)
@@ -943,22 +949,26 @@ def test_log_miss_kernels_cross_chunk_boundaries(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 1250, 2000])
 def test_full_ttl_rows_match_the_window_path(n):
-    # a TTL that keeps every copy writes each row by slices (the integer
-    # terms, then the threshold's own term from sub-slot floor(h) on); the
-    # window path evaluates a term per window.  Both must sum the same bits,
-    # also past lam dt = 37, where _log_miss_terms takes its logaddexp branch
+    # the row kernel writes each row by slices (integer-mass caps, the
+    # threshold's own term, a falling run, zeros) for every TTL, the copies
+    # evaluate a term per window; both must sum the same bits for TTLs of
+    # 1, 2, n / 7, n - 2, n - 1 (every copy kept) and past it, also past
+    # lam dt = 37, where _log_miss_terms takes its logaddexp branch
     rng = np.random.default_rng(n)
     heads = np.unique(np.concatenate(([0, n - 1], rng.integers(0, n, 30)))).astype(float)
     h = np.clip(np.concatenate((heads, heads - 1e-12, heads + 1e-12,
                                 rng.uniform(0.0, n - 1, 30))), 0.0, n - 1.0)
+    ttls = sorted({1, 2, max(1, n // 7), max(1, n - 2), max(1, n - 1), n + 2})
     for lam in (0.004, 0.3, 40.0):
-        sc = make_scenario([lam], 1.0, slots=n, populations=[7], ttl=[n + 2])
+        sc = make_scenario([lam] * len(ttls), 1.0, slots=n, populations=[7] * len(ttls),
+                           ttl=ttls)
         x = -sc.rates[0] * sc.eff_slot
-        window = _threshold_sums(np.arange(n), n - 1, n, lambda w: _log_miss_terms(x, w))
-        assert np.array_equal(_Law(x, n - 1, n).sums.view(np.int64),
-                              window.view(np.int64))
-        window = 7 * _threshold_sums(h, n + 2, n, lambda w: _log_miss_terms(x, w))
-        assert np.array_equal(class_log_miss(0, h, sc).view(np.int64), window.view(np.int64))
+        for c, ttl in enumerate(ttls):
+            sums = log_miss_sums_copy(x, min(ttl, n - 1), n)
+            assert np.array_equal(class_log_miss_table(c, sc).view(np.int64),
+                                  (7 * sums).view(np.int64))
+            assert np.array_equal(class_log_miss(c, h, sc).view(np.int64),
+                                  class_log_miss_copy(c, h, sc).view(np.int64))
         assert (lam > 37.0) == (-math.expm1(x) == 1.0)    # the logaddexp branch
 
 
@@ -986,11 +996,11 @@ def log_miss_slopes_copy(c: int, sc: Scenario) -> np.ndarray:
 
 
 def test_cached_class_kernels_match_copies():
-    # the slopes, class_log_miss's integer-mass terms, the tail bracket's
-    # prefix and the transmission terms, cached per class key, against the
-    # expressions that rebuilt them on every call; a TTL of n - 1 and the
-    # longer ones share a key, and lam dt runs past 37 (logaddexp terms)
-    # and 745 (e^-x underflows)
+    # the slopes, the row kernel's integer-mass caps, their prefix (the
+    # tail bracket's, where the TTL keeps every copy) and the transmission
+    # terms, cached per class key, against the expressions that rebuilt them
+    # on every call; a TTL of n - 1 and the longer ones share a key, and
+    # lam dt runs past 37 (logaddexp terms) and 745 (e^-x underflows)
     extra = [make_scenario([lam, 0.02], 1.0, slots=n, populations=[5, 2], ttl=[n + 2, n],
                            resolution=res)
              for lam in (0.004, 40.0, 800.0) for n, res in ((1, 1), (2, 1), (250, 5))]
@@ -1005,16 +1015,19 @@ def test_cached_class_kernels_match_copies():
             assert _same_bits(_tx_energy([(c, np.arange(n))], sc),
                               [weight * -math.expm1(x * v) for v in range(n)])
             full = cls.ttl_slots >= n - 1
+            cap = min(cls.ttl_slots, n - 1) + 1    # a window's largest mass
+            caps = _log_miss_terms(x, np.minimum(np.arange(1.0, n + 1), cap))
+            assert _same_bits(law.caps, caps)
+            prefix = np.concatenate(([0.0], np.cumsum(caps[:n - 1])))
+            assert _same_bits(law.prefix, prefix)
             if full:
-                assert _same_bits(law.ints, _log_miss_terms(x, np.arange(1.0, n + 1)))
-                prefix = np.concatenate(([0.0], np.cumsum(_log_miss_terms(x, np.arange(1.0, n)))))
-                assert _same_bits(law.prefix, prefix)
+                assert _same_bits(law.caps, _log_miss_terms(x, np.arange(1.0, n + 1)))
+                assert _same_bits(law.prefix, np.concatenate(
+                    ([0.0], np.cumsum(_log_miss_terms(x, np.arange(1.0, n))))))
                 value, _ = twohop.gridsearch._tail_bracket(c, sc, [np.zeros(n)] * 3)
                 j = np.arange(n)
                 assert _same_bits(value(j + 0.5, j), cls.population * (
                     prefix[j] + (n - j) * _log_miss_terms(x, j + 0.5)))
-            else:
-                assert law.ints is None and law.prefix is None
             seen.add((full, -x > 745.0, -x > 37.0))
     assert {(False, False, False), (True, False, False), (True, True, True),
             (True, False, True)} <= seen
