@@ -8,7 +8,9 @@ unique fractional threshold that exhausts what is left of the budget.
 
 The module provides the budget-end kernel ``_ends`` (closed form with a
 safeguarded Newton fallback for beacon-bearing technologies), which every
-boundary, range and greedy certificate reads, the per-level feasible ranges
+boundary, range and greedy certificate reads, the certified budget
+bisection ``_bisect_budget`` behind ``saturating_threshold`` and the
+baselines' tail shave, the per-level feasible ranges
 (one vector step for a block of prefixes), the enumeration itself
 (one walker shared by the reference generator and ``grid_search``, which
 also returns the rounded-up upper bound from the same pass), and the
@@ -61,9 +63,13 @@ __all__ = [
 # float noise at range endpoints.
 _SNAP = 1e-9
 _RESIDUAL_TOL = 1e-10
-# Most energy evaluations ``_bracket`` spends on regula falsi steps towards a
-# budget crossing, then on aiming its two ends.
-_ROOT_STEPS = 8
+# ``_bisect_budget`` evaluates every midpoint until its bracket is at most
+# _AIM_WIDTH sub-slots wide, then spends at most _AIM_STEPS evaluations on
+# aiming its two certified ends.  Over the 4,314 calls of the seed-601
+# table-sweep pool, widths 2, 4, 8, 12, 16, 32 and 64 took 23.46, 22.73,
+# 22.08, 21.97, 21.96, 22.44 and 24.63 evaluations a call on average, and
+# 40, 39, 39, 39, 48, 48 and 61 at most; the width moves no bit.
+_AIM_WIDTH = 12.0
 _AIM_STEPS = 6
 # A log-miss whose -expm1 reads exactly 1.0 with 2.5 nats to spare (the
 # rounding to 1.0 starts near -37.43), far more than the rounding between
@@ -158,21 +164,16 @@ def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: fl
         mm = m2c[idx] if m2c.ndim else m2c
         h = np.maximum(h, mm)
         rr = r[idx]
-        # one segment leaves on its own residuals; with several, a row stays
-        # live while a residual of its segment has not converged (NaN too)
-        one = len(starts) == 1
-        seg = None if one else np.searchsorted(starts, np.flatnonzero(core)[idx], side="right")
-        live = slice(None) if one else np.arange(idx.size)
+        # a row stays live while a residual of its segment has not
+        # converged (NaN too)
+        seg = np.searchsorted(starts, np.flatnonzero(core)[idx], side="right")
+        live = np.arange(idx.size)
         for _ in range(64):
             hl, ml = h[live], mm[live] if mm.ndim else mm
             f = rho_n * -np.expm1(-g * hl) + beacon * (hl - ml) - rr[live]
             fp = rho_n * g * np.exp(-g * hl) + beacon
             step = f / fp
             h[live] = np.clip(hl - step, ml, hi)
-            if one:
-                if np.abs(f).max() < tol:
-                    break
-                continue
             live = live[np.bincount(seg[live], ~(np.abs(f) < tol))[seg[live]] > 0]
             if live.size == 0:
                 break
@@ -303,18 +304,26 @@ def _energy_margin(sc: Scenario, expanded: bool = False) -> float:
     return 2.0 * count * 2.0 ** -53 * scale
 
 
-def _bracket(energy_at, lo: float, hi: float, budget: float, margin: float,
-             energies: tuple[float, float]) -> tuple[float, float]:
-    """A certified bracket (a, b) of the budget crossing: the largest point
-    evaluated whose energy is below budget - margin and the smallest one
-    above budget + margin, -inf and +inf when there is none.
+def _bisect_budget(energy_at, lo: float, hi: float, budget: float, margin: float,
+                   energies: tuple[float, float]) -> float:
+    """Bisect [lo, hi] for the point where the nondecreasing energy_at
+    crosses the budget; returns the last point found within it.
+    ``energies`` are the energies at lo and hi.
 
-    ``energies`` are the energies at lo and hi.  Regula falsi steps with
-    the Anderson-Bjorck weights close in on the crossing; then points are
-    aimed at budget - 2 margin until a lies within 8 margins of the budget,
-    then at budget + 2 margin for b, each along the secant of the last two
-    points.  Where the energy is flat no aim certifies, and the bisection
-    evaluates more."""
+    The loop stops at the first step that leaves the bracket unchanged:
+    every later step would repeat it, so the 200-step cap only bounds it.
+    Each evaluation may move the certified ends: a, the largest point read
+    below budget - margin, and b, the smallest read above budget + margin.
+    ``margin`` is at least twice a bound d on the energy's rounding error,
+    so up to a every evaluation reads within budget and beyond b every one
+    reads over it: a midpoint outside (a, b) takes, unevaluated, the branch
+    its evaluation would, and the same point comes back.  Until hi - lo is
+    at most ``_AIM_WIDTH``, a <= lo and b >= hi, so every midpoint is
+    evaluated; then points are aimed at budget - 2 margin until a lies
+    within 8 margins of the budget, then at budget + 2 margin for b, along
+    the secant of the last two points, the first through lo and hi.  Where
+    the energy is flat no aim certifies, and the bisection evaluates more.
+    """
     ends = [-math.inf, math.inf]    # a, b
     gaps = [-math.inf, math.inf]    # energy - budget at a and at b
 
@@ -325,70 +334,32 @@ def _bracket(energy_at, lo: float, hi: float, budget: float, margin: float,
             ends[1], gaps[1] = x, f
         return f
 
-    fp, fq = take(lo, energies[0] - budget), take(hi, energies[1] - budget)
-    if not (fp < 0.0 < fq and margin < math.inf):
-        return ends[0], ends[1]
-    # xp, xq the last two points; xa, with weighted energy - budget wa, the
-    # end of the bracket of signs across from xq
-    xp, xq, xa, wa = lo, hi, lo, fp
-    for _ in range(_ROOT_STEPS):
-        if abs(fq) <= 4.0 * margin:
-            break
-        x = xq - fq * (xq - xa) / (fq - wa)
-        if not min(xa, xq) < x < max(xa, xq):
-            break
-        f = take(x, energy_at(x) - budget)
-        if (f < 0.0) != (fq < 0.0):
-            xa, wa = xq, fq
-        else:
-            wa *= 1.0 - f / fq if f / fq < 1.0 else 0.5
-        xp, fp, xq, fq = xq, fq, x, f
-    for _ in range(_AIM_STEPS):
-        # aim at budget - 2 margin for a, then at budget + 2 margin for b,
-        # along the secant of the last two points
-        aim = -2.0 if gaps[0] < -8.0 * margin else 2.0 if gaps[1] > 8.0 * margin else 0.0
-        slope = (fq - fp) / (xq - xp)
-        if aim == 0.0 or not slope > 0.0:
-            break
-        x = xq + (aim * margin - fq) / slope
-        if not lo < x < hi or x == xq:
-            break
-        f = take(x, energy_at(x) - budget)
-        xp, fp, xq, fq = xq, fq, x, f
-    return ends[0], ends[1]
-
-
-def _bisect_budget(energy_at, lo: float, hi: float, budget: float, margin: float,
-                   energies: tuple[float, float]) -> float:
-    """Bisect [lo, hi] for the point where the nondecreasing energy_at
-    crosses the budget; returns the last point found within it.
-
-    The loop stops at the first step that leaves the bracket unchanged:
-    every later step would repeat it, so the 200-step cap only bounds it.
-    Only midpoints inside ``_bracket``'s (a, b) are evaluated: ``margin``
-    is at least twice a bound d on the energy's rounding error, so the exact
-    energy at a, and at every point up to it, is below budget - d, where
-    every evaluation reads within budget, and beyond b every one reads over
-    it.  Each skipped midpoint takes the branch its evaluation would, and
-    the same point comes back.  ``energies`` are the energies at lo and hi.
-    """
-    a, b = _bracket(energy_at, lo, hi, budget, margin, energies)
+    f_lo, f_hi = take(lo, energies[0] - budget), take(hi, energies[1] - budget)
+    aims = _AIM_STEPS
     for _ in range(200):
+        if aims and hi - lo <= _AIM_WIDTH:
+            xp, fp, xq, fq = lo, f_lo, hi, f_hi
+            for _ in range(aims if fp < 0.0 < fq else 0):
+                aim = -2.0 if gaps[0] < -8.0 * margin else 2.0 if gaps[1] > 8.0 * margin else 0.0
+                slope = (fq - fp) / (xq - xp)
+                if aim == 0.0 or not slope > 0.0:
+                    break
+                x = xq + (aim * margin - fq) / slope
+                if not lo < x < hi or x == xq:
+                    break
+                xp, fp, xq, fq = xq, fq, x, take(x, energy_at(x) - budget)
+            aims = 0
         mid = 0.5 * (lo + hi)
-        if mid <= a:
-            over = False
-        elif mid >= b:
-            over = True
-        else:
-            over = energy_at(mid) > budget
-        if over:
+        f = gaps[0] if mid <= ends[0] else gaps[1] if mid >= ends[1] else \
+            take(mid, energy_at(mid) - budget)
+        if f > 0.0:
             if mid == hi:
                 break
-            hi = mid
+            hi, f_hi = mid, f
         else:
             if mid == lo:
                 break
-            lo = mid
+            lo, f_lo = mid, f
     return lo
 
 
@@ -399,7 +370,9 @@ def saturating_threshold(c: int, thresholds, sc: Scenario) -> float:
     Clamps instead of raising: returns 0 when nothing is affordable and
     subslots - 1 when even full transmission stays under budget.  Solved by
     ``_bisect_budget`` on the exact threshold energy, so it is valid for any
-    mix of fractional thresholds and shared technologies; the energy comes
+    mix of fractional thresholds and shared technologies; the bisection
+    skips the midpoints that its certified ends already decide, and returns
+    the bits of one that evaluates them all.  The energy comes
     from ``model._energy_probe``, which computes the other classes' terms
     once.  Where the energy at 0 may lie within the margin of the budget,
     an energy at ``_SNAP`` certified over it returns 0 unbisected, as the

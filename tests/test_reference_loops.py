@@ -7,7 +7,8 @@ evaluated every midpoint (also under energies offset by a bounded noise),
 the greedy award loop that
 looked every per-class value up again on each iteration (whose integer-only
 mode also checks the greedy's profile before its top-up), and the greedy
-certificates solved through ``boundary_threshold`` and its two exceptions;
+certificates solved through ``boundary_threshold`` and its two exceptions
+(and, by bytes, the saturating solve's one-segment Newton exit);
 each pair is compared by repr over seeded instances with one to four
 classes, with and without beacons, with shared radios, with free radios
 next to charging ones, and with budgets near zero and near the all-full
@@ -17,6 +18,9 @@ the three transmission-energy loops, and the per-class slopes and
 tail-bracket prefix before they were cached; they are compared bit for bit
 over seeded scenarios at resolutions 1-5 with TTLs below and at or above
 the last sub-slot, fractional and integer thresholds, and general policies.
+Beside the copies, every saturating threshold and every shave of
+``class_independent`` is also checked by its energies alone, which hold
+for any correct root, not only for the old bits.
 """
 
 import math
@@ -39,6 +43,7 @@ from twohop.cli import sample_table_scenario
 from twohop.greedy import GreedyReport, cardinality_cap, min_slots
 from twohop.gridsearch import (
     _LEAF_CHUNK,
+    _RESIDUAL_TOL,
     _SNAP,
     BudgetExceededError,
     BudgetUnboundedError,
@@ -47,11 +52,13 @@ from twohop.gridsearch import (
     _Best,
     _completion_masses,
     _costly_classes,
+    _energy_margin,
     _full_profile,
     _prune_margin,
     _ranges,
     _remaining,
     _solve_for,
+    _solve_saturating_vec,
     boundary_threshold,
     grid_search,
     ratio_bound,
@@ -214,6 +221,67 @@ def class_independent_copy(sc: Scenario) -> float:
     if energy_at(h) > sc.budget + tol:
         h = bisect_budget_copy(energy_at, math.floor(h), h, sc.budget)
     return float(h)
+
+
+def solve_saturating_one_segment_copy(rem, rho_n: float, g: float, beacon: float, m2,
+                                      hi: float):
+    # the one-segment Newton exit: every row leaves when the largest
+    # residual converges
+    rem = np.atleast_1d(np.asarray(rem, dtype=float))
+    m2 = np.asarray(m2, dtype=float)
+    tol = _RESIDUAL_TOL
+    out = np.full(rem.shape, np.nan)
+
+    cap = rho_n * -np.expm1(-g * hi) + beacon * np.maximum(0.0, hi - m2)
+    exceeded = rem < -tol
+    unbounded = rem > cap + tol
+    core = ~(exceeded | unbounded)
+    out[unbounded] = np.inf
+    if not core.any():
+        return out
+
+    r = rem[core]
+    m2c = m2[core] if m2.ndim else m2
+    if rho_n <= 0.0 or g <= 0.0:
+        sol = np.where(r <= tol, 0.0, m2c + (r / beacon if beacon > 0.0 else np.inf))
+        out[core] = np.clip(sol, 0.0, hi)
+        return out
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = r / rho_n
+        closed = np.where(ratio < 1.0, -np.log1p(-np.minimum(ratio, 1.0 - 1e-16)) / g, np.inf)
+    sol = np.clip(closed, 0.0, None)
+    needs_newton = sol > m2c + _SNAP
+    if beacon > 0.0 and needs_newton.any():
+        idx = np.flatnonzero(needs_newton)
+        h = np.minimum(np.where(np.isfinite(sol[idx]), sol[idx], hi), hi)
+        mm = m2c[idx] if m2c.ndim else m2c
+        h = np.maximum(h, mm)
+        rr = r[idx]
+        live = slice(None)
+        for _ in range(64):
+            hl, ml = h[live], mm[live] if mm.ndim else mm
+            f = rho_n * -np.expm1(-g * hl) + beacon * (hl - ml) - rr[live]
+            fp = rho_n * g * np.exp(-g * hl) + beacon
+            step = f / fp
+            h[live] = np.clip(hl - step, ml, hi)
+            if np.abs(f).max() < tol:
+                break
+        f = rho_n * -np.expm1(-g * h) + beacon * (h - mm) - rr
+        bad = np.abs(f) >= tol
+        if bad.any():
+            lo_b = np.where(bad, mm, h)
+            hi_b = np.where(bad, np.full_like(h, hi), h)
+            for _ in range(200):
+                mid = 0.5 * (lo_b + hi_b)
+                fm = rho_n * -np.expm1(-g * mid) + beacon * (mid - mm) - rr
+                take_hi = fm > 0.0
+                hi_b = np.where(take_hi, mid, hi_b)
+                lo_b = np.where(take_hi, lo_b, mid)
+            h = np.where(bad, 0.5 * (lo_b + hi_b), h)
+        sol[idx] = h
+    out[core] = np.clip(sol, 0.0, hi)
+    return out
 
 
 def affordable_copy(c: int, fixed: dict, sc: Scenario) -> int:
@@ -572,8 +640,8 @@ def test_bracketed_bisection_matches_every_midpoint(monkeypatch, noise):
 
 def test_bracketed_bisection_evaluates_few_midpoints(monkeypatch):
     # energy evaluations per _bisect_budget call on the table sample, the
-    # bracket's and the midpoints': a bracket that certified nothing would
-    # leave the full bisection's 60 or so
+    # aims' and the midpoints': ends that certified nothing would leave the
+    # full bisection's 60 or so, on average and at worst
     counts = []
 
     def counted(energy_at, *args):
@@ -595,6 +663,126 @@ def test_bracketed_bisection_evaluates_few_midpoints(monkeypatch):
         class_independent(sc)
     assert len(counts) >= 200
     assert sum(counts) / len(counts) <= 25
+    assert max(counts) <= 45
+
+
+def _root_delta(sc: Scenario, moved, r: float, top: float, margin: float) -> float:
+    """How far past a returned root r the energy must read over the budget:
+    2 ulp(top) + margin / s, s = the sum over the moved classes of
+    tx_cost pop g e^{-g x}, g = lam dt.  Transmission terms are concave and
+    beacon terms nondecreasing, so s bounds the energy's slope up to x,
+    taken at min(r + 1, top) when that covers r + delta, else at top.  The
+    bisection's over end lies within an ulp of r and reads over the budget,
+    so its exact energy is above budget - margin / 2 (``margin`` is twice
+    the rounding bound); the slope adds a margin more by r + delta, so a
+    read there is over the budget.  The second ulp covers rounding r + delta."""
+    for x in (min(r + 1.0, top), top):
+        s = sum(sc.classes[c].tx_cost * sc.classes[c].population * sc.rates[c] * sc.eff_slot
+                * math.exp(-sc.rates[c] * sc.eff_slot * x) for c in moved)
+        delta = 2.0 * math.ulp(top) + (margin / s if s > 0.0 else math.inf)
+        if r + delta <= x:
+            break
+    return delta
+
+
+def _certify_root(energy, r: float, top: float, budget: float, delta: float) -> None:
+    """r and r - delta read within the budget and r + delta (at most top)
+    over it."""
+    assert energy(max(r - delta, 0.0)) <= budget
+    assert energy(r) <= budget < energy(min(r + delta, top))
+
+
+def test_saturating_roots_are_certified_by_their_energy(monkeypatch):
+    # every returned threshold r checked by energies, not against a copy:
+    # r = 0 when the energy at 0 is over budget + tol, else r = hi when the
+    # energy at hi is within it; otherwise the root lies below r + delta,
+    # below _SNAP + delta for r = 0 (the _SNAP rule), and r itself reads
+    # within the budget
+    instances = INSTANCES + TABLE_SAMPLE + BISECTION_INSTANCES
+    calls = _saturating_calls(monkeypatch, instances)
+    kinds = []
+    for c, hs, sc in calls:
+        r = saturating_threshold(c, hs, sc)
+        hi, tol = float(sc.max_threshold), budget_tolerance(sc.budget)
+
+        def energy(h: float) -> float:
+            probe = list(hs)
+            probe[c] = h
+            return threshold_energy(probe, sc)
+
+        if energy(0.0) > sc.budget + tol:
+            assert r == 0.0
+            kinds.append("over at 0")
+        elif r == hi:
+            assert energy(hi) <= sc.budget + tol
+            kinds.append("hi")
+        else:
+            delta = _root_delta(sc, [c], max(r, _SNAP), hi, _energy_margin(sc))
+            if r == 0.0:
+                assert sc.budget < energy(min(_SNAP + delta, hi))
+                kinds.append("below snap")
+            else:
+                _certify_root(energy, r, hi, sc.budget, delta)
+                kinds.append("solved")
+    assert len(calls) > 2000
+    assert all(kinds.count(kind) >= 20 for kind in ("over at 0", "hi", "below snap", "solved"))
+
+
+def test_class_independent_shaves_are_certified_by_their_energy(monkeypatch):
+    # every shave of class_independent's common threshold h (a bisection on
+    # the expanded policy's energy over [floor(h), h]) returns a root
+    # certified like saturating_threshold's, every class moving at once
+    shaves = []
+
+    def recorded(energy_at, lo, hi, *args):
+        shaves.append((lo, hi, bisect(energy_at, lo, hi, *args)))
+        return shaves[-1][2]
+
+    bisect = twohop.baselines._bisect_budget
+    monkeypatch.setattr(twohop.baselines, "_bisect_budget", recorded)
+    certified = 0
+    for sc in INSTANCES + TABLE_SAMPLE + BISECTION_INSTANCES:
+        shaves.clear()
+        h = class_independent(sc)
+
+        def energy(x: float) -> float:
+            return energy_spent(expand_threshold(uniform_policy(sc, x), sc), sc)
+
+        for lo, hi, r in shaves:
+            assert h == r and lo <= r < hi
+            delta = _root_delta(sc, range(len(sc.classes)), r, hi, _energy_margin(sc, True))
+            _certify_root(energy, r, hi, sc.budget, delta)
+            certified += 1
+    assert certified >= 20
+
+
+def test_one_segment_newton_matches_the_one_segment_exit():
+    # one segment over many rows: the per-segment exit keeps every row live
+    # until all of them converge, the iteration of the old one-segment exit.
+    # Rows as in _leaf_batches' countable check: the fractional class's
+    # remaining budget over every integer threshold of another class, nudged
+    # both ways, on beaconed A4 draws; some rows overspend (NaN), some
+    # cannot exhaust the budget (+inf)
+    rng = np.random.default_rng(85)
+    seen = {"nan": 0, "inf": 0, "newton": 0}
+    for i in range(24):
+        sc = sample_table_scenario(rng, resolution=2 + i % 4, n_classes=2 + i % 2)[1]
+        for f in range(len(sc.classes)):
+            c = (f + 1) % len(sc.classes)
+            masses = _completion_masses(f, {c: np.arange(sc.subslots)}, sc, 0.0)
+            rem, m2 = _remaining(f, masses, sc, _tx_energy(masses.items(), sc))
+            nudge = 0.3 * sc.budget
+            m2 = np.broadcast_to(m2, rem.shape)
+            rem, m2 = np.concatenate((rem - nudge, rem + nudge)), np.tile(m2, 2)
+            cls = sc.classes[f]
+            args = (rem, cls.tx_cost * cls.population, sc.rates[f] * sc.eff_slot,
+                    sc.beacon_rate(cls.technology), m2, float(sc.max_threshold))
+            got = _solve_saturating_vec(*args, starts=(0,))
+            assert got.tobytes() == solve_saturating_one_segment_copy(*args).tobytes()
+            seen["nan"] += int(np.isnan(got).sum())
+            seen["inf"] += int(np.isinf(got).sum())
+            seen["newton"] += int((np.isfinite(got) & (got > m2 + _SNAP)).sum())
+    assert min(seen.values()) >= 100
 
 
 def _integer_outputs(rep, sc: Scenario, integer: GreedyReport) -> None:
