@@ -89,10 +89,9 @@ ALGORITHMS = ("grid", "greedy1", "greedy2", "combined", "arrival", "uniform")
 UB_CLASS_CAP = 3
 
 # Largest policy grid `solve` and `sweep` accept.  Each class's log-miss
-# table costs O(subslots^2) to build: 0.10-0.19 s per class at this limit
-# for a TTL below it (0.07 s when the TTL reaches the last sub-slot) on a
-# 2-core Xeon VM, five times the largest grid the tests, the README and the
-# benchmark build (2,000 sub-slots).
+# table costs O(subslots^2) to build: at this limit 0.08 s with a full TTL
+# and 0.10-0.29 s with a shorter one on a 2-core Xeon VM, five times the
+# largest grid the tests, the README and the benchmark build (2,000 sub-slots).
 MAX_SUBSLOTS = 10_000
 
 
@@ -107,6 +106,17 @@ class CliRequestError(RuntimeError):
 # =========================================================================
 # Scenario files
 # =========================================================================
+
+# Scenario-file keys that map one to one onto a dataclass field: one row (file
+# key, field, kind, _number bounds) per key, in reading order.  The optional
+# ``resolution`` and ``speed_constant``, and each ``ttl_slots``, have own lines.
+_SCENARIO_KEYS = (("deadline_s", "deadline", float, {}), ("slot_len_s", "slot_len", float, {}),
+                  ("arena_radius_m", "arena_radius", float, {}), ("budget", "budget", float, {}))
+_TECHNOLOGY_KEYS = (("id", "ident", str, {}), ("beacon_cost", "beacon_cost", float, {}))
+_CLASS_KEYS = (("population", "population", int, {"finite": True}),
+               ("speed_mps", "speed", float, {}), ("range_m", "range_m", float, {}),
+               ("tx_cost", "tx_cost", float, {}), ("technology", "technology", str, {}))
+
 
 def _number(value, where: str | None = None, kind: type = float, low: int | None = None,
             finite: bool = False):
@@ -138,11 +148,10 @@ def _number(value, where: str | None = None, kind: type = float, low: int | None
     raise CliInputError(f"{where}: {problem}") if where else argparse.ArgumentTypeError(problem)
 
 
-def _field(data: dict, path: str, key: str, kind=float, required: bool = True, default=None,
-           **bounds):
-    """``data[key]``: a str or list as is, a number through ``_number``."""
+def _field(data: dict, path: str, key: str, kind=float, default=None, **bounds):
+    """``data[key]``, else a given ``default``: a str or list as is, a number via ``_number``."""
     if key not in data:
-        if required:
+        if default is None:
             raise CliInputError(f"{path}.{key}: missing required key")
         return default
     value = data[key]
@@ -153,6 +162,26 @@ def _field(data: dict, path: str, key: str, kind=float, required: bool = True, d
     raise CliInputError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
 
 
+def _fields(data: dict, path: str, keys) -> dict:
+    """The dataclass fields of a key table's rows, read from ``data`` in row order."""
+    return {field: _field(data, path, key, kind, **bounds) for key, field, kind, bounds in keys}
+
+
+def _objects(doc: dict, key: str, make) -> tuple:
+    """The list ``doc[key]`` of objects, each built by ``make(item, path)``
+    with its path ``key[i]``, which also names a ScenarioError it raises."""
+    out = []
+    for i, item in enumerate(_field(doc, "scenario", key, list)):
+        path = f"{key}[{i}]"
+        if not isinstance(item, dict):
+            raise CliInputError(f"{path}: expected an object")
+        try:
+            out.append(make(item, path))
+        except ScenarioError as exc:
+            raise CliInputError(f"{path}: {exc}") from exc
+    return tuple(out)
+
+
 def parse_scenario(doc: dict, *, resolution_override: int | None = None) -> Scenario:
     """Build a Scenario from a scenario-file document.
 
@@ -161,91 +190,44 @@ def parse_scenario(doc: dict, *, resolution_override: int | None = None) -> Scen
     """
     if not isinstance(doc, dict):
         raise CliInputError("scenario: top level must be an object")
-    path = "scenario"
-    deadline = _field(doc, path, "deadline_s")
-    slot_len = _field(doc, path, "slot_len_s")
-    arena = _field(doc, path, "arena_radius_m")
-    budget = _field(doc, path, "budget")
+    fields = _fields(doc, "scenario", _SCENARIO_KEYS)
     # checked before it scales the TTLs; an override replaces it unread
-    resolution = (_field(doc, path, "resolution", int, required=False, default=1, low=1,
-                         finite=True)
+    resolution = (_field(doc, "scenario", "resolution", int, default=1, low=1, finite=True)
                   if resolution_override is None else resolution_override)
-    speed_constant = _field(doc, path, "speed_constant", required=False, default=1.3693)
+    speed_constant = _field(doc, "scenario", "speed_constant", default=1.3693)
+    technologies = _objects(doc, "technologies",
+                            lambda td, path: Technology(**_fields(td, path, _TECHNOLOGY_KEYS)))
 
-    tech_docs = _field(doc, path, "technologies", list)
-    technologies = []
-    for i, td in enumerate(tech_docs):
-        tpath = f"technologies[{i}]"
-        if not isinstance(td, dict):
-            raise CliInputError(f"{tpath}: expected an object")
-        try:
-            technologies.append(Technology(
-                ident=_field(td, tpath, "id", str),
-                beacon_cost=_field(td, tpath, "beacon_cost"),
-            ))
-        except ScenarioError as exc:
-            raise CliInputError(f"{tpath}: {exc}") from exc
-
-    class_docs = _field(doc, path, "classes", list)
-    if not class_docs:
-        raise CliInputError("scenario.classes: at least one class required")
-    classes = []
-    for i, cd in enumerate(class_docs):
-        cpath = f"classes[{i}]"
-        if not isinstance(cd, dict):
-            raise CliInputError(f"{cpath}: expected an object")
-        ttl_slots = _field(cd, cpath, "ttl_slots", finite=True)
+    def node_class(cd: dict, path: str) -> NodeClass:
+        ttl_slots = _field(cd, path, "ttl_slots", finite=True)
         ttl_sub = ttl_slots * resolution   # inf when the product overflows
         if not (math.isfinite(ttl_sub) and abs(ttl_sub - round(ttl_sub)) <= 1e-9):
             raise CliInputError(
-                f"{cpath}.ttl_slots: {ttl_slots} not representable at resolution {resolution}")
-        try:
-            classes.append(NodeClass(
-                population=_field(cd, cpath, "population", int, finite=True),
-                ttl_slots=round(ttl_sub),
-                speed=_field(cd, cpath, "speed_mps"),
-                range_m=_field(cd, cpath, "range_m"),
-                tx_cost=_field(cd, cpath, "tx_cost"),
-                technology=_field(cd, cpath, "technology", str),
-            ))
-        except ScenarioError as exc:
-            raise CliInputError(f"{cpath}: {exc}") from exc
+                f"{path}.ttl_slots: {ttl_slots} not representable at resolution {resolution}")
+        return NodeClass(ttl_slots=round(ttl_sub), **_fields(cd, path, _CLASS_KEYS))
 
+    classes = _objects(doc, "classes", node_class)
+    if not classes:
+        raise CliInputError("scenario.classes: at least one class required")
     try:
-        return Scenario(
-            classes=tuple(classes),
-            technologies=tuple(technologies),
-            deadline=deadline,
-            slot_len=slot_len,
-            arena_radius=arena,
-            budget=budget,
-            resolution=resolution,
-            speed_constant=speed_constant,
-        )
+        return Scenario(classes=classes, technologies=technologies, resolution=resolution,
+                        speed_constant=speed_constant, **fields)
     except ScenarioError as exc:
         raise CliInputError(f"scenario: {exc}") from exc
 
 
 def render_scenario(sc: Scenario) -> dict:
     """Inverse of parse_scenario (TTLs back in whole slots)."""
+    def write(obj, keys) -> dict:
+        return {key: getattr(obj, field) for key, field, _, _ in keys}
+
     return {
-        "deadline_s": sc.deadline,
-        "slot_len_s": sc.slot_len,
-        "arena_radius_m": sc.arena_radius,
-        "budget": sc.budget,
-        "resolution": sc.resolution,
-        "speed_constant": sc.speed_constant,
-        "technologies": [{"id": t.ident, "beacon_cost": t.beacon_cost}
-                         for t in sc.technologies],
-        "classes": [{
-            "population": c.population,
-            "ttl_slots": c.ttl_slots // sc.resolution
-            if c.ttl_slots % sc.resolution == 0 else c.ttl_slots / sc.resolution,
-            "speed_mps": c.speed,
-            "range_m": c.range_m,
-            "tx_cost": c.tx_cost,
-            "technology": c.technology,
-        } for c in sc.classes],
+        **write(sc, _SCENARIO_KEYS),
+        "resolution": sc.resolution, "speed_constant": sc.speed_constant,
+        "technologies": [write(t, _TECHNOLOGY_KEYS) for t in sc.technologies],
+        "classes": [{**write(c, _CLASS_KEYS), "ttl_slots": c.ttl_slots // sc.resolution
+                     if c.ttl_slots % sc.resolution == 0 else c.ttl_slots / sc.resolution}
+                    for c in sc.classes],
     }
 
 
@@ -356,13 +338,13 @@ def _timed(fn, *args, **kwargs):
 
 
 def run_algorithm(name: str, sc: Scenario) -> AlgoResult:
+    if name in ("greedy2", "combined") and sc.beacons:
+        raise CliRequestError(f"{name} requires a scenario without beacon costs")
     if name == "grid":
         return _grid_result(grid_search(sc))
     if name in ("greedy1", "greedy2"):
-        variant = GreedyVariant.GAIN if name == "greedy1" else GreedyVariant.GAIN_PER_COST
-        if variant is GreedyVariant.GAIN_PER_COST and sc.beacons:
-            raise CliRequestError("greedy2 requires a scenario without beacon costs")
-        rep = greedy_construct(sc, variant)
+        rep = greedy_construct(sc, GreedyVariant.GAIN if name == "greedy1"
+                               else GreedyVariant.GAIN_PER_COST)
         return AlgoResult(rep.policy, rep.objective, rep.iterations, {
             "cardinality_cap": rep.cardinality_cap,
             "online_bound": rep.online_bound,
@@ -370,8 +352,6 @@ def run_algorithm(name: str, sc: Scenario) -> AlgoResult:
             "fractional_topup": rep.topup_class is not None,
         })
     if name == "combined":
-        if sc.beacons:
-            raise CliRequestError("combined greedy requires a scenario without beacon costs")
         rep = combined_best(sc)
         return AlgoResult(rep.policy, rep.objective, rep.iterations, {
             "variant": rep.variant.value,

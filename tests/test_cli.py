@@ -52,6 +52,16 @@ def two_class_doc():
                         classes=[base, dict(base, speed_mps=3.0)])
 
 
+def doc_with(fields):
+    """scenario_doc with each "key" or "list.key" (in the list's first
+    object) of ``fields`` set to its value."""
+    doc = scenario_doc()
+    for path, value in fields.items():
+        part, _, key = path.rpartition(".")
+        (doc[part][0] if part else doc)[key] = value
+    return doc
+
+
 def write_doc(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -110,10 +120,7 @@ def test_parse_errors_carry_field_paths():
         "ttl-inf", "speed", "range", "tx-cost", "budget-overflow", "population-overflow",
         "ttl-overflow", "rate-overflow", "arena-underflow", "arena-overflow"])
 def test_non_finite_scenario_number_is_input_error(tmp_path, capsys, fields, message):
-    doc = scenario_doc()
-    for path, value in fields.items():
-        part, _, key = path.rpartition(".")
-        (doc[part][0] if part else doc)[key] = value
+    doc = doc_with(fields)
     with pytest.raises(ValueError, match=message):
         parse_scenario(doc)
     assert main(["solve", "--scenario", write_doc(tmp_path, doc)]) == 1
@@ -157,6 +164,46 @@ def test_round_trip_exact():
     rng = np.random.default_rng(1)
     ident, sampled = sample_table_scenario(rng)
     assert parse_scenario(render_scenario(sampled)) == sampled
+
+
+def _rendered_draws():
+    """The first 200 A4 draws at seeds 601 and 810 with beacons on even
+    draws (the benchmark's table stream), ten scalability draws, a TTL of 7
+    sub-slots at resolution 5 and an infinite budget."""
+    out = []
+    for seed in (601, 810):
+        rng = np.random.default_rng(seed)
+        out += [sample_table_scenario(rng, with_beacons=i % 2 == 0)[1] for i in range(200)]
+    rng = np.random.default_rng(3)
+    out += [sample_scalability_scenario(rng, 1 + i)[1] for i in range(10)]
+    return out + [parse_scenario(doc_with({"resolution": 5, "classes.ttl_slots": 1.4})),
+                  parse_scenario(scenario_doc(budget=math.inf))]
+
+
+def test_rendered_scenario_text_golden():
+    # benchmark request keys digest the rendered scenario text, so every
+    # byte of it is pinned, and every rendered document reads back the same
+    texts = []
+    for sc in _rendered_draws():
+        doc = render_scenario(sc)
+        assert parse_scenario(doc) == sc
+        texts.append(json.dumps(doc, sort_keys=True))
+    assert '"ttl_slots": 1.4' in texts[-2] and '"budget": Infinity' in texts[-1]
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "edd707071becd42b8e32c9995404da4dbcc67e50a547a905f6b9b6629080fa21"
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"classes.ttl_slots": "x", "classes.population": "y"},
+     "classes[0].ttl_slots: expected a finite number, got 'x'"),
+    ({"deadline_s": "x", "budget": "y"}, "scenario.deadline_s: expected a number, got 'x'"),
+    ({"technologies.id": 5, "technologies.beacon_cost": "y"},
+     "technologies[0].id: expected str, got int"),
+], ids=["ttl-before-population", "deadline-before-budget", "id-before-beacon-cost"])
+def test_scenario_errors_name_the_first_bad_field(fields, message):
+    # two bad fields: the error names the first in reading order
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_scenario(doc_with(fields))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,10 @@ over seeded scenarios at resolutions 1-5 with TTLs below and at or above
 the last sub-slot, fractional and integer thresholds, and general policies.
 Beside the copies, every saturating threshold and every shave of
 ``class_independent`` is also checked by its energies alone, which hold
-for any correct root, not only for the old bits.
+for any correct root, not only for the old bits; so are the greedy's
+profiles (within budget, a maximal integer phase, a top-up on the budget
+boundary), and the grid's choice is checked against every enumerated
+candidate scored by exact sums of log-miss terms.
 """
 
 import math
@@ -60,6 +63,8 @@ from twohop.gridsearch import (
     _solve_for,
     _solve_saturating_vec,
     boundary_threshold,
+    brute_force_saturating,
+    enumerate_saturating,
     grid_search,
     ratio_bound,
     saturating_threshold,
@@ -840,6 +845,51 @@ def test_greedy_matches_per_iteration_loop_at_the_budget_boundary():
     assert flips >= 20
 
 
+def _moved(hs, c: int, h: float) -> list[float]:
+    """The profile hs with class c's threshold at h."""
+    out = list(hs)
+    out[c] = h
+    return out
+
+
+def test_greedy_profiles_are_maximal_and_end_on_the_budget():
+    # a sibling of the per-iteration copy that holds for any award rule:
+    # the profile reads within budget + tol; its integer phase, the floor of
+    # every threshold, is maximal (no costly class below the grid's end
+    # affords one more sub-slot, read within the energy margin); and the
+    # profile ends on the budget boundary: a top-up's root is certified as
+    # saturating_threshold's roots are, and every other costly class below
+    # the grid's end reads over the budget once raised by its root delta
+    # past _SNAP, the most a declined top-up may leave
+    seen = {"topup": 0, "integer": 0}
+    for sc in INSTANCES + TABLE_SAMPLE:
+        n1 = float(sc.max_threshold)
+        tol, margin = budget_tolerance(sc.budget), _energy_margin(sc)
+        for variant in list(GreedyVariant) if _free(sc) else [GreedyVariant.GAIN]:
+            rep = greedy_construct(sc, variant)
+            hs = rep.policy.thresholds
+            assert threshold_energy(hs, sc) <= sc.budget + tol
+            k = tuple(float(math.floor(h)) for h in hs)
+            assert k == integer_profile(rep, sc)
+            for c in _costly_classes(sc):
+                if k[c] < n1:
+                    assert threshold_energy(_moved(k, c, k[c] + 1.0), sc) > \
+                        sc.budget + tol - margin
+                if hs[c] == n1:
+                    continue
+
+                def energy(h: float) -> float:
+                    return threshold_energy(_moved(hs, c, h), sc)
+
+                delta = _root_delta(sc, [c], max(hs[c], _SNAP), n1, margin)
+                if c != rep.topup_class:
+                    assert sc.budget < energy(min(hs[c] + _SNAP + delta, n1))
+                else:
+                    _certify_root(energy, hs[c], n1, sc.budget, delta)
+            seen["integer" if rep.topup_class is None else "topup"] += 1
+    assert seen["topup"] >= 200 and seen["integer"] >= 3
+
+
 # ---------------------------------------------------------------------------
 # log-miss and transmission-energy kernels: reference copies
 # ---------------------------------------------------------------------------
@@ -1518,3 +1568,72 @@ def test_grid_search_matches_exhaustive_copy(monkeypatch):
 def test_grid_search_matches_exhaustive_copy_on_heavy_table_draws():
     for sc in _table_draws(20, 3, 100) + _table_draws(16, 2, 250):
         assert _grid_outputs(grid_search(sc)) == _grid_outputs(grid_search_copy(sc))
+
+
+def _small_grid_instances():
+    """One to three costly classes on at most 40 sub-slots; beacons on own
+    and shared radios or none; TTL as drawn, 1 or the full horizon; a
+    costless class beside the costly ones in every fifth; budgets at 1-2%,
+    5-95% and 97-99% of the all-full cost, and a few that buy the all-full
+    profile."""
+    rng = np.random.default_rng(12)
+    fracs = ((0.01, 0.02), (0.05, 0.95), (0.97, 0.99))
+    out = []
+    for i in range(72):
+        sc = random_small_scenario(rng, n_classes=1 + i % 3, max_slots=(40, 40, 14)[i % 3],
+                                   beacon_scale=0.3 if (i // 3) % 2 else 0.0, share_prob=0.5,
+                                   budget_frac=fracs[(i // 6) % 3])
+        ttl = (i // 18) % 3
+        classes = [replace(cls, ttl_slots=(cls.ttl_slots, 1, sc.subslots)[ttl])
+                   for cls in sc.classes]
+        techs = sc.technologies
+        if i % 5 == 0:
+            techs += (Technology("free", 0.0),)
+            classes.append(replace(classes[0], tx_cost=0.0, technology="free"))
+        out.append(replace(sc, classes=tuple(classes), technologies=techs,
+                           budget=math.inf if i % 24 == 23 else sc.budget))
+    return out
+
+
+SMALL_GRID_INSTANCES = _small_grid_instances()
+
+
+def test_grid_search_is_within_the_derived_bound_of_exact_candidate_sums():
+    # a sibling of the exhaustive copy whose reference shares none of the
+    # code's rounding: every enumerate_saturating candidate scored by the
+    # sum over classes of log_miss_fsum.  grid's profile is a candidate, or
+    # the all-full profile, and its exact log-miss is at most the least
+    # candidate's plus twice every class's derived table bound
+    # (margins[0] |T_c[n - 1]|) plus 16 u S, S = sum_c |T_c[n - 1]|, for the
+    # sums across classes.  The candidates come from the walker that
+    # grid_search runs too, so their integer parts are checked against
+    # brute_force_saturating, which reads only energies
+    u = 2.0 ** -53
+    kinds = set()
+    for sc in SMALL_GRID_INSTANCES:
+        n1, q = float(sc.max_threshold), len(sc.classes)
+        costly = _costly_classes(sc)
+        assert 1 <= len(costly) <= 3 and sc.subslots <= 40
+
+        def exact(hs) -> float:
+            return math.fsum(log_miss_fsum(c, h, sc) for c, h in enumerate(hs))
+
+        candidates = set()
+        for f in costly:
+            found = list(enumerate_saturating(sc, f))
+            assert {tuple(sorted(a.items())) for a, _ in found} == {
+                tuple((c, h) for c, h in profile if c in costly)
+                for profile in brute_force_saturating(sc, f)}
+            candidates |= {tuple(r if c == f else float(a.get(c, n1)) for c in range(q))
+                           for a, r in found}
+        got = grid_search(sc).policy.thresholds
+        if got == (n1,) * q:
+            assert threshold_energy(got, sc) <= sc.budget + budget_tolerance(sc.budget)
+            kinds.add("full")
+            continue
+        assert got in candidates
+        tops = [abs(float(class_log_miss_table(c, sc)[-1])) for c in range(q)]
+        bound = 2.0 * sum(_law(c, sc).margins[0] * t for c, t in enumerate(tops))
+        assert exact(got) <= min(map(exact, candidates)) + bound + 16.0 * u * sum(tops)
+        kinds.add(len(costly))
+    assert kinds == {"full", 1, 2, 3}
