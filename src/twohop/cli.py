@@ -231,15 +231,18 @@ def render_scenario(sc: Scenario) -> dict:
     }
 
 
-def load_scenario(path: str, resolution_override: int | None = None) -> Scenario:
+def _read_json(path: str, kind: str):
+    """The JSON document of a ``kind`` (scenario or policy) file; a file that
+    cannot be opened, is not UTF-8 JSON or nests too deep is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise CliInputError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_scenario(doc, resolution_override=resolution_override)
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CliInputError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def load_scenario(path: str, resolution_override: int | None = None) -> Scenario:
+    return parse_scenario(_read_json(path, "scenario"), resolution_override=resolution_override)
 
 
 # =========================================================================
@@ -522,11 +525,7 @@ def cmd_sweep(args) -> int:
 
 def _policy_from_source(args, sc: Scenario) -> tuple[str, Policy]:
     if args.policy_file:
-        try:
-            with open(args.policy_file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliInputError(f"cannot read policy file: {exc}") from exc
+        doc = _read_json(args.policy_file, "policy")
         if isinstance(doc, dict) and "thresholds" in doc:
             th = doc["thresholds"]
             if not isinstance(th, list) or len(th) != len(sc.classes):
@@ -572,7 +571,7 @@ def cmd_simulate(args) -> int:
 def cmd_bound(args) -> int:
     resolution = 1 if args.resolution is None else args.resolution
     value = ratio_bound(args.slots, resolution, float(args.classes.strip() or "inf"))
-    if args.format == "json" or args.out:
+    if args.format == "json":
         text = _json_text({"slots": args.slots, "resolution": resolution,
                            "classes": args.classes, "ratio_bound": value})
     else:
@@ -692,7 +691,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", parents=[common],
                        help="validate a policy against the contact-process simulator")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--algorithm", default="grid",
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="grid",
                    help="policy source algorithm (ignored with --policy-file)")
     p.add_argument("--policy-file", default=None,
                    help="JSON file with 'thresholds' or a full 'policy' matrix")

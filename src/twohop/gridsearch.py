@@ -6,8 +6,8 @@ makes the search combinatorial: fix an ordering of the remaining classes,
 walk feasible integer thresholds level by level, and close each leaf with the
 unique fractional threshold that exhausts what is left of the budget.
 
-The module provides the budget-end kernel ``_ends`` (closed form with a
-safeguarded Newton fallback for beacon-bearing technologies), which every
+The module provides the budget-end kernel ``_ends`` (closed form, then a
+clamped monotone Newton iteration for beacon-bearing technologies), which every
 boundary, range and greedy certificate reads, the certified budget
 bisection ``_bisect_budget`` behind ``saturating_threshold`` and the
 baselines' tail shave, the per-level feasible ranges
@@ -125,12 +125,18 @@ def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: fl
 
     Returns an array aligned with ``rem``: NaN marks "budget already
     exceeded" (rem < 0), +inf marks "cannot exhaust" (rem beyond the cost of
-    h = hi).  The left side is strictly increasing, so the root is unique;
-    beacon-bearing cases use a clamped Newton iteration with a bisection
-    fallback.  ``starts`` (sorted start indices, from 0) splits ``rem`` into
-    segments, and each segment leaves the Newton loop when its own residuals
-    converge, so one call over many segments returns the bits of one call
-    per segment.
+    h = hi).  Each row takes the closed form of the transmission term (+inf
+    when that alone cannot pay rem); past the paid cover m2 on a beaconed
+    radio, Newton clamped to [m2, hi] starts from it.  The residual is
+    increasing and concave on [m2, hi] and >= 0 there, so the first step
+    lands at or left of the unique root and the iterates climb to it (Ortega
+    and Rheinboldt 1970).  With rho_n = 0 it is linear and one step solves
+    it; a costless class affords the whole grid.  A row never within
+    ``_RESIDUAL_TOL`` has energies too large for that absolute tolerance
+    and is at float resolution.  ``starts`` (sorted start indices, from 0)
+    splits ``rem`` into segments, and each segment leaves the Newton loop
+    when its own residuals converge, so one call over many segments
+    returns the bits of one call per segment.
     """
     rem = np.atleast_1d(np.asarray(rem, dtype=float))
     m2 = np.asarray(m2, dtype=float)
@@ -147,12 +153,6 @@ def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: fl
 
     r = rem[core]
     m2c = m2[core] if m2.ndim else m2
-    if rho_n <= 0.0 or g <= 0.0:
-        # transmissions are free; only the beacon extension costs anything
-        sol = np.where(r <= tol, 0.0, m2c + (r / beacon if beacon > 0.0 else np.inf))
-        out[core] = np.clip(sol, 0.0, hi)
-        return out
-
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = r / rho_n
         closed = np.where(ratio < 1.0, -np.log1p(-np.minimum(ratio, 1.0 - 1e-16)) / g, np.inf)
@@ -160,35 +160,20 @@ def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: fl
     needs_newton = sol > m2c + _SNAP
     if beacon > 0.0 and needs_newton.any():
         idx = np.flatnonzero(needs_newton)
-        h = np.minimum(np.where(np.isfinite(sol[idx]), sol[idx], hi), hi)
         mm = m2c[idx] if m2c.ndim else m2c
-        h = np.maximum(h, mm)
+        h = np.clip(sol[idx], mm, hi)
         rr = r[idx]
-        # a row stays live while a residual of its segment has not
-        # converged (NaN too)
+        # a row stays live while a residual of its segment, NaN too, has not converged
         seg = np.searchsorted(starts, np.flatnonzero(core)[idx], side="right")
         live = np.arange(idx.size)
         for _ in range(64):
             hl, ml = h[live], mm[live] if mm.ndim else mm
             f = rho_n * -np.expm1(-g * hl) + beacon * (hl - ml) - rr[live]
             fp = rho_n * g * np.exp(-g * hl) + beacon
-            step = f / fp
-            h[live] = np.clip(hl - step, ml, hi)
+            h[live] = np.clip(hl - f / fp, ml, hi)
             live = live[np.bincount(seg[live], ~(np.abs(f) < tol))[seg[live]] > 0]
             if live.size == 0:
                 break
-        f = rho_n * -np.expm1(-g * h) + beacon * (h - mm) - rr
-        bad = np.abs(f) >= tol
-        if bad.any():
-            lo_b = np.where(bad, mm, h)
-            hi_b = np.where(bad, np.full_like(h, hi), h)
-            for _ in range(200):
-                mid = 0.5 * (lo_b + hi_b)
-                fm = rho_n * -np.expm1(-g * mid) + beacon * (mid - mm) - rr
-                take_hi = fm > 0.0
-                hi_b = np.where(take_hi, mid, hi_b)
-                lo_b = np.where(take_hi, lo_b, mid)
-            h = np.where(bad, 0.5 * (lo_b + hi_b), h)
         sol[idx] = h
     out[core] = np.clip(sol, 0.0, hi)
     return out

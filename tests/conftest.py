@@ -6,6 +6,7 @@ lambda * slot_len products.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -93,6 +94,29 @@ def random_small_scenario(rng: np.random.Generator, *, n_classes=2, max_slots=10
     budget = float(rng.uniform(*budget_frac)) * full
     return Scenario(tuple(classes), tuple(techs.values()), slots * SLOT_LEN,
                     SLOT_LEN, ARENA, budget, 1)
+
+
+def beacon_only(rng: np.random.Generator, sc: Scenario,
+                budget_frac=(0.05, 0.95)) -> Scenario:
+    """sc with class 0 moved, transmission cost 0, onto class 1's radio,
+    which charges beacons (drawn in [0.01, 0.3] where it charged none): a
+    costly class whose only cost is a radio it shares.  The budget is
+    redrawn as a fraction of the new all-full cost."""
+    tech = sc.classes[1].technology
+    techs = tuple(replace(t, beacon_cost=t.beacon_cost or float(rng.uniform(0.01, 0.3)))
+                  if t.ident == tech else t for t in sc.technologies)
+    classes = (replace(sc.classes[0], tx_cost=0.0, technology=tech),) + sc.classes[1:]
+    probe = replace(sc, classes=classes, technologies=techs)
+    full = threshold_energy([probe.max_threshold] * len(classes), probe)
+    return replace(probe, budget=float(rng.uniform(*budget_frac)) * full)
+
+
+def scale_costs(sc: Scenario, factor: float) -> Scenario:
+    """sc with every transmission and beacon cost and the budget times factor."""
+    return replace(sc, budget=sc.budget * factor,
+                   classes=tuple(replace(c, tx_cost=c.tx_cost * factor) for c in sc.classes),
+                   technologies=tuple(replace(t, beacon_cost=t.beacon_cost * factor)
+                                      for t in sc.technologies))
 
 
 def integer_profile(rep, sc: Scenario) -> tuple[float, ...]:

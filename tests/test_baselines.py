@@ -14,7 +14,7 @@ from twohop import (
     uniform_policy,
 )
 from twohop.model import budget_tolerance
-from conftest import make_scenario, random_small_scenario
+from conftest import beacon_only, make_scenario, random_small_scenario, scale_costs
 
 
 def test_arrival_greedy_orders_by_rate():
@@ -97,11 +97,22 @@ def test_class_independent_two_identical_classes():
 
 
 def test_baselines_always_feasible():
+    # random draws, then draws with a costly class whose only cost is a
+    # shared charging radio, then draws with every cost and the budget
+    # scaled by 1e6, 1e9 and 1e12
     rng = np.random.default_rng(42)
-    for trial in range(40):
+    scenarios = [random_small_scenario(rng, n_classes=int(rng.integers(1, 4)),
+                                       beacon_scale=0.05 if trial % 2 else 0.0,
+                                       share_prob=0.6)
+                 for trial in range(40)]
+    scenarios += [beacon_only(rng, random_small_scenario(rng, n_classes=int(rng.integers(2, 4)),
+                                                         beacon_scale=0.05, share_prob=0.6))
+                  for _ in range(20)]
+    for trial in range(10):
         sc = random_small_scenario(rng, n_classes=int(rng.integers(1, 4)),
-                                   beacon_scale=0.05 if trial % 2 else 0.0,
-                                   share_prob=0.6)
+                                   beacon_scale=0.05 if trial % 2 else 0.0, share_prob=0.6)
+        scenarios += [scale_costs(sc, f) for f in (1e6, 1e9, 1e12)]
+    for sc in scenarios:
         assert evaluate(arrival_rate_greedy(sc), sc).feasible
         assert evaluate(uniform_policy(sc, class_independent(sc)), sc).feasible
 

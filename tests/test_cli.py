@@ -328,6 +328,25 @@ def test_solve_missing_file_is_input_error(capsys):
     assert main(["solve", "--scenario", "/nonexistent.json"]) == 1
 
 
+@pytest.mark.parametrize("kind", ["scenario", "policy"])
+@pytest.mark.parametrize("content", [None, "directory", b"\xff\xfe{}", b'{"budget": ', b"[" * 200_000],
+                         ids=["missing", "directory", "non-utf8", "invalid-json", "deep-nesting"])
+def test_unreadable_json_file_is_input_error(tmp_path, capsys, kind, content):
+    # every way a scenario or policy file fails to decode exits 1 and names the file
+    bad = tmp_path / "bad.json"
+    if content == "directory":
+        bad.mkdir()
+    elif content is not None:
+        bad.write_bytes(content)
+    if kind == "scenario":
+        argv = ["solve", "--scenario", str(bad)]
+    else:
+        argv = ["simulate", "--scenario", write_doc(tmp_path, scenario_doc()),
+                "--policy-file", str(bad), "--trials", "10"]
+    assert main(argv) == 1
+    assert f"error: cannot read {kind} file {bad}: " in capsys.readouterr().err
+
+
 def test_bad_flag_is_input_error(capsys):
     assert main(["solve", "--nope"]) == 1
 
@@ -359,20 +378,27 @@ def test_bad_numeric_flag_is_input_error(tmp_path, capsys, argv, flag):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["solve", "--algorithm", "", "--format", "json"], "--algorithm"),
-    (["solve", "--algorithm", ","], "--algorithm"),
-    (["solve", "--algorithm", "grid,simplex"], "--algorithm"),
-    (["sweep", "--algorithms", ""], "--algorithms"),
-], ids=["solve-empty", "solve-comma", "solve-unknown", "sweep-empty"])
-def test_algorithm_list_needs_known_names(tmp_path, capsys, monkeypatch, argv, flag):
-    # refused while the flags are read: no scenario is solved or sampled
-    monkeypatch.setattr(twohop.cli, "_solve_instance", None)
-    if argv[0] == "solve":
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--algorithm", "", "--format", "json"], "--algorithm: expected one or more of"),
+    (["solve", "--algorithm", ","], "--algorithm: expected one or more of"),
+    (["solve", "--algorithm", "grid,simplex"], "--algorithm: expected one or more of"),
+    (["sweep", "--algorithms", ""], "--algorithms: expected one or more of"),
+    (["simulate", "--algorithm", "bogus"], "--algorithm: invalid choice: 'bogus'"),
+    (["simulate", "--algorithm", "bogus", "--policy-file"], "--algorithm: invalid choice: 'bogus'"),
+], ids=["solve-empty", "solve-comma", "solve-unknown", "sweep-empty", "simulate-unknown",
+        "simulate-unknown-with-policy-file"])
+def test_algorithm_list_needs_known_names(tmp_path, capsys, monkeypatch, argv, message):
+    # refused while the flags are read: no scenario is solved, sampled or
+    # simulated, even where a policy file leaves the algorithm unused
+    for name in ("_solve_instance", "run_algorithm", "validate"):
+        monkeypatch.setattr(twohop.cli, name, None)
+    if argv[-1] == "--policy-file":
+        argv = argv + [write_doc(tmp_path, {"thresholds": [1.0, 1.0]}, name="policy.json")]
+    if argv[0] != "sweep":
         argv = argv + ["--scenario", write_doc(tmp_path, two_class_doc())]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and f"error: argument {flag}: expected one or more of" in captured.err
+    assert captured.out == "" and f"error: argument {message}" in captured.err
 
 
 def test_solve_rejects_grid_beyond_subslot_limit(tmp_path, capsys, monkeypatch):
@@ -437,6 +463,19 @@ def test_bound_json_keeps_class_text(capsys):
         doc = json.loads(capsys.readouterr().out)
         assert doc["classes"] == text
         assert doc["ratio_bound"] == ratio_bound(4, 1, q)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bound_out_writes_what_stdout_would(tmp_path, capsys, fmt):
+    # --format alone chooses the format; --out only moves the text to a file
+    argv = ["bound", "--slots", "4", "--classes", "3", "--format", fmt]
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    value = ratio_bound(4, 1, 3)
+    assert (json.loads(shown)["ratio_bound"] if fmt == "json" else float(shown)) == value
+    out = tmp_path / "bound.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == "" and out.read_text() == shown
 
 
 def _without_wall_times(text: str):
@@ -629,6 +668,26 @@ def test_simulate_non_numeric_policy_entry_is_input_error(tmp_path, capsys, poli
     assert main(["simulate", "--scenario", path, "--policy-file", pol_path,
                  "--trials", "100"]) == 1
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, doc, policy, message", [
+    ("solve", scenario_doc(classes=[1]), None, "error: classes[0]: expected an object"),
+    ("solve", [scenario_doc()], None, "error: scenario: top level must be an object"),
+    ("simulate", scenario_doc(), {"thresholds": [4.5]}, "error: policy.thresholds: threshold"),
+    ("simulate", scenario_doc(), {"policy": [[0.0] * 4]},
+     "error: policy.policy: expected a 1 x 5 matrix"),
+    ("simulate", scenario_doc(), {"threshold": [1.0]},
+     "error: policy file needs a 'thresholds' or 'policy' key"),
+    ("validate-enum", scenario_doc(), None, "error: validate-enum needs at least two classes"),
+], ids=["class-not-object", "top-level-list", "threshold-off-grid", "matrix-shape",
+        "policy-without-key", "validate-enum-one-class"])
+def test_malformed_input_is_input_error(tmp_path, capsys, command, doc, policy, message):
+    # each input check exits 1 with its own message
+    argv = [command, "--scenario", write_doc(tmp_path, doc)]
+    if policy is not None:
+        argv += ["--trials", "10", "--policy-file", write_doc(tmp_path, policy, name="policy.json")]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_validate_enum_command(tmp_path, capsys):

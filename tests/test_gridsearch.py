@@ -60,8 +60,10 @@ from twohop.model import (
     is_costless,
 )
 from conftest import (
+    beacon_only,
     make_scenario,
     random_small_scenario,
+    scale_costs,
     two_class_reference,
 )
 
@@ -177,27 +179,44 @@ def test_feasible_range_empty_prunes():
 # enumeration completeness
 # ---------------------------------------------------------------------------
 
+def _with_beacon_only_and_scaled(rng, scenarios, draw, count):
+    """``scenarios``, then ``count`` draws given a costly class whose only
+    cost is a shared charging radio (``beacon_only``), then ``count`` with
+    every cost and the budget scaled by 1e6, 1e9 and 1e12, past the
+    budget-end kernel's absolute residual tolerance."""
+    scenarios += [beacon_only(rng, draw()) for _ in range(count)]
+    for _ in range(count):
+        sc = draw()
+        scenarios += [scale_costs(sc, f) for f in (1e6, 1e9, 1e12)]
+    return scenarios
+
+
 def test_enumeration_matches_brute_force():
     rng = np.random.default_rng(21)
+    scenarios = [random_small_scenario(rng, n_classes=2, max_slots=12,
+                                       beacon_scale=0.05 if trial % 2 else 0.0)
+                 for trial in range(60)]
+    scenarios = _with_beacon_only_and_scaled(rng, scenarios, lambda: random_small_scenario(
+        rng, n_classes=2, max_slots=12, beacon_scale=0.05, share_prob=0.5), 20)
     checked = 0
-    for trial in range(60):
-        beacon = 0.05 if trial % 2 else 0.0
-        sc = random_small_scenario(rng, n_classes=2, max_slots=12,
-                                   beacon_scale=beacon)
+    for sc in scenarios:
         for frac_c in range(2):
             enum = {tuple(sorted(a.items()))
                     for a, _ in enumerate_saturating(sc, frac_c)}
             brute = brute_force_saturating(sc, frac_c)
             assert enum == brute
             checked += 1
-    assert checked == 120
+    assert checked == 2 * (60 + 20 + 60)
 
 
 def test_enumeration_three_classes():
     rng = np.random.default_rng(22)
-    for _ in range(10):
-        sc = random_small_scenario(rng, n_classes=3, max_slots=6,
-                                   beacon_scale=0.03, share_prob=0.6)
+
+    def draw():
+        return random_small_scenario(rng, n_classes=3, max_slots=6,
+                                     beacon_scale=0.03, share_prob=0.6)
+
+    for sc in _with_beacon_only_and_scaled(rng, [draw() for _ in range(10)], draw, 5):
         for frac_c in range(3):
             enum = {tuple(sorted(a.items()))
                     for a, _ in enumerate_saturating(sc, frac_c)}
@@ -877,6 +896,24 @@ def test_ratio_bound_monotonicity():
     assert ratio_bound(5, 2, 4) < ratio_bound(5, 2, 2)
     b = ratio_bound(3, 1, 5)
     assert 0.0 < b <= 1.0
+
+
+def _costless_fractional_class():
+    sc = make_scenario([0.1, 0.2], 0.5, slots=4, rho=[1.0, 0.0])
+    with pytest.raises(ValueError, match="fractional class must have a positive cost"):
+        next(enumerate_saturating(sc, 1))
+
+
+def _one_slot_bound():
+    # no grid refinement: the continuous limit 1/q
+    assert ratio_bound(1, 3, 4) == 0.25
+    assert ratio_bound(1, 1, math.inf) == 0.0
+
+
+@pytest.mark.parametrize("check", [_costless_fractional_class, _one_slot_bound],
+                         ids=["enumerate-costless-fractional", "ratio-bound-one-slot"])
+def test_gridsearch_edge_inputs(check):
+    check()
 
 
 def test_ratio_bound_validates_arguments():

@@ -340,6 +340,12 @@ def test_simconfig_rejects_float_seed():
         SimConfig(trials=2, seed=1.5)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_simconfig_rejects_trials_below_one(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        SimConfig(trials=trials, seed=1)
+
+
 def test_simconfig_rejects_bool_trials():
     with pytest.raises(TypeError):
         SimConfig(trials=True, seed=1)

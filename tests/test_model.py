@@ -2,6 +2,7 @@
 threshold expansion, and the structural invariants they must satisfy."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -678,6 +679,36 @@ def test_scenario_invariants():
     with pytest.raises(ScenarioError):
         Scenario((cls,), (Technology("t", 0.0), Technology("t", 0.1)),
                  10.0, 10.0, 100.0, 1.0)                  # duplicate ident
+
+
+def _two_class():
+    return make_scenario([0.1, 0.2], 1.0, slots=4)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Technology("", 0.0), ScenarioError, "technology ident must be non-empty"),
+    (lambda: NodeClass(1, 0, 1.0, 10.0, 0.1, "t"), ScenarioError, "ttl_slots must be"),
+    (lambda: replace(_two_class(), resolution=0), ScenarioError, "resolution must be"),
+    (lambda: Policy(np.zeros(4)), ValueError, "policy must be a 2-D array"),
+    (lambda: ThresholdPolicy((1.0, -0.5)), ValueError, "thresholds must be finite and >= 0"),
+    (lambda: expand_threshold(ThresholdPolicy((1.0,)), _two_class()), ValueError,
+     "threshold count does not match"),
+    (lambda: holding_laplace(0.0, 0, 1, Policy.zeros(_two_class()), _two_class()), ValueError,
+     "s must be > 0"),
+    (lambda: delivery_probability(Policy.zeros(_two_class()), 0, _two_class()), ValueError,
+     "horizon k must lie in"),
+    (lambda: delivery_probability(Policy.zeros(_two_class()), 5, _two_class()), ValueError,
+     "horizon k must lie in"),
+    (lambda: delivery_probability(Policy(np.ones((1, 4))), 4, _two_class()), ValueError,
+     "policy shape does not match"),
+    (lambda: energy_spent(Policy(np.ones((2, 3))), _two_class()), ValueError,
+     "policy shape does not match"),
+], ids=["empty-ident", "ttl-below-one", "resolution-below-one", "policy-not-2d",
+        "negative-threshold", "threshold-count", "laplace-s-zero", "delivery-k-zero",
+        "delivery-k-past-horizon", "delivery-shape", "energy-shape"])
+def test_model_input_checks(make, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        make()
 
 
 def test_scenario_rejects_non_finite_numbers():

@@ -93,7 +93,8 @@ from twohop.model import (
     threshold_objective,
     within_budget,
 )
-from conftest import integer_objective, integer_profile, make_scenario, random_small_scenario
+from conftest import (beacon_only, integer_objective, integer_profile, make_scenario,
+                      random_small_scenario, scale_costs)
 
 
 # ---------------------------------------------------------------------------
@@ -1575,7 +1576,10 @@ def _small_grid_instances():
     and shared radios or none; TTL as drawn, 1 or the full horizon; a
     costless class beside the costly ones in every fifth; budgets at 1-2%,
     5-95% and 97-99% of the all-full cost, and a few that buy the all-full
-    profile."""
+    profile.  Then 24 draws with a costly class whose only cost is a shared
+    charging radio (``beacon_only``), and 12 with every cost and the budget
+    scaled by 1e6, 1e9 and 1e12, where a Newton residual can stay above the
+    kernel's absolute tolerance."""
     rng = np.random.default_rng(12)
     fracs = ((0.01, 0.02), (0.05, 0.95), (0.97, 0.99))
     out = []
@@ -1592,6 +1596,14 @@ def _small_grid_instances():
             classes.append(replace(classes[0], tx_cost=0.0, technology="free"))
         out.append(replace(sc, classes=tuple(classes), technologies=techs,
                            budget=math.inf if i % 24 == 23 else sc.budget))
+    for i in range(24):
+        out.append(beacon_only(rng, random_small_scenario(
+            rng, n_classes=2 + i % 2, max_slots=(40, 14)[i % 2],
+            beacon_scale=0.3 if (i // 2) % 2 else 0.0, share_prob=0.5)))
+    for i in range(12):
+        sc = random_small_scenario(rng, n_classes=1 + i % 3, max_slots=(40, 40, 14)[i % 3],
+                                   beacon_scale=0.3 if (i // 3) % 2 else 0.0, share_prob=0.5)
+        out += [scale_costs(sc, f) for f in (1e6, 1e9, 1e12)]
     return out
 
 
@@ -1601,11 +1613,12 @@ SMALL_GRID_INSTANCES = _small_grid_instances()
 def test_grid_search_is_within_the_derived_bound_of_exact_candidate_sums():
     # a sibling of the exhaustive copy whose reference shares none of the
     # code's rounding: every enumerate_saturating candidate scored by the
-    # sum over classes of log_miss_fsum.  grid's profile is a candidate, or
-    # the all-full profile, and its exact log-miss is at most the least
-    # candidate's plus twice every class's derived table bound
-    # (margins[0] |T_c[n - 1]|) plus 16 u S, S = sum_c |T_c[n - 1]|, for the
-    # sums across classes.  The candidates come from the walker that
+    # sum over classes of log_miss_fsum; each spends the budget to within
+    # its tolerance.  grid's profile is within budget
+    # and is a candidate, or the all-full profile; its exact log-miss is at
+    # most the least candidate's plus twice every class's derived table
+    # bound (margins[0] |T_c[n - 1]|) plus 16 u S, S = sum_c |T_c[n - 1]|,
+    # for the sums across classes.  The candidates come from the walker that
     # grid_search runs too, so their integer parts are checked against
     # brute_force_saturating, which reads only energies
     u = 2.0 ** -53
@@ -1624,11 +1637,14 @@ def test_grid_search_is_within_the_derived_bound_of_exact_candidate_sums():
             assert {tuple(sorted(a.items())) for a, _ in found} == {
                 tuple((c, h) for c, h in profile if c in costly)
                 for profile in brute_force_saturating(sc, f)}
-            candidates |= {tuple(r if c == f else float(a.get(c, n1)) for c in range(q))
-                           for a, r in found}
+            leaves = {tuple(r if c == f else float(a.get(c, n1)) for c in range(q))
+                      for a, r in found}
+            assert all(abs(threshold_energy(hs, sc) - sc.budget) <= budget_tolerance(sc.budget)
+                       for hs in leaves)
+            candidates |= leaves
         got = grid_search(sc).policy.thresholds
+        assert threshold_energy(got, sc) <= sc.budget + budget_tolerance(sc.budget)
         if got == (n1,) * q:
-            assert threshold_energy(got, sc) <= sc.budget + budget_tolerance(sc.budget)
             kinds.add("full")
             continue
         assert got in candidates
