@@ -12,7 +12,6 @@ from .model import (
     budget_tolerance,
     energy_spent,
     expand_threshold,
-    is_costless,
 )
 from .gridsearch import _bisect_budget, _energy_margin, saturating_threshold
 
@@ -27,11 +26,9 @@ def arrival_rate_greedy(sc: Scenario) -> ThresholdPolicy:
     exactly unless every class reaches full transmission.  Rate ties break on
     the class index.
     """
-    n_classes = len(sc.classes)
-    thresholds = [float(sc.max_threshold) if is_costless(c, sc) else 0.0
-                  for c in range(n_classes)]
-    order = sorted((c for c in range(n_classes) if not is_costless(c, sc)),
-                   key=lambda c: (-sc.rates[c], c))
+    thresholds = [0.0 if c in sc.costly else float(sc.max_threshold)
+                  for c in range(len(sc.classes))]
+    order = sorted(sc.costly, key=lambda c: (-sc.rates[c], c))
     for c in order:
         thresholds[c] = saturating_threshold(c, thresholds, sc)
     return ThresholdPolicy(tuple(thresholds))

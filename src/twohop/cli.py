@@ -32,8 +32,8 @@ from .model import (
     threshold_objective,
     within_budget,
 )
-from .gridsearch import (SolveReport, SolveTimeout, _costly_classes, brute_force_saturating,
-                         enumerate_saturating, grid_search, ratio_bound)
+from .gridsearch import (SolveReport, SolveTimeout, brute_force_saturating, enumerate_saturating,
+                         grid_search, ratio_bound)
 from .greedy import COMBINED_GUARANTEE, GreedyVariant, combined_best, greedy_construct
 from .baselines import arrival_rate_greedy, class_independent, uniform_policy
 from .mcsim import SimConfig, validate
@@ -592,7 +592,7 @@ def cmd_validate_enum(args) -> int:
             f" > {args.limit}); reduce slots, resolution, or classes")
 
     # costless classes are pinned full: never fractional, never enumerated
-    costly = _costly_classes(sc)
+    costly = sc.costly
     mismatches = checked = 0
     for frac_c in costly:
         enumerated = {tuple(sorted(a.items())) for a, _ in enumerate_saturating(sc, frac_c)}

@@ -21,7 +21,6 @@ from .model import (
     budget_tolerance,
     class_log_miss,
     class_log_miss_table,
-    is_costless,
     threshold_energy,
     threshold_objective,
 )
@@ -119,8 +118,8 @@ def greedy_construct(sc: Scenario, variant: GreedyVariant = GreedyVariant.GAIN) 
         raise ValueError("gain_per_cost requires a scenario without beacon costs")
 
     tables = [class_log_miss_table(c, sc).tolist() for c in range(n_classes)]
-    k = [n1 if is_costless(c, sc) else 0 for c in range(n_classes)]
-    costly = [c for c in range(n_classes) if not is_costless(c, sc)]
+    costly = sc.costly
+    k = [0 if c in costly else n1 for c in range(n_classes)]
     log_miss = sum(tables[c][k[c]] for c in range(n_classes))
     energy = threshold_energy([float(x) for x in k], sc)
     limit = sc.budget + tol

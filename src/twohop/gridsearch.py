@@ -7,7 +7,7 @@ walk feasible integer thresholds level by level, and close each leaf with the
 unique fractional threshold that exhausts what is left of the budget.
 
 The module provides the budget-end kernel ``_ends`` (closed form, then a
-clamped monotone Newton iteration for beacon-bearing technologies), which every
+monotone Newton iteration for beacon-bearing technologies), which every
 boundary, range and greedy certificate reads, the certified budget
 bisection ``_bisect_budget`` behind ``saturating_threshold`` and the
 baselines' tail shave, the per-level feasible ranges
@@ -39,7 +39,6 @@ from .model import (
     budget_tolerance,
     class_log_miss,
     class_log_miss_table,
-    is_costless,
     threshold_energy,
     threshold_objective,
     within_budget,
@@ -127,16 +126,17 @@ def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: fl
     exceeded" (rem < 0), +inf marks "cannot exhaust" (rem beyond the cost of
     h = hi).  Each row takes the closed form of the transmission term (+inf
     when that alone cannot pay rem); past the paid cover m2 on a beaconed
-    radio, Newton clamped to [m2, hi] starts from it.  The residual is
-    increasing and concave on [m2, hi] and >= 0 there, so the first step
-    lands at or left of the unique root and the iterates climb to it (Ortega
-    and Rheinboldt 1970).  With rho_n = 0 it is linear and one step solves
-    it; a costless class affords the whole grid.  A row never within
-    ``_RESIDUAL_TOL`` has energies too large for that absolute tolerance
-    and is at float resolution.  ``starts`` (sorted start indices, from 0)
-    splits ``rem`` into segments, and each segment leaves the Newton loop
-    when its own residuals converge, so one call over many segments
-    returns the bits of one call per segment.
+    radio, Newton starts from it clamped to [m2, hi].  The residual f is
+    increasing and concave there and >= 0 at that start h0, so the iterates
+    climb to the unique root from the first step on (Ortega and Rheinboldt
+    1970), unclamped: f(h0) <= beacon (h0 - m2) and f' >= beacon put the
+    first at or above m2, and the root is at most hi.  With rho_n = 0 it is
+    linear and one step solves it; a costless class affords the whole grid.
+    A row never within ``_RESIDUAL_TOL`` has energies too large for that
+    absolute tolerance and is at float resolution.  ``starts`` (sorted start
+    indices, from 0) splits ``rem`` into segments, and each segment leaves
+    the Newton loop when its own residuals converge, so one call over many
+    segments returns the bits of one call per segment.
     """
     rem = np.atleast_1d(np.asarray(rem, dtype=float))
     m2 = np.asarray(m2, dtype=float)
@@ -170,7 +170,7 @@ def _solve_saturating_vec(rem, rho_n: float, g: float, beacon: float, m2, hi: fl
             hl, ml = h[live], mm[live] if mm.ndim else mm
             f = rho_n * -np.expm1(-g * hl) + beacon * (hl - ml) - rr[live]
             fp = rho_n * g * np.exp(-g * hl) + beacon
-            h[live] = np.clip(hl - f / fp, ml, hi)
+            h[live] = hl - f / fp
             live = live[np.bincount(seg[live], ~(np.abs(f) < tol))[seg[live]] > 0]
             if live.size == 0:
                 break
@@ -188,20 +188,11 @@ def _solve_for(c: int, rem, m2, sc: Scenario, starts=(0,)) -> np.ndarray:
 
 
 def _completion_masses(c2: int, assigned: Mapping, sc: Scenario, fill: float) -> dict:
-    """Threshold mass of every class other than c2 in the completion context,
-    in class order: ``fill`` for a costly class not yet assigned; an
-    assigned entry may be an array of values."""
-    masses = {}
-    for c in range(len(sc.classes)):
-        if c == c2:
-            continue
-        if c in assigned:
-            masses[c] = assigned[c]
-        elif is_costless(c, sc):
-            masses[c] = float(sc.max_threshold)
-        else:
-            masses[c] = fill
-    return masses
+    """Threshold mass of every costly class other than c2 in the completion
+    context, in class order: ``fill`` for one not yet assigned; an assigned
+    entry may be an array of values.  A costless class spends nothing and
+    charges no radio, so it has no mass here."""
+    return {c: assigned.get(c, fill) for c in sc.costly if c != c2}
 
 
 def _remaining(c2: int, masses: dict, sc: Scenario, const):
@@ -406,10 +397,6 @@ def feasible_range(c2: int, assigned: Mapping, sc: Scenario) -> tuple[int, int]:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def _costly_classes(sc: Scenario) -> list[int]:
-    return [c for c in range(len(sc.classes)) if not is_costless(c, sc)]
-
-
 def _lower_hull(e: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertices, by increasing energy, of the decreasing part of the lower
     convex hull of the points (e, t): the points below every point of no
@@ -519,7 +506,7 @@ def _hull_bounds(sc: Scenario, tables: list[np.ndarray], pinned: float, full_ene
     prefix, so a class's energies, and each of its hulls (integer points as
     the last level, tangent ends as the fractional class, rounded-up table
     in either role), are the same in every walk and are built once."""
-    costly = _costly_classes(sc)
+    costly = sc.costly
     if len(costly) < 3:
         return {}
     slack = 2.0 ** -46 * (len(sc.classes) + 8) * (sc.budget + 2.0 * full_energy + 1.0)
@@ -586,7 +573,7 @@ def _leaf_batches(sc: Scenario, frac_c: int, hull: _HullBound | None = None
     The first chunk of such a block is its best surviving row alone, so the
     incumbents it yields rule on the rest.
     """
-    levels = [c for c in _costly_classes(sc) if c != frac_c]
+    levels = [c for c in sc.costly if c != frac_c]
     no_vals = [np.empty(0, int)] * len(levels)
 
     def closure(fixed: dict[int, np.ndarray], v: np.ndarray, row_tx):
@@ -669,7 +656,7 @@ def enumerate_saturating(sc: Scenario, fractional_class: int
     transmission and never enumerated.  Intended for small instances and for
     cross-checking ``grid_search``.
     """
-    if is_costless(fractional_class, sc):
+    if fractional_class not in sc.costly:
         raise ValueError("fractional class must have a positive cost")
     for levels, vals, r in _leaf_batches(sc, fractional_class):
         for i in range(r.size):
@@ -722,7 +709,7 @@ class _Best:
 def _full_profile(sc: Scenario, frac_c: int, fixed: dict[int, int],
                   r: float) -> tuple[float, ...]:
     return tuple(float(r) if c == frac_c else float(fixed[c]) if c in fixed
-                 else float(sc.max_threshold) if is_costless(c, sc) else 0.0
+                 else 0.0 if c in sc.costly else float(sc.max_threshold)
                  for c in range(len(sc.classes)))
 
 
@@ -877,12 +864,12 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
         tables.append(class_log_miss_table(c, sc))
         check_deadline()
     # the classes outside the enumeration are the costless ones, pinned full
-    pinned = sum(tables[c][n1] for c in range(n_classes) if is_costless(c, sc))
+    costly = sc.costly
+    pinned = sum(tables[c][n1] for c in range(n_classes) if c not in costly)
     # T[j + 1]; j = n - 1 only with a = 0
     tables_next = [np.append(t[1:], t[-1]) for t in tables]
     best = _Best()
     enumerated = evaluated = 0
-    costly = _costly_classes(sc)
     hulls = _hull_bounds(sc, tables, pinned, full_energy, best)
 
     def batches(frac_c: int):
@@ -945,7 +932,7 @@ def grid_search(sc: Scenario, *, timeout_s: float | None = None) -> SolveReport:
     thresholds = best.thresholds
     if thresholds is None:
         # nothing saturates (e.g. zero budget with no enumerable candidate)
-        thresholds = tuple(float(n1) if is_costless(c, sc) else 0.0 for c in range(n_classes))
+        thresholds = tuple(0.0 if c in costly else float(n1) for c in range(n_classes))
     objective = threshold_objective(thresholds, sc)
     ub_log_miss = best.ub_log_miss
     ub = objective if math.isinf(ub_log_miss) else max(-math.expm1(ub_log_miss), objective)

@@ -243,6 +243,11 @@ class Scenario:
                      for t in self.technologies
                      if t.beacon_cost != 0.0 and self.tech_members[t.ident])
 
+    @cached_property
+    def costly(self) -> tuple[int, ...]:
+        """Classes with a transmission or beacon cost, in order: those solved for."""
+        return tuple(c for c in range(len(self.classes)) if not is_costless(c, self))
+
 
 def is_costless(c: int, sc: Scenario) -> bool:
     """True when transmissions of class c consume no energy at all.

@@ -324,6 +324,21 @@ def test_solve_greedy2_rejected_with_beacons(tmp_path, capsys):
     assert "beacon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", [FloatingPointError, ValueError])
+def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(twohop.cli, "grid_search", fail)
+    assert main(["solve", "--scenario", write_doc(tmp_path, scenario_doc())]) == 3
+    assert capsys.readouterr().err.startswith("internal numeric failure")
+
+
+def test_run_algorithm_rejects_unknown_name():
+    with pytest.raises(twohop.cli.CliInputError, match="unknown algorithm 'bogus'"):
+        twohop.cli.run_algorithm("bogus", parse_scenario(scenario_doc()))
+
+
 def test_solve_missing_file_is_input_error(capsys):
     assert main(["solve", "--scenario", "/nonexistent.json"]) == 1
 
@@ -560,6 +575,27 @@ def test_sweep_json_lists_reports(capsys):
     assert reports[0]["status"] == "ok" and reports[0]["algorithm"] == "greedy1"
     assert repr(reports[0]["objective"]) == rows[0]["objective"]
     assert "wall_time_s" not in reports[0]
+
+
+def test_sweep_rows_for_inapplicable_algorithms(capsys):
+    # both draws charge beacons, which greedy2 and combined cannot serve
+    args = ["sweep", "--count", "2", "--seed", "7", "--algorithms", "greedy2,combined,arrival"]
+    assert main(args) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert main(args + ["--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["algorithm"] for r in rows] == [r["algorithm"] for r in reports] == [
+        "greedy2", "combined", "arrival"] * 2
+    for row, report in zip(rows, reports):
+        if row["algorithm"] == "arrival":
+            assert row["status"] == report["status"] == "ok"
+        else:
+            assert row["status"] == report["status"] == "inapplicable"
+            assert [k for k, v in row.items() if v] == ["instance_id", "algorithm", "status"]
+            assert sorted(report) == ["algorithm", "instance_id", "status"]
+    assert main(args + ["--no-beacons"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert {r["status"] for r in rows if r["algorithm"] == "greedy2"} == {"ok"}
 
 
 def test_sweep_table_with_grid(tmp_path):

@@ -36,7 +36,6 @@ from twohop.gridsearch import (
     SolveTimeout,
     _Best,
     _completion_masses,
-    _costly_classes,
     _ends,
     _hull_bounds,
     _leaf_batches,
@@ -701,7 +700,7 @@ def test_hull_bound_holds_below_every_prefix():
                     lows[key] = (min(old[0], tangent[i]), min(old[1], exact[i]), min(old[2], up[i]))
             if not lows:
                 continue
-            prefix = [c for c in _costly_classes(sc) if c != frac_c][:-1]
+            prefix = [c for c in sc.costly if c != frac_c][:-1]
             fixed = {c: np.array([key[k] for key in lows]) for k, c in enumerate(prefix)}
             row_tx = _tx_energy(_completion_masses(frac_c, fixed, sc, 0.0).items(), sc)
             bound, bound_up = hull.bounds(fixed, row_tx)
@@ -726,7 +725,7 @@ def test_hull_bound_holds_at_every_profile_energy():
         tables, _, hulls = _hulls(sc)
         n1 = sc.max_threshold
         for frac_c, hull in hulls.items():
-            c = [k for k in _costly_classes(sc) if k != frac_c][-1]
+            c = [k for k in sc.costly if k != frac_c][-1]
             slopes = _log_miss_slopes(frac_c, sc)
             for v in range(n1 + 1):
                 for j in range(n1 + 1):

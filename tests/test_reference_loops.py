@@ -54,7 +54,6 @@ from twohop.gridsearch import (
     SolveTimeout,
     _Best,
     _completion_masses,
-    _costly_classes,
     _energy_margin,
     _full_profile,
     _prune_margin,
@@ -872,7 +871,7 @@ def test_greedy_profiles_are_maximal_and_end_on_the_budget():
             assert threshold_energy(hs, sc) <= sc.budget + tol
             k = tuple(float(math.floor(h)) for h in hs)
             assert k == integer_profile(rep, sc)
-            for c in _costly_classes(sc):
+            for c in sc.costly:
                 if k[c] < n1:
                     assert threshold_energy(_moved(k, c, k[c] + 1.0), sc) > \
                         sc.budget + tol - margin
@@ -1367,7 +1366,7 @@ def leaf_batches_copy(sc: Scenario, frac_c: int
     fractional solve with one Newton segment per parent prefix, the
     segmentation of the scalar walk, so every value keeps its bits.
     """
-    levels = [c for c in _costly_classes(sc) if c != frac_c]
+    levels = [c for c in sc.costly if c != frac_c]
     no_vals = [np.empty(0, int)] * len(levels)
 
     def step(fixed: dict[int, np.ndarray]):
@@ -1447,7 +1446,7 @@ def grid_search_copy(sc: Scenario, *, timeout_s: float | None = None) -> SolveRe
     incumbent = ub_log_miss = math.inf
     enumerated = 0
 
-    for frac_c in _costly_classes(sc):
+    for frac_c in sc.costly:
         table = tables[frac_c]
         following = np.append(table[1:], table[-1])   # T[j + 1]; j = n - 1 only with a = 0
         slopes = _log_miss_slopes(frac_c, sc)
@@ -1625,7 +1624,7 @@ def test_grid_search_is_within_the_derived_bound_of_exact_candidate_sums():
     kinds = set()
     for sc in SMALL_GRID_INSTANCES:
         n1, q = float(sc.max_threshold), len(sc.classes)
-        costly = _costly_classes(sc)
+        costly = sc.costly
         assert 1 <= len(costly) <= 3 and sc.subslots <= 40
 
         def exact(hs) -> float:
